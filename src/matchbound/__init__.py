@@ -42,14 +42,12 @@ from .graphs import (
 )
 from .linalg import (
     BipartiteSample,
-    JacobiConvergenceError,
     NonPositiveDeterminantError,
     SingularAtZeroError,
     SkewSample,
     bipartite_block,
     log_det_bipartite,
     log_det_shifted,
-    symmetric_eigenvalues,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +62,6 @@ __all__ = [
     "GapSweepRow",
     "GraphFormatError",
     "GraphTooLargeError",
-    "JacobiConvergenceError",
     "MatchingCounts",
     "NonPositiveDeterminantError",
     "RngStream",
@@ -94,6 +91,5 @@ __all__ = [
     "sample_skew",
     "serialize_graph",
     "skew_adjacency",
-    "symmetric_eigenvalues",
     "tail_bound",
 ]

@@ -30,11 +30,7 @@ from .estimator import (
 )
 from .exact import GraphTooLargeError, matching_counts
 from .graphs import GraphFormatError, WeightedGraph, bipartition, parse_graph, skew_adjacency
-from .linalg import (
-    JacobiConvergenceError,
-    NonPositiveDeterminantError,
-    SingularAtZeroError,
-)
+from .linalg import NonPositiveDeterminantError, SingularAtZeroError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -444,12 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, GraphTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        NonPositiveDeterminantError,
-        SingularAtZeroError,
-        JacobiConvergenceError,
-        EstimatorError,
-    ) as exc:
+    except (NonPositiveDeterminantError, SingularAtZeroError, EstimatorError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

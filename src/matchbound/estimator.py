@@ -21,18 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Bipartition, SkewAdjacency, WeightedGraph, bipartition, skew_adjacency
-from .linalg import (
-    NonPositiveDeterminantError,
-    SkewSample,
-    gram_logdet_batch,
-    lu_logabsdet_batch,
-)
+from .linalg import NonPositiveDeterminantError, SkewSample, gram_logdet_batch, skew_logdet_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _BATCH = 4096  # fixed batch partition; independent of thread count
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class EstimatorError(RuntimeError):
@@ -90,16 +84,23 @@ class RngStream:
         return _uniform_block(self.seed, self.stream_index, 1, count)[0]
 
 
-def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
-    """Draw sample i: one normal per unordered vertex pair, row-major order."""
+def _skew_batch(adj: SkewAdjacency, seed: int, start: int, count: int):
+    """Samples start .. start + count - 1 as a (count, N, N) stack, and the
+    largest |normal| drawn: one normal per unordered vertex pair, row-major."""
     n = adj.dimension
     iu, ju = np.triu_indices(n, 1)
-    z = _normal_block(stream.seed, i, 1, len(iu))[0]
+    z = _normal_block(seed, start, count, len(iu))
+    max_abs = float(np.abs(z).max()) if z.size else 0.0
     w = adj.matrix[iu, ju] * z
-    y = np.zeros((n, n))
-    y[iu, ju] = w
-    y[ju, iu] = -w
-    return SkewSample(y)
+    mats = np.zeros((count, n, n))
+    mats[:, iu, ju] = w
+    mats[:, ju, iu] = -w
+    return mats, max_abs
+
+
+def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
+    """Draw sample i exactly as the estimator's batches draw it."""
+    return SkewSample(_skew_batch(adj, stream.seed, i, 1)[0][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +108,8 @@ class EstimateResult:
     """Per-sample log-determinants and their mean.
 
     per_sample holds the non-singular draws in sample-index order; failures
-    counts singular draws (possible only at t = 0). mean_log estimates
+    counts singular draws (possible only at t = 0, where matchbound.linalg
+    calls a draw singular when s_min <= N * eps * s_max). mean_log estimates
     E log det(sqrt(t) I + Y); exp(mean_log) is the certified lower-bound
     quantity, while mean_det estimates the polynomial value itself.
     """
@@ -268,24 +270,9 @@ def _pair_index_matrix(n: int, left: tuple[int, ...], right: tuple[int, ...]) ->
 
 
 def _general_batch(adj, t, seed, start, count):
-    n = adj.dimension
-    iu, ju = np.triu_indices(n, 1)
-    z = _normal_block(seed, start, count, len(iu))
-    max_abs = float(np.abs(z).max()) if z.size else 0.0
-    w = adj.matrix[iu, ju] * z
-    mats = np.zeros((count, n, n))
-    mats[:, iu, ju] = w
-    mats[:, ju, iu] = -w
-    if t > 0:
-        mats[:, np.arange(n), np.arange(n)] = math.sqrt(t)
-        floor = 0.0
-    else:
-        floor = n * _EPS * np.abs(mats).reshape(count, -1).max(axis=1)
-    logabs, sign, singular = lu_logabsdet_batch(mats, floor)
-    if t > 0 and (singular.any() or (sign != 1.0).any()):
-        bad = int(np.flatnonzero((sign != 1.0) | singular)[0])
-        raise NonPositiveDeterminantError(f"factorization breakdown at sample {start + bad}")
-    return logabs, singular, max_abs
+    mats, max_abs = _skew_batch(adj, seed, start, count)
+    values, singular = skew_logdet_batch(mats, t)
+    return values, singular, max_abs
 
 
 def _bipartite_batch(bip, pair_idx, t, seed, start, count, n_pairs):
@@ -339,9 +326,12 @@ def estimate_log_phi_tilde(
 
     def run(start: int):
         count = min(_BATCH, k - start)
-        if bip is not None:
-            return _bipartite_batch(bip, pair_idx, t, seed, start, count, n_pairs)
-        return _general_batch(adj, t, seed, start, count)
+        try:
+            if bip is not None:
+                return _bipartite_batch(bip, pair_idx, t, seed, start, count, n_pairs)
+            return _general_batch(adj, t, seed, start, count)
+        except NonPositiveDeterminantError as exc:
+            raise NonPositiveDeterminantError(f"batch from sample {start}, {exc}") from None
 
     if threads is not None and threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

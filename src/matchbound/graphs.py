@@ -6,6 +6,7 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -43,9 +44,9 @@ class WeightedGraph:
             if key in seen:
                 raise GraphFormatError(f"duplicate edge ({key[0] + 1}, {key[1] + 1})")
             seen.add(key)
-            if not (w > 0.0):
+            if not (math.isfinite(w) and w > 0.0):
                 raise GraphFormatError(
-                    f"non-positive weight {w!r} on edge ({u + 1}, {v + 1})"
+                    f"non-positive or non-finite weight {w!r} on edge ({u + 1}, {v + 1})"
                 )
 
     @property
@@ -158,8 +159,8 @@ def parse_graph(text: str) -> WeightedGraph:
             )
         if u == v:
             raise GraphFormatError(f"line {no}: self-loop at vertex {u}")
-        if not (w > 0.0):
-            raise GraphFormatError(f"line {no}: non-positive weight {fields[2]!r}")
+        if not (math.isfinite(w) and w > 0.0):
+            raise GraphFormatError(f"line {no}: non-positive or non-finite weight {fields[2]!r}")
         edges.append((u - 1, v - 1, w))
 
     # duplicate-pair detection happens in the constructor

@@ -1,14 +1,16 @@
-"""Log-determinants of shifted skew-symmetric matrices.
+"""Log-determinants of shifted skew-symmetric matrices, by LAPACK.
 
 For antisymmetric Y and t > 0, det(sqrt(t) I + Y) equals the product of
 sqrt(t + s_i^2) over the singular values of Y, so it is strictly positive;
-the LU path tracks the sign purely as a numerical health check. The
-bipartite block form [[0, U], [-U^T, 0]] reduces to the m-by-m Gram matrix
-U U^T, whose eigenvalues are the squared singular values of U.
+np.linalg.slogdet computes it and the +1 sign is checked as a numerical
+health check. At t = 0 the determinant is the product of the singular
+values themselves, computed by np.linalg.svd, and a sample whose smallest
+singular value is at most N * eps times its largest counts as singular.
+The bipartite block form [[0, U], [-U^T, 0]] reduces to the m-by-m Gram
+matrix U U^T at t > 0 and to the singular values of U at t = 0.
 
-Batched variants (leading batch axis) run the same elementwise arithmetic
-as the scalar operations and exist so Monte Carlo callers can factor
-thousands of samples per numpy call.
+The batch kernels take a leading batch axis so Monte Carlo callers factor
+thousands of samples per numpy call; the scalar helpers wrap them.
 """
 
 from __future__ import annotations
@@ -22,15 +24,11 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class NonPositiveDeterminantError(ArithmeticError):
-    """LU sign tracking or pivoting broke down where positivity is guaranteed."""
+    """A determinant that is positive in exact arithmetic came out non-positive or non-finite."""
 
 
 class SingularAtZeroError(ArithmeticError):
-    """A t = 0 factorization met a (numerically) zero pivot."""
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi sweeps failed to reach the off-diagonal tolerance."""
+    """A t = 0 sample is (numerically) singular."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,177 +79,99 @@ def bipartite_block(u: BipartiteSample) -> SkewSample:
     return SkewSample(y)
 
 
-def lu_logabsdet_batch(mats: np.ndarray, singular_floor: np.ndarray | float = 0.0):
-    """In-place LU with partial pivoting over a (B, N, N) batch.
+def _positive_logdet(mats: np.ndarray) -> np.ndarray:
+    """log det over a (B, k, k) stack whose determinants are positive in exact arithmetic."""
+    sign, logabs = np.linalg.slogdet(mats)
+    bad = np.flatnonzero((sign != 1.0) | ~np.isfinite(logabs))
+    if bad.size:
+        i = int(bad[0])
+        raise NonPositiveDeterminantError(
+            f"sample {i} of the batch: determinant sign {sign[i]:+.0f}, log|det| {logabs[i]:.17g}"
+            " where a positive finite determinant is guaranteed"
+        )
+    return logabs
 
-    Returns (logabs, sign, singular): per-matrix log|det|, the tracked sign
-    of det, and a mask of matrices whose pivot magnitude fell to or below
-    singular_floor (those report logabs = -inf, sign = 0). The input array
-    is overwritten with the factorization scratch.
+
+def _logabsdet_at_zero(mats: np.ndarray, order: int):
+    """log|det| over a (B, k, k) stack from its singular values, plus a singular mask.
+
+    order is the dimension N of the antisymmetric matrix the stack stands
+    for: a sample is singular (value -inf) when s_min <= N * eps * s_max.
     """
-    b, n, _ = mats.shape
-    sign = np.ones(b)
-    logabs = np.zeros(b)
-    singular = np.zeros(b, dtype=bool)
-    floor = np.broadcast_to(np.asarray(singular_floor, dtype=np.float64), (b,))
-    rows = np.arange(b)
-    for k in range(n):
-        if k < n - 1:
-            p = np.abs(mats[:, k:, k]).argmax(axis=1)
-            swap = p > 0
-            if swap.any():
-                bi = rows[swap]
-                ri = k + p[swap]
-                tmp = mats[bi, k, :].copy()
-                mats[bi, k, :] = mats[bi, ri, :]
-                mats[bi, ri, :] = tmp
-                sign[swap] = -sign[swap]
-        piv = mats[:, k, k].copy()
-        dead = np.abs(piv) <= floor
-        singular |= dead
-        safe = np.where(dead, 1.0, piv)
-        if k < n - 1:
-            mult = mats[:, k + 1 :, k] / safe[:, None]
-            mats[:, k + 1 :, k + 1 :] -= mult[:, :, None] * mats[:, k, k + 1 :][:, None, :]
-        logabs += np.log(np.abs(safe))
-        sign *= np.sign(safe)
+    s = np.linalg.svd(mats, compute_uv=False)
+    # min/max with an initial value also cover k = 0 (empty product, never singular)
+    singular = s.min(axis=-1, initial=np.inf) <= order * _EPS * s.max(axis=-1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        logabs = np.log(s).sum(axis=-1)
     logabs[singular] = -np.inf
-    sign[singular] = 0.0
-    return logabs, sign, singular
+    return logabs, singular
+
+
+def skew_logdet_batch(y_batch: np.ndarray, t: float):
+    """Batched log det(sqrt(t) I + Y) over a (B, N, N) stack of antisymmetric Y.
+
+    Returns (values, singular): at t = 0 singular samples are flagged
+    (value -inf) instead of raising; at t > 0 none is, and a determinant
+    that is not positive and finite raises NonPositiveDeterminantError.
+    At t > 0 the diagonal of y_batch is overwritten with sqrt(t).
+    """
+    b, n, _ = y_batch.shape
+    if t == 0:
+        return _logabsdet_at_zero(y_batch, n)
+    y_batch[:, np.arange(n), np.arange(n)] = math.sqrt(t)
+    return _positive_logdet(y_batch), np.zeros(b, dtype=bool)
+
+
+def gram_logdet_batch(u_batch: np.ndarray, t: float):
+    """Batched log det of the embedded block samples of a (B, m, n) stack, m <= n.
+
+    At t > 0 this is log det(t I_m + U U^T) plus ((n - m)/2) log t; at
+    t = 0 it is 2 log|det U|, taken from the singular values of U rather
+    than of U U^T, whose condition number is squared. Returns (values,
+    singular) as skew_logdet_batch does; at t = 0 every rectangular
+    sample is singular.
+    """
+    b, m, n = u_batch.shape
+    if t == 0:
+        if m != n:
+            # the t^((n-m)/2) factor is identically zero
+            return np.full(b, -np.inf), np.ones(b, dtype=bool)
+        logabs, singular = _logabsdet_at_zero(u_batch, m + n)
+        return 2.0 * logabs, singular
+    gram = u_batch @ u_batch.transpose(0, 2, 1)
+    gram[:, np.arange(m), np.arange(m)] += t
+    return _positive_logdet(gram) + 0.5 * (n - m) * math.log(t), np.zeros(b, dtype=bool)
 
 
 def log_det_shifted(y: SkewSample, t: float) -> float:
     """log det(sqrt(t) I + Y) for an antisymmetric sample Y.
 
-    The value is bounded below by (N/2) log t for t > 0. A non-positive
-    tracked sign or an exactly zero pivot at t > 0 raises
-    NonPositiveDeterminantError (it signals breakdown, not a true zero).
-    t = 0 is legal only for even N; there a pivot within N*eps*max|Y| of
-    zero reports the sample as singular via SingularAtZeroError.
+    The value is bounded below by (N/2) log t for t > 0. t = 0 is legal
+    only for even N; there a singular sample (s_min <= N * eps * s_max)
+    raises SingularAtZeroError.
     """
-    n = y.dimension
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0 and n % 2 == 1:
+    if t == 0 and y.dimension % 2 == 1:
         raise ValueError("t = 0 requires an even dimension (determinant is identically 0)")
-    mat = y.matrix + math.sqrt(t) * np.eye(n)
-    if t == 0:
-        scale = float(np.abs(y.matrix).max())
-        floor = n * _EPS * scale
-        logabs, sign, singular = lu_logabsdet_batch(mat[None, :, :], floor)
-        if singular[0]:
-            raise SingularAtZeroError("singular sample at t = 0")
-    else:
-        logabs, sign, singular = lu_logabsdet_batch(mat[None, :, :])
-        if singular[0]:
-            raise NonPositiveDeterminantError("zero pivot at t > 0")
-    if sign[0] != 1.0:
-        raise NonPositiveDeterminantError(
-            f"tracked determinant sign {sign[0]:+.0f} where +1 is guaranteed"
-        )
-    return float(logabs[0])
-
-
-def symmetric_eigenvalues(s: np.ndarray, max_sweeps: int = 50) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, nonincreasing, by cyclic Jacobi.
-
-    Sweeps rotate every (p, q) pair until the off-diagonal Frobenius norm
-    drops below 1e-12 times the diagonal scale; raises
-    JacobiConvergenceError after max_sweeps sweeps.
-    """
-    a = np.array(s, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale0 = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale0:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    a = (a + a.T) / 2.0
-
-    for _ in range(max_sweeps):
-        od = a.copy()
-        np.fill_diagonal(od, 0.0)
-        off = math.sqrt(float((od**2).sum()))
-        diag_scale = math.sqrt(float((a.diagonal() ** 2).sum()))
-        if off <= 1e-12 * max(diag_scale, 1e-300):
-            return np.sort(a.diagonal())[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                d = (a[q, q] - a[p, p]) / (2.0 * apq)
-                tau = math.copysign(1.0, d) / (abs(d) + math.hypot(d, 1.0))
-                c = 1.0 / math.sqrt(tau * tau + 1.0)
-                sn = tau * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sn * rq
-                a[q, :] = sn * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - sn * cq
-                a[:, q] = sn * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps")
+    values, singular = skew_logdet_batch(y.matrix[None, :, :].copy(), t)
+    if singular[0]:
+        raise SingularAtZeroError("singular sample at t = 0")
+    return float(values[0])
 
 
 def log_det_bipartite(u: BipartiteSample, t: float) -> float:
-    """log det of the embedded block sample via Gram-matrix eigenvalues.
+    """log det of the embedded block sample by the Gram route.
 
-    Equals ((n - m)/2) log t plus sum_i log(t + s_i^2) with s_i^2 the
-    eigenvalues of U U^T. t = 0 requires m = n and a nonsingular Gram
-    matrix (else SingularAtZeroError).
+    Equals ((n - m)/2) log t plus sum_i log(t + s_i^2) over the singular
+    values s_i of U. t = 0 requires m = n and a nonsingular U (else
+    SingularAtZeroError).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m, n = u.m, u.n
-    if m == 0:
-        if t == 0:
-            if n == 0:
-                return 0.0
-            raise SingularAtZeroError("empty factor with padding rows at t = 0")
-        return 0.5 * n * math.log(t)
-    gram = u.matrix @ u.matrix.T
-    sq = np.maximum(symmetric_eigenvalues(gram), 0.0)
-    if t == 0:
-        if m != n:
-            raise ValueError("t = 0 requires m = n (determinant is identically 0)")
-        floor = m * _EPS * float(sq[0]) if sq[0] > 0 else 0.0
-        if sq[-1] <= floor:
-            raise SingularAtZeroError("singular bipartite sample at t = 0")
-        return float(np.log(sq).sum())
-    return 0.5 * (n - m) * math.log(t) + float(np.log(t + sq).sum())
-
-
-def gram_logdet_batch(u_batch: np.ndarray, t: float):
-    """Batched log det(t I_m + U U^T) plus the rectangular t-power term.
-
-    u_batch has shape (B, m, n) with m <= n. Returns (values, singular):
-    at t = 0 singular samples are flagged (value -inf) instead of raising.
-    Uses the LU kernel on the Gram matrix; pivots of a positive
-    semidefinite matrix keep the tracked sign at +1.
-    """
-    b, m, n = u_batch.shape
-    if m == 0:
-        if t == 0 and n > 0:
-            return np.full(b, -np.inf), np.ones(b, dtype=bool)
-        return np.full(b, 0.5 * n * math.log(t) if n else 0.0), np.zeros(b, dtype=bool)
-    if t == 0 and m != n:
-        # the t^((n-m)/2) factor is identically zero
-        return np.full(b, -np.inf), np.ones(b, dtype=bool)
-    gram = u_batch @ u_batch.transpose(0, 2, 1)
-    if t == 0:
-        floor = m * _EPS * np.abs(gram).reshape(b, -1).max(axis=1)
-    else:
-        floor = 0.0
-        gram[:, np.arange(m), np.arange(m)] += t
-    logabs, sign, singular = lu_logabsdet_batch(gram, floor)
-    if t == 0:
-        return logabs, singular
-    if singular.any() or (sign != 1.0).any():
-        raise NonPositiveDeterminantError("Gram factorization breakdown at t > 0")
-    return logabs + 0.5 * (n - m) * math.log(t), singular
+    if t == 0 and u.m != u.n:
+        raise ValueError("t = 0 requires m = n (determinant is identically 0)")
+    values, singular = gram_logdet_batch(u.matrix[None, :, :], t)
+    if singular[0]:
+        raise SingularAtZeroError("singular bipartite sample at t = 0")
+    return float(values[0])

@@ -54,6 +54,11 @@ def p3() -> WeightedGraph:
 
 
 @pytest.fixture(scope="session")
+def p6() -> WeightedGraph:
+    return path_graph(6)
+
+
+@pytest.fixture(scope="session")
 def triangle() -> WeightedGraph:
     return WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
 

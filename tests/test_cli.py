@@ -89,6 +89,13 @@ class TestEstimate:
         assert code == 2
         assert "self-loop" in capsys.readouterr().err
 
+    def test_infinite_weight_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "inf.txt"
+        bad.write_text("2 1\n1 2 inf\n")
+        code = main(["estimate", "--graph", str(bad), "--t", "1", "--samples", "10"])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["estimate", "--graph", "/nonexistent.txt", "--t", "1",
                      "--samples", "10"]) == 2

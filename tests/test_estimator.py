@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from matchbound import estimator
 from matchbound.analysis import c1_constant
 from matchbound.estimator import (
     EstimatorError,
@@ -117,10 +118,24 @@ class TestEstimate:
         assert np.array_equal(one.per_sample, many.per_sample)
         assert one.mean_log == many.mean_log
 
-    def test_fast_path_agrees_with_dense(self, k23):
-        fast = estimate_log_phi_tilde(k23, 1.0, 3000, 9, fast_bipartite="on")
-        dense = estimate_log_phi_tilde(k23, 1.0, 3000, 9, fast_bipartite="off")
-        assert np.allclose(fast.per_sample, dense.per_sample, rtol=0, atol=1e-11)
+    def test_fast_path_agrees_with_dense(self, k23, p6):
+        # at t = 0 the Gram route must not square the condition number of U
+        for g, t, atol in ((k23, 1.0, 1e-11), (p6, 0.0, 1e-10)):
+            fast = estimate_log_phi_tilde(g, t, 3000, 9, fast_bipartite="on")
+            dense = estimate_log_phi_tilde(g, t, 3000, 9, fast_bipartite="off")
+            assert fast.failures == dense.failures
+            assert np.allclose(fast.per_sample, dense.per_sample, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize(
+        "graph, t", [("random6", 1.0), ("k23", 0.5), ("k4", 0.0), ("p6", 0.0)]
+    )
+    def test_batch_size_never_changes_a_sample(self, request, monkeypatch, graph, t):
+        g = request.getfixturevalue(graph)
+        default = estimate_log_phi_tilde(g, t, 100, 3)
+        monkeypatch.setattr(estimator, "_BATCH", 7)
+        small = estimate_log_phi_tilde(g, t, 100, 3)
+        assert np.array_equal(default.per_sample, small.per_sample)
+        assert default.failures == small.failures
 
     def test_fast_on_non_bipartite_rejected(self, triangle):
         with pytest.raises(ValueError, match="not bipartite"):

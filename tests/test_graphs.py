@@ -44,10 +44,11 @@ class TestParse:
             parse_graph("3 2\n1 2 1.0\n2 1 2.0")
 
     def test_non_positive_weight_rejected(self):
-        with pytest.raises(GraphFormatError, match="non-positive"):
-            parse_graph("2 1\n1 2 0.0")
-        with pytest.raises(GraphFormatError, match="non-positive"):
-            parse_graph("2 1\n1 2 -3")
+        for w in ("0.0", "-3", "inf", "1e999", "nan"):
+            with pytest.raises(GraphFormatError, match="non-positive"):
+                parse_graph(f"2 1\n1 2 {w}")
+            with pytest.raises(GraphFormatError, match="non-positive"):
+                WeightedGraph(2, ((0, 1, float(w)),))
 
     def test_vertex_out_of_range_rejected(self):
         with pytest.raises(GraphFormatError, match="out of range"):

@@ -14,8 +14,7 @@ from matchbound.linalg import (
     gram_logdet_batch,
     log_det_bipartite,
     log_det_shifted,
-    lu_logabsdet_batch,
-    symmetric_eigenvalues,
+    skew_logdet_batch,
 )
 
 
@@ -25,39 +24,58 @@ def random_skew(rng: np.random.Generator, n: int) -> SkewSample:
 
 
 def eigen_oracle(y: SkewSample, t: float) -> float:
-    """Independent route: eigenvalues of Y^T Y are the squared eigenvalues
-    of the Hermitian matrix i*Y, so log det = sum of half-logs."""
-    squared = symmetric_eigenvalues(y.matrix.T @ y.matrix)
-    return float(0.5 * np.log(t + np.maximum(squared, 0.0)).sum())
+    """Independent route: the Hermitian matrix i*Y has eigenvalues +-s_j
+    (zheevd, not the LU behind slogdet), so log det = sum of half-logs."""
+    squared = np.linalg.eigvalsh(1j * y.matrix) ** 2
+    return float(0.5 * np.log(t + squared).sum())
 
 
 class TestLuKernel:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_against_numpy_slogdet(self, n):
         rng = np.random.default_rng(n)
-        mats = rng.standard_normal((40, n, n))
-        logabs, sign, singular = lu_logabsdet_batch(mats.copy())
-        ref_sign, ref_log = np.linalg.slogdet(mats)
+        a = rng.standard_normal((40, n, n))
+        ys = np.triu(a, 1) - np.triu(a, 1).transpose(0, 2, 1)
+        us = rng.standard_normal((40, n, n + 2))
+        t = 0.7
+        dense, singular = skew_logdet_batch(ys.copy(), t)
         assert not singular.any()
-        assert np.array_equal(sign, ref_sign)
-        assert np.allclose(logabs, ref_log, rtol=1e-10, atol=1e-10)
+        assert np.allclose(dense, np.linalg.slogdet(ys + math.sqrt(t) * np.eye(n))[1],
+                           rtol=1e-14, atol=0)
+        blocks = np.array([bipartite_block(BipartiteSample(u)).matrix for u in us])
+        gram, singular = gram_logdet_batch(us, t)
+        assert not singular.any()
+        assert np.allclose(gram, np.linalg.slogdet(blocks + math.sqrt(t) * np.eye(2 * n + 2))[1],
+                           rtol=1e-10, atol=0)
 
     def test_scalar_equals_batched_bitwise(self):
         rng = np.random.default_rng(17)
-        mats = rng.standard_normal((8, 6, 6))
-        batched, _, _ = lu_logabsdet_batch(mats.copy())
-        singles = np.array(
-            [lu_logabsdet_batch(mats[i : i + 1].copy())[0][0] for i in range(8)]
-        )
-        assert np.array_equal(batched, singles)
+        a = rng.standard_normal((8, 6, 6))
+        ys = np.triu(a, 1) - np.triu(a, 1).transpose(0, 2, 1)
+        us = rng.standard_normal((8, 3, 3))
+        for t in (0.0, 0.8):
+            dense, _ = skew_logdet_batch(ys.copy(), t)
+            gram, _ = gram_logdet_batch(us, t)
+            for i in range(8):
+                assert dense[i] == skew_logdet_batch(ys[i : i + 1].copy(), t)[0][0]
+                assert gram[i] == gram_logdet_batch(us[i : i + 1], t)[0][0]
 
     def test_singular_floor(self):
-        mats = np.zeros((2, 3, 3))
-        mats[1] = np.eye(3)
-        logabs, sign, singular = lu_logabsdet_batch(mats, 1e-300)
-        assert singular[0] and not singular[1]
-        assert logabs[0] == -np.inf and sign[0] == 0.0
-        assert logabs[1] == 0.0 and sign[1] == 1.0
+        mats = np.zeros((2, 4, 4))
+        mats[1] = np.eye(4)
+        for kernel in (skew_logdet_batch, gram_logdet_batch):
+            values, singular = kernel(mats.copy(), 0.0)
+            assert singular.tolist() == [True, False]
+            assert values.tolist() == [-np.inf, 0.0]
+
+    def test_non_finite_determinant_raises(self):
+        mats = np.zeros((3, 2, 2))
+        mats[2, 0, 1] = mats[2, 1, 0] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NonPositiveDeterminantError, match="sample 2 "):
+                skew_logdet_batch(mats, 1.0)
+            with pytest.raises(NonPositiveDeterminantError, match="sample 0 "):
+                gram_logdet_batch(np.full((1, 2, 2), 1e200), 1.0)  # U U^T overflows
 
 
 class TestLogDetShifted:
@@ -133,41 +151,6 @@ class TestLogDetShifted:
             SkewSample(np.zeros((2, 3)))
 
 
-class TestSymmetricEigenvalues:
-    def test_identity(self):
-        assert np.array_equal(symmetric_eigenvalues(np.eye(3)), [1.0, 1.0, 1.0])
-
-    def test_analytic_two_by_two(self):
-        e = symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert e == pytest.approx([3.0, 1.0], abs=1e-12)
-
-    def test_rank_one_gram(self):
-        u = np.array([[1.0, 0.0, 0.0]])
-        assert symmetric_eigenvalues(u @ u.T) == pytest.approx([1.0])
-
-    @pytest.mark.parametrize("n", [2, 5, 12, 20])
-    def test_against_numpy(self, n):
-        rng = np.random.default_rng(n + 42)
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        got = symmetric_eigenvalues(a)
-        want = np.linalg.eigvalsh(a)[::-1]
-        assert np.allclose(got, want, rtol=0, atol=1e-11 * max(1, np.abs(want).max()))
-
-    def test_nonincreasing_order(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((8, 8))
-        e = symmetric_eigenvalues(a + a.T)
-        assert all(x >= y for x, y in zip(e, e[1:]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_zero_matrix(self):
-        assert np.array_equal(symmetric_eigenvalues(np.zeros((4, 4))), np.zeros(4))
-
-
 class TestLogDetBipartite:
     def test_square_one_by_one(self):
         for c, t in [(1.0, 1.0), (2.0, 0.5)]:
@@ -217,7 +200,7 @@ class TestGramBatch:
         values, singular = gram_logdet_batch(u.copy(), 0.8)
         assert not singular.any()
         for i in range(30):
-            want = log_det_bipartite(BipartiteSample(u[i]), 0.8)
+            want = log_det_shifted(bipartite_block(BipartiteSample(u[i])), 0.8)
             assert values[i] == pytest.approx(want, rel=1e-11)
 
     def test_t_zero_rectangular_all_singular(self):
