@@ -1,12 +1,11 @@
 """Gaussian log-moment constants and the per-vertex gap sweep.
 
-The worst-case per-vertex gap constant is -E log(X^2) for standard normal
-X. Both it and the shifted variant log(1+a^2) - E log((X+a)^2) are
-integrals with an integrable logarithmic singularity; the quadrature
-splits off the singular neighborhood, substitutes u = y^2 there (the
-residual integrand then vanishes at the origin while the pure singular
-part integrates to -4 in closed form), and handles the rest with adaptive
-Simpson on a truncated range.
+The worst-case per-vertex gap constant is c1 = -E log(X^2) for standard
+normal X, which equals Euler-Mascheroni + log 2. The shifted variant
+log(1+a^2) - E log((X+a)^2) is a series: (X+a)^2 is noncentral chi-square
+with one degree of freedom and noncentrality a^2, a Poisson(a^2/2) mixture
+of central chi-squares with 1 + 2J degrees of freedom, and the mean log of
+chi-square with 1 + 2j degrees of freedom is log 2 + psi(1/2 + j).
 """
 
 from __future__ import annotations
@@ -18,70 +17,59 @@ from .estimator import RngStream, derive_seed, estimate_log_phi_tilde
 from .exact import complete_bipartite_counts, matching_counts
 from .graphs import WeightedGraph, complete_bipartite_graph
 
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth)
+EULER_GAMMA = 0.5772156649015329
+_PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)  # psi(1/2)
 
 
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    flm = f(0.5 * (a + m))
-    frm = f(0.5 * (m + b))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _simpson_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _simpson_step(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+def _mean_psi_poisson(lam: float) -> float:
+    """E psi(1/2 + J) for J ~ Poisson(lam).
+
+    The weights run outward from the mode by the ratio recurrence, starting
+    from 1 there, and are normalized by their sum, so no weight underflows
+    (e^-lam alone does once lam > 745). psi is summed by fsum at the mode
+    and stepped from it by psi(1/2 + j) - psi(1/2 + j - 1) = 2 / (2j - 1).
+    A walk stops at a relative weight below 1e-20: the rest of that tail is
+    too light to move the mean in double precision.
+    """
+    mode = math.floor(lam)
+    psi_mode = _PSI_HALF + 2.0 * math.fsum(1.0 / (2 * i - 1) for i in range(1, mode + 1))
+    weights, offsets = [1.0], [0.0]  # offsets are psi(1/2 + j) - psi_mode
+    j, w, d = mode, 1.0, 0.0
+    while True:
+        j += 1
+        w *= lam / j
+        if w < 1e-20:
+            break
+        d += 2.0 / (2 * j - 1)
+        weights.append(w)
+        offsets.append(d)
+    j, w, d = mode, 1.0, 0.0
+    while j > 0:
+        w *= j / lam
+        d -= 2.0 / (2 * j - 1)
+        j -= 1
+        if w < 1e-20:
+            break
+        weights.append(w)
+        offsets.append(d)
+    shift = math.fsum(w * d for w, d in zip(weights, offsets)) / math.fsum(weights)
+    return psi_mode + shift
 
 
-def _mean_log_square_shifted(a: float, tol: float) -> float:
-    """E log((X+a)^2) for standard normal X, absolute error about tol."""
-    # fold the +-y halves of the density around the singular point
-    def folded(y: float) -> float:
-        return math.exp(-0.5 * (y - a) ** 2) + math.exp(-0.5 * (y + a) ** 2)
-
-    s0 = folded(0.0)
-
-    def desingularized(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        return math.log(u) / math.sqrt(u) * (folded(math.sqrt(u)) - s0)
-
-    central = 0.5 * (_adaptive_simpson(desingularized, 0.0, 1.0, tol / 4.0) - 4.0 * s0)
-
-    def outer_part(y: float) -> float:
-        return 2.0 * math.log(y) * folded(y)
-
-    # unit-width panels: the density bump is O(1) wide and would slip
-    # between the probe points of a single adaptive call on [1, hi]
-    hi = math.ceil(a + 40.0)
-    panel_tol = tol / (4.0 * (hi - 1))
-    outer = math.fsum(
-        _adaptive_simpson(outer_part, float(lo), float(lo + 1), panel_tol)
-        for lo in range(1, hi)
-    )
-    return (central + outer) / math.sqrt(2.0 * math.pi)
+def c1_constant() -> float:
+    """-E log(X^2) = Euler-Mascheroni + log 2 = 1.270362845..."""
+    return EULER_GAMMA + math.log(2.0)
 
 
-def c1_constant(tol: float = 1e-10) -> float:
-    """-E log(X^2) = 1.270362845...; also Euler-Mascheroni + log 2."""
-    return -_mean_log_square_shifted(0.0, tol)
-
-
-def gaussian_log_gap(a: float, tol: float = 1e-10) -> float:
+def gaussian_log_gap(a: float) -> float:
     """log(1 + a^2) - E log((X+a)^2): the log-moment gap of a shifted normal.
 
     Decreasing in a >= 0, from c1_constant() at a = 0 toward 0; for large a
     it expands as 2/a^2 + 1/a^4 + O(a^-6).
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    return math.log1p(a * a) - _mean_log_square_shifted(a, tol)
+    if not 0.0 <= a < math.inf:
+        raise ValueError("a must be finite and nonnegative")
+    return math.log1p(a * a) - math.log(2.0) - _mean_psi_poisson(0.5 * a * a)
 
 
 @dataclass(frozen=True)
@@ -170,4 +158,4 @@ def optimality_sweep(
 
 
 def _weight_draws(seed: int, count: int) -> list[float]:
-    return RngStream(seed, 0).uniforms(count).tolist()
+    return [float(u) for u in RngStream(seed, 0).uniforms(count)]

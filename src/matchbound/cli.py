@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -61,8 +62,7 @@ def _json_scalar(x: Any) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, str):
-        out = x.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(x, ensure_ascii=False)
     raise TypeError(f"unsupported JSON scalar {type(x)!r}")
 
 
@@ -127,6 +127,7 @@ def _estimate_summary(est: EstimateResult) -> dict[str, Any]:
         "std_err": est.std_err,
         "mean_det": est.mean_det,
         "std_err_det": est.std_err_det,
+        "log_mean_det": est.log_mean_det,
         "max_abs_variate": est.max_abs_variate,
     }
 
@@ -191,17 +192,13 @@ def _run_estimate(args: argparse.Namespace) -> RunReport:
             plan = plan_samples(args.eps, args.delta, g.n_vertices, adj.amplitude, args.t)
             k = plan.samples
 
-    est = estimate_log_phi_tilde(
-        g, args.t, k, args.seed, fast_bipartite=args.fast_bipartite, threads=args.threads
-    )
+    est = estimate_log_phi_tilde(g, args.t, k, args.seed, threads=args.threads)
     bounds = bounds_report(est, adj.amplitude, g.n_vertices, args.t, c1_constant())
 
     # thread count is deliberately not echoed: it never affects the numbers,
     # and reports must be byte-identical across worker counts
     payload: dict[str, Any] = {
-        "command": _command_echo(
-            args, ["graph", "t", "eps", "delta", "samples", "seed", "fast_bipartite"]
-        ),
+        "command": _command_echo(args, ["graph", "t", "eps", "delta", "samples", "seed"]),
         "graph": {
             "n_vertices": g.n_vertices,
             "n_edges": g.n_edges,
@@ -227,9 +224,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
     log_value = counts.log_eval(args.t)
     value = counts.eval(args.t)
 
-    est = estimate_log_phi_tilde(
-        g, args.t, args.samples, args.seed, fast_bipartite=args.fast_bipartite, threads=args.threads
-    )
+    est = estimate_log_phi_tilde(g, args.t, args.samples, args.seed, threads=args.threads)
     bounds = bounds_report(est, adj.amplitude, g.n_vertices, args.t, c1_constant())
 
     # unbiased target: the polynomial value, times sqrt(t) when N is odd
@@ -246,9 +241,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
     sandwich_ok = lower_ok and upper_ok
 
     payload: dict[str, Any] = {
-        "command": _command_echo(
-            args, ["graph", "t", "samples", "seed", "fast_bipartite"]
-        ),
+        "command": _command_echo(args, ["graph", "t", "samples", "seed"]),
         "graph": {
             "n_vertices": g.n_vertices,
             "n_edges": g.n_edges,
@@ -325,12 +318,17 @@ def _bench_csv(rows: list[dict[str, Any]]) -> str:
 
 def _run_constants(args: argparse.Namespace) -> RunReport:
     started = time.monotonic()
+    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
+        raise ValueError("--grid-step must be finite and positive")
+    if not math.isfinite(args.grid_max):
+        raise ValueError("--grid-max must be finite")
     c1 = c1_constant()
     table = []
-    a = 0.0
-    while a <= args.grid_max + 1e-12:
+    i = 0
+    # each point is i * step: accumulating a += step would drift
+    while (a := i * args.grid_step) <= args.grid_max + 1e-12:
         table.append({"a": a, "gap": gaussian_log_gap(a)})
-        a += args.grid_step
+        i += 1
     payload = {
         "command": {"subcommand": "constants"},
         "c1": c1,
@@ -350,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_graph:
             p.add_argument("--graph", required=True, help="graph file path")
             p.add_argument("--t", type=float, required=True, help="polynomial argument, > 0")
-            p.add_argument(
-                "--fast-bipartite",
-                choices=("auto", "on", "off"),
-                default="auto",
-                help="Gram-matrix fast path selection",
-            )
         p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
         p.add_argument(
             "--threads", type=int, default=os.cpu_count(), help="worker threads (default: all cores)"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Bipartition, SkewAdjacency, WeightedGraph, bipartition, skew_adjacency
+from .graphs import SkewAdjacency, WeightedGraph, bipartition, skew_adjacency
 from .linalg import NonPositiveDeterminantError, SkewSample, gram_logdet_batch, skew_logdet_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -111,7 +111,9 @@ class EstimateResult:
     counts singular draws (possible only at t = 0, where matchbound.linalg
     calls a draw singular when s_min <= N * eps * s_max). mean_log estimates
     E log det(sqrt(t) I + Y); exp(mean_log) is the certified lower-bound
-    quantity, while mean_det estimates the polynomial value itself.
+    quantity, while mean_det estimates the polynomial value itself (times
+    sqrt(t) at odd N). mean_det and std_err_det are inf where they exceed
+    the largest double; log_mean_det is always finite.
     """
 
     k: int
@@ -123,18 +125,38 @@ class EstimateResult:
     failures: int
     max_abs_variate: float  # diagnostic: largest |normal| consumed
 
+    def _scaled_dets(self) -> tuple[float, np.ndarray]:
+        """The largest log-determinant and every determinant divided by its exp."""
+        top = float(self.per_sample.max())
+        return top, np.exp(self.per_sample - top)
+
+    @property
+    def log_mean_det(self) -> float:
+        """log mean_det by max-shifted log-sum-exp: finite whatever the weights."""
+        top, scaled = self._scaled_dets()
+        return top + math.log(scaled.mean())
+
     @property
     def mean_det(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.per_sample).mean())
+        return _exp(self.log_mean_det)
 
     @property
     def std_err_det(self) -> float:
         if len(self.per_sample) < 2:
             return 0.0
-        with np.errstate(over="ignore"):
-            dets = np.exp(self.per_sample)
-        return float(dets.std(ddof=1) / math.sqrt(len(dets)))
+        top, scaled = self._scaled_dets()
+        spread = float(scaled.std(ddof=1))
+        if spread == 0.0:
+            return 0.0
+        return _exp(top + math.log(spread / math.sqrt(len(scaled))))
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf where that exceeds the largest double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -289,15 +311,13 @@ def estimate_log_phi_tilde(
     k: int,
     seed: int,
     *,
-    fast_bipartite: str = "auto",
     threads: int | None = None,
 ) -> EstimateResult:
     """Average log det(sqrt(t) I + Y) over k independent samples.
 
-    fast_bipartite selects the Gram-matrix path: "auto" uses it whenever a
-    bipartition exists, "on" demands one (ValueError otherwise), "off"
-    forces the dense antisymmetric factorization. Results are bitwise
-    independent of the thread count.
+    A graph with a bipartition and at least one edge takes the Gram-matrix
+    route; any other graph takes the dense antisymmetric factorization.
+    Results are bitwise independent of the thread count.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
@@ -305,17 +325,11 @@ def estimate_log_phi_tilde(
         raise ValueError("t must be nonnegative")
     if t == 0 and g.n_vertices % 2 == 1:
         raise ValueError("t = 0 requires an even vertex count")
-    if fast_bipartite not in ("auto", "on", "off"):
-        raise ValueError("fast_bipartite must be one of auto/on/off")
 
     adj = skew_adjacency(g)
-    bip: Bipartition | None = None
-    if fast_bipartite in ("auto", "on"):
-        bip = bipartition(g)
-        if fast_bipartite == "on" and bip is None:
-            raise ValueError("graph is not bipartite but fast_bipartite=on was requested")
-        if bip is not None and bip.m == 0:
-            bip = None  # edgeless: dense path is already trivial
+    bip = bipartition(g)
+    if bip is not None and bip.m == 0:
+        bip = None  # edgeless: dense path is already trivial
 
     n = g.n_vertices
     n_pairs = n * (n - 1) // 2

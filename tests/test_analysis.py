@@ -29,9 +29,6 @@ class TestC1:
     def test_euler_mascheroni_identity(self):
         assert c1_constant() == pytest.approx(EULER_GAMMA + math.log(2.0), abs=1e-9)
 
-    def test_tolerance_cross_check(self):
-        assert abs(c1_constant(1e-6) - c1_constant(1e-10)) < 1e-6
-
     def test_fast(self):
         import time
 

@@ -40,6 +40,7 @@ class TestEstimate:
         assert report["graph"]["bipartite"] is True
         est = report["estimate"]
         assert abs(est["mean_det"] - 2.0) < 5 * est["std_err_det"]
+        assert est["log_mean_det"] == pytest.approx(math.log(est["mean_det"]), rel=1e-12)
         assert abs(est["mean_log"] - 0.5334531798) < 5 * est["std_err"]
         bounds = report["bounds"]
         assert bounds["upper_log"] >= bounds["lower_log"]
@@ -100,12 +101,6 @@ class TestEstimate:
         assert main(["estimate", "--graph", "/nonexistent.txt", "--t", "1",
                      "--samples", "10"]) == 2
 
-    def test_fast_bipartite_on_non_bipartite_is_usage_error(self, capsys, triangle_file):
-        code = main(["estimate", "--graph", triangle_file, "--t", "1",
-                     "--samples", "10", "--fast-bipartite", "on"])
-        assert code == 2
-        assert "bipartite" in capsys.readouterr().err
-
     def test_byte_identical_across_thread_counts(self, capsys, triangle_file):
         argv = ["estimate", "--graph", triangle_file, "--t", "1", "--samples",
                 "20000", "--seed", "3", "--format", "json"]
@@ -136,6 +131,17 @@ class TestEstimate:
         assert code == 0
         assert "wall_time_seconds" in out
         assert "mean_log" in out
+
+    def test_control_characters_in_path_stay_valid_json(self, capsys, tmp_path):
+        path = tmp_path / "c4\ttab.txt"
+        path.write_text("4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
+        code, out = run_json(
+            capsys,
+            ["estimate", "--graph", str(path), "--t", "1", "--samples", "10",
+             "--format", "json"],
+        )
+        assert code == 0
+        assert json.loads(out)["command"]["graph"] == str(path)
 
     def test_json_floats_round_trip(self, capsys, k2_file):
         _, out = run_json(
@@ -275,6 +281,25 @@ class TestConstants:
         gaps = [row["gap"] for row in table]
         assert all(x > y for x, y in zip(gaps, gaps[1:]))
         assert len(table) == 9
+
+    def test_grid_points_are_multiples_of_the_step(self, capsys):
+        # ten additions of 0.1 give 0.9999999999999999, not 1.0
+        code, out = run_json(
+            capsys,
+            ["constants", "--format", "json", "--grid-max", "1", "--grid-step", "0.1"],
+        )
+        assert code == 0
+        points = [row["a"] for row in json.loads(out)["gap_table"]]
+        assert points == [i * 0.1 for i in range(11)]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid-step", "0"), ("--grid-step", "-0.25"), ("--grid-step", "nan"),
+         ("--grid-step", "inf"), ("--grid-max", "nan"), ("--grid-max", "inf")],
+    )
+    def test_bad_grid_is_usage_error(self, capsys, flag, value):
+        assert main(["constants", flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_unknown_subcommand():

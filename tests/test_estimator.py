@@ -17,6 +17,7 @@ from matchbound.estimator import (
 )
 from matchbound.exact import matching_poly_eval
 from matchbound.graphs import WeightedGraph, complete_graph, skew_adjacency
+from matchbound.linalg import SingularAtZeroError, log_det_shifted
 
 from conftest import gauss_hermite_expect
 
@@ -100,6 +101,24 @@ class TestEstimate:
         est = estimate_log_phi_tilde(k2_unit, 1.0, 200_000, 7)
         assert abs(est.mean_det - 2.0) < 4 * est.std_err_det
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_determinant_moments_under_huge_weights(self, k23):
+        # det(sqrt(c) I + sqrt(c) Y) = c^(N/2) det(I + Y): scaling t and every
+        # weight by c shifts each log-determinant of K_{2,3} by 2.5 log c
+        unit = estimate_log_phi_tilde(k23, 1.0, 100, 4)
+        scaled = {}
+        for c in (1e80, 1e300):
+            g = WeightedGraph(5, tuple((u, v, c) for u, v, _ in k23.edges))
+            scaled[c] = est = estimate_log_phi_tilde(g, c, 100, 4)
+            want = unit.log_mean_det + 2.5 * math.log(c)
+            assert est.log_mean_det == pytest.approx(want, rel=1e-12)
+        # determinants near 1e200: their squares overflow, their mean and spread do not
+        assert scaled[1e80].mean_det == pytest.approx(unit.mean_det * 1e200, rel=1e-11)
+        assert scaled[1e80].std_err_det == pytest.approx(unit.std_err_det * 1e200, rel=1e-11)
+        # near 1e750 neither fits in a double
+        assert scaled[1e300].mean_det == math.inf
+        assert scaled[1e300].std_err_det == math.inf
+
     def test_jensen_direction(self, k4, triangle, random6):
         for g in (k4, triangle, random6):
             for seed in (0, 1):
@@ -119,12 +138,20 @@ class TestEstimate:
         assert one.mean_log == many.mean_log
 
     def test_fast_path_agrees_with_dense(self, k23, p6):
-        # at t = 0 the Gram route must not square the condition number of U
+        # bipartite graphs take the Gram route; each sample must match the
+        # dense log-determinant of the same draw, and at t = 0 the Gram route
+        # must not square the condition number of U
         for g, t, atol in ((k23, 1.0, 1e-11), (p6, 0.0, 1e-10)):
-            fast = estimate_log_phi_tilde(g, t, 3000, 9, fast_bipartite="on")
-            dense = estimate_log_phi_tilde(g, t, 3000, 9, fast_bipartite="off")
-            assert fast.failures == dense.failures
-            assert np.allclose(fast.per_sample, dense.per_sample, rtol=0, atol=atol)
+            fast = estimate_log_phi_tilde(g, t, 3000, 9)
+            adj = skew_adjacency(g)
+            dense, failures = [], 0
+            for i in range(3000):
+                try:
+                    dense.append(log_det_shifted(sample_skew(adj, RngStream(9), i), t))
+                except SingularAtZeroError:
+                    failures += 1
+            assert fast.failures == failures
+            assert np.allclose(fast.per_sample, dense, rtol=0, atol=atol)
 
     @pytest.mark.parametrize(
         "graph, t", [("random6", 1.0), ("k23", 0.5), ("k4", 0.0), ("p6", 0.0)]
@@ -136,14 +163,6 @@ class TestEstimate:
         small = estimate_log_phi_tilde(g, t, 100, 3)
         assert np.array_equal(default.per_sample, small.per_sample)
         assert default.failures == small.failures
-
-    def test_fast_on_non_bipartite_rejected(self, triangle):
-        with pytest.raises(ValueError, match="not bipartite"):
-            estimate_log_phi_tilde(triangle, 1.0, 10, 0, fast_bipartite="on")
-
-    def test_unknown_mode_rejected(self, k4):
-        with pytest.raises(ValueError):
-            estimate_log_phi_tilde(k4, 1.0, 10, 0, fast_bipartite="never")
 
     def test_bad_sample_count(self, k4):
         with pytest.raises(ValueError):
