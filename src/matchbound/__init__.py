@@ -24,8 +24,6 @@ from .exact import (
     complete_bipartite_counts,
     complete_graph_counts,
     matching_counts,
-    matching_poly_eval,
-    matching_poly_log_eval,
 )
 from .graphs import (
     Bipartition,
@@ -82,8 +80,6 @@ __all__ = [
     "log_det_bipartite",
     "log_det_shifted",
     "matching_counts",
-    "matching_poly_eval",
-    "matching_poly_log_eval",
     "optimality_sweep",
     "parse_graph",
     "path_graph",

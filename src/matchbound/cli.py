@@ -25,6 +25,7 @@ from .estimator import (
     EstimateResult,
     EstimatorError,
     FprasPlan,
+    _exp,
     bounds_report,
     estimate_log_phi_tilde,
     plan_samples,
@@ -220,17 +221,30 @@ def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
         raise ValueError("--t must be positive")
     adj = skew_adjacency(g)
 
-    counts = matching_counts(g)
-    log_value = counts.log_eval(args.t)
-    value = counts.eval(args.t)
+    # phi_{cw}(k) = c^k phi_w(k): count on weights scaled to a largest weight
+    # of 1, so the float counts cannot overflow, and sum the terms
+    # phi(k) t^(floor(N/2) - k) in log space (t/c itself may not be a double)
+    c = g.max_weight or 1.0
+    scaled = WeightedGraph(g.n_vertices, tuple((u, v, w / c) for u, v, w in g.edges))
+    terms = [
+        math.log(p) + k * math.log(c) + (g.n_vertices // 2 - k) * math.log(args.t)
+        for k, p in enumerate(matching_counts(scaled).counts)
+        if p > 0.0
+    ]
+    lead = max(terms)
+    log_value = lead + math.log(math.fsum(math.exp(x - lead) for x in terms))
 
     est = estimate_log_phi_tilde(g, args.t, args.samples, args.seed, threads=args.threads)
     bounds = bounds_report(est, adj.amplitude, g.n_vertices, args.t, c1_constant())
 
-    # unbiased target: the polynomial value, times sqrt(t) when N is odd
-    target = value if g.n_vertices % 2 == 0 else math.sqrt(args.t) * value
-    se_det = est.std_err_det
-    residual = (est.mean_det - target) / se_det if se_det > 0 else 0.0
+    # unbiased target: the polynomial value, times sqrt(t) when N is odd;
+    # mean, target and standard error are all divided by the larger of the
+    # first two, so none overflows
+    log_target = log_value + (0.5 * math.log(args.t) if g.n_vertices % 2 else 0.0)
+    top = max(est.log_mean_det, log_target)
+    se_det = math.exp(est.log_std_err_det - top)
+    diff = math.exp(est.log_mean_det - top) - math.exp(log_target - top)
+    residual = diff / se_det if se_det > 0 else 0.0
 
     # statistical slack plus a rounding-level guard (the two sides of an
     # exact tie are computed by different routes and may differ in the ulps);
@@ -251,8 +265,8 @@ def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
         "bounds": _bounds_summary(bounds),
         "oracle": {
             "log_value": log_value,
-            "value": value,
-            "target_mean_det": target,
+            "value": _exp(log_value),
+            "target_mean_det": _exp(log_target),
             "residual_std_errs": residual,
             "sandwich_lower_ok": lower_ok,
             "sandwich_upper_ok": upper_ok,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SkewAdjacency, WeightedGraph, bipartition, skew_adjacency
+from .graphs import Bipartition, SkewAdjacency, WeightedGraph, bipartition, skew_adjacency
 from .linalg import NonPositiveDeterminantError, SkewSample, gram_logdet_batch, skew_logdet_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -84,23 +84,56 @@ class RngStream:
         return _uniform_block(self.seed, self.stream_index, 1, count)[0]
 
 
-def _skew_batch(adj: SkewAdjacency, seed: int, start: int, count: int):
-    """Samples start .. start + count - 1 as a (count, N, N) stack, and the
-    largest |normal| drawn: one normal per unordered vertex pair, row-major."""
+@dataclass(frozen=True, eq=False)
+class _SamplePlan:
+    """How a batch of draws becomes matrices, fixed once per graph.
+
+    Every sample draws one normal per unordered vertex pair, row-major
+    (n_pairs of them), and its matrix is coef * z[index]: coef is the
+    signed skew template on rows x cols, index the pair of each entry.
+    The dense route takes every vertex on both axes; the Gram route takes
+    left x right of a bipartition, the same sample with its vertices
+    reordered, and factors that off-diagonal block.
+    """
+
+    dense: bool
+    coef: np.ndarray
+    index: np.ndarray
+    n_pairs: int
+
+
+def _sample_plan(adj: SkewAdjacency, bip: Bipartition | None) -> _SamplePlan:
     n = adj.dimension
-    iu, ju = np.triu_indices(n, 1)
-    z = _normal_block(seed, start, count, len(iu))
-    max_abs = float(np.abs(z).max()) if z.size else 0.0
-    w = adj.matrix[iu, ju] * z
-    mats = np.zeros((count, n, n))
-    mats[:, iu, ju] = w
-    mats[:, ju, iu] = -w
-    return mats, max_abs
+    if bip is None:
+        rows = cols = np.arange(n)
+    else:
+        rows, cols = np.array(bip.left, dtype=np.intp), np.array(bip.right, dtype=np.intp)
+    i, j = np.minimum.outer(rows, cols), np.maximum.outer(rows, cols)
+    # a diagonal entry (i == j) indexes some pair when N > 1; its coef is 0
+    index = i * n - i * (i + 1) // 2 + (j - i - 1)
+    return _SamplePlan(bip is None, adj.matrix[np.ix_(rows, cols)], index, n * (n - 1) // 2)
+
+
+def _matrices(plan: _SamplePlan, z: np.ndarray) -> np.ndarray:
+    """The (count, rows, cols) stack coef * z[index], one sample per row of z."""
+    # on the Gram route advanced indexing leaves the batch axis innermost,
+    # which fixes the summation order of U U^T (np.take would change its last
+    # bits); the dense stack is gathered by np.take, in C order
+    mats = np.take(z, plan.index, axis=1) if plan.dense else z[:, plan.index]
+    mats *= plan.coef
+    if plan.dense:
+        # 0 * z is -0.0 where z < 0, and the t = 0 SVD sees that sign
+        diag = np.arange(mats.shape[1])
+        mats[:, diag, diag] = 0.0
+    return mats
 
 
 def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
-    """Draw sample i exactly as the estimator's batches draw it."""
-    return SkewSample(_skew_batch(adj, stream.seed, i, 1)[0][0])
+    """Draw sample i exactly as the estimator's batches draw it, as the N x N matrix."""
+    if adj.dimension == 1:
+        return SkewSample(np.zeros((1, 1)))  # no vertex pair, nothing to draw
+    plan = _sample_plan(adj, None)
+    return SkewSample(_matrices(plan, _normal_block(stream.seed, i, 1, plan.n_pairs))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,14 +174,19 @@ class EstimateResult:
         return _exp(self.log_mean_det)
 
     @property
-    def std_err_det(self) -> float:
+    def log_std_err_det(self) -> float:
+        """log std_err_det, from the same shift; -inf when there is no spread."""
         if len(self.per_sample) < 2:
-            return 0.0
+            return -math.inf
         top, scaled = self._scaled_dets()
         spread = float(scaled.std(ddof=1))
         if spread == 0.0:
-            return 0.0
-        return _exp(top + math.log(spread / math.sqrt(len(scaled))))
+            return -math.inf
+        return top + math.log(spread / math.sqrt(len(scaled)))
+
+    @property
+    def std_err_det(self) -> float:
+        return _exp(self.log_std_err_det)
 
 
 def _exp(x: float) -> float:
@@ -281,30 +319,6 @@ def bounds_report(
     )
 
 
-def _pair_index_matrix(n: int, left: tuple[int, ...], right: tuple[int, ...]) -> np.ndarray:
-    """Row-major upper-triangle flat index for every (left, right) vertex pair."""
-    idx = np.empty((len(left), len(right)), dtype=np.intp)
-    for r, u in enumerate(left):
-        for c, v in enumerate(right):
-            i, j = (u, v) if u < v else (v, u)
-            idx[r, c] = i * n - i * (i + 1) // 2 + (j - i - 1)
-    return idx
-
-
-def _general_batch(adj, t, seed, start, count):
-    mats, max_abs = _skew_batch(adj, seed, start, count)
-    values, singular = skew_logdet_batch(mats, t)
-    return values, singular, max_abs
-
-
-def _bipartite_batch(bip, pair_idx, t, seed, start, count, n_pairs):
-    z = _normal_block(seed, start, count, n_pairs)
-    max_abs = float(np.abs(z).max()) if z.size else 0.0
-    u = bip.weight_matrix[None, :, :] * z[:, pair_idx]
-    values, singular = gram_logdet_batch(u, t)
-    return values, singular, max_abs
-
-
 def estimate_log_phi_tilde(
     g: WeightedGraph,
     t: float,
@@ -315,9 +329,9 @@ def estimate_log_phi_tilde(
 ) -> EstimateResult:
     """Average log det(sqrt(t) I + Y) over k independent samples.
 
-    A graph with a bipartition and at least one edge takes the Gram-matrix
-    route; any other graph takes the dense antisymmetric factorization.
-    Results are bitwise independent of the thread count.
+    A graph with a bipartition takes the Gram-matrix route (an edgeless
+    graph with m = 0); any other graph takes the dense antisymmetric
+    factorization. Results are bitwise independent of the thread count.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
@@ -326,26 +340,17 @@ def estimate_log_phi_tilde(
     if t == 0 and g.n_vertices % 2 == 1:
         raise ValueError("t = 0 requires an even vertex count")
 
-    adj = skew_adjacency(g)
-    bip = bipartition(g)
-    if bip is not None and bip.m == 0:
-        bip = None  # edgeless: dense path is already trivial
-
-    n = g.n_vertices
-    n_pairs = n * (n - 1) // 2
-    if bip is not None:
-        pair_idx = _pair_index_matrix(n, bip.left, bip.right)
-
+    plan = _sample_plan(skew_adjacency(g), bipartition(g))
     starts = list(range(0, k, _BATCH))
 
     def run(start: int):
-        count = min(_BATCH, k - start)
+        z = _normal_block(seed, start, min(_BATCH, k - start), plan.n_pairs)
+        kernel = skew_logdet_batch if plan.dense else gram_logdet_batch
         try:
-            if bip is not None:
-                return _bipartite_batch(bip, pair_idx, t, seed, start, count, n_pairs)
-            return _general_batch(adj, t, seed, start, count)
+            values, singular = kernel(_matrices(plan, z), t)
         except NonPositiveDeterminantError as exc:
             raise NonPositiveDeterminantError(f"batch from sample {start}, {exc}") from None
+        return values, singular, float(np.abs(z).max()) if z.size else 0.0
 
     if threads is not None and threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

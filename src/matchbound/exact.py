@@ -119,16 +119,6 @@ def matching_counts(g: WeightedGraph) -> MatchingCounts:
     return MatchingCounts(g.n_vertices, tuple(solve(full)))
 
 
-def matching_poly_eval(g: WeightedGraph, t: float) -> float:
-    """Exact matching polynomial value at t >= 0."""
-    return matching_counts(g).eval(t)
-
-
-def matching_poly_log_eval(g: WeightedGraph, t: float) -> float:
-    """Exact log of the matching polynomial at t > 0."""
-    return matching_counts(g).log_eval(t)
-
-
 def complete_graph_counts(n: int, w: float = 1.0) -> MatchingCounts:
     """Closed form for the complete graph: phi(k) = C(n, 2k) (2k-1)!! w^k."""
     if n < 1:

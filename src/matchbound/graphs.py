@@ -80,20 +80,15 @@ class SkewAdjacency:
         self.matrix.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Bipartition:
-    """Two-coloring of a bipartite graph with its rectangular weight matrix.
+    """Two-coloring of a bipartite graph: every edge joins left to right.
 
-    left (size m) is never larger than right (size n); weight_matrix is the
-    m-by-n array with sqrt(weight) at coordinates of edges, 0 elsewhere.
+    left (size m) is never larger than right (size n); both are ascending.
     """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
-    weight_matrix: np.ndarray
-
-    def __post_init__(self):
-        self.weight_matrix.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -220,16 +215,7 @@ def bipartition(g: WeightedGraph) -> Bipartition | None:
     side1.sort()
     if len(side0) > len(side1):
         side0, side1 = side1, side0
-
-    row = {v: i for i, v in enumerate(side0)}
-    col = {v: j for j, v in enumerate(side1)}
-    c = np.zeros((len(side0), len(side1)))
-    for u, v, w in g.edges:
-        if u in row:
-            c[row[u], col[v]] = np.sqrt(w)
-        else:
-            c[row[v], col[u]] = np.sqrt(w)
-    return Bipartition(tuple(side0), tuple(side1), c)
+    return Bipartition(tuple(side0), tuple(side1))
 
 
 def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:

@@ -186,6 +186,24 @@ class TestVerify:
             report["oracle"]["log_value"], abs=1e-12
         )
 
+    @pytest.mark.parametrize("t", ["1", "1e-300"])
+    def test_huge_weights_verify(self, capsys, tmp_path, t):
+        # K_{2,3} at weight 1e300: Phi(t) = 6e600 + 6e300 t + t^2 exceeds the
+        # largest double, and t / 1e300 underflows at t = 1e-300
+        path = tmp_path / "k23_heavy.txt"
+        path.write_text("5 6\n" + "".join(f"{u} {v} 1e300\n" for u in (1, 2) for v in (3, 4, 5)))
+        code, out = run_json(
+            capsys,
+            ["verify", "--graph", path.as_posix(), "--t", t, "--samples", "100",
+             "--format", "json"],
+        )
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["log_value"] == pytest.approx(math.log(6.0) + 600 * math.log(10.0), rel=1e-13)
+        assert oracle["value"] is None and oracle["target_mean_det"] is None
+        assert math.isfinite(oracle["residual_std_errs"])
+        assert oracle["sandwich_ok"] is True
+
     def test_too_large_graph_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text("30 0\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from matchbound.estimator import (
     sample_skew,
     tail_bound,
 )
-from matchbound.exact import matching_poly_eval
-from matchbound.graphs import WeightedGraph, complete_graph, skew_adjacency
+from matchbound.exact import matching_counts
+from matchbound.graphs import WeightedGraph, bipartition, complete_graph, skew_adjacency
 from matchbound.linalg import SingularAtZeroError, log_det_shifted
 
 from conftest import gauss_hermite_expect
@@ -60,9 +61,10 @@ class TestRngStream:
 
 class TestSampleSkew:
     def test_edgeless_is_zero(self):
-        adj = skew_adjacency(WeightedGraph(4, ()))
-        y = sample_skew(adj, RngStream(1), 0)
-        assert np.array_equal(y.matrix, np.zeros((4, 4)))
+        for n in (4, 1):
+            adj = skew_adjacency(WeightedGraph(n, ()))
+            y = sample_skew(adj, RngStream(1), 0)
+            assert np.array_equal(y.matrix, np.zeros((n, n)))
 
     def test_k2_entries(self, k2_w4):
         adj = skew_adjacency(k2_w4)
@@ -70,6 +72,33 @@ class TestSampleSkew:
         y = sample_skew(adj, RngStream(11), 3)
         assert y.matrix[0, 1] == 2.0 * x
         assert y.matrix[1, 0] == -2.0 * x
+
+    def test_entries_follow_row_major_pair_order(self, random6):
+        adj = skew_adjacency(random6)
+        z = RngStream(8, 2).normals(15)
+        y = sample_skew(adj, RngStream(8), 2).matrix
+        for p, (i, j) in enumerate(itertools.combinations(range(6), 2)):
+            assert y[i, j] == adj.matrix[i, j] * z[p]
+            assert y[j, i] == -y[i, j]
+        assert all(y[i, i] == 0.0 for i in range(6))
+
+    def test_gram_block_is_the_dense_sample(self):
+        # the Gram route factors rows left x cols right of the same sample,
+        # signs included, whichever side holds the larger label of an edge
+        c4 = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
+        k23 = WeightedGraph(
+            5, ((3, 0, 1.0), (3, 4, 2.0), (3, 2, 0.5), (1, 0, 1.5), (1, 4, 1.0), (1, 2, 3.0))
+        )
+        for g in (c4, k23):
+            adj, bip = skew_adjacency(g), bipartition(g)
+            n = g.n_vertices
+            u = estimator._matrices(
+                estimator._sample_plan(adj, bip),
+                estimator._normal_block(6, 0, 5, n * (n - 1) // 2),
+            )
+            for i in range(5):
+                y = sample_skew(adj, RngStream(6), i).matrix
+                assert np.array_equal(u[i], y[np.ix_(bip.left, bip.right)])
 
     def test_determinism(self, k4):
         adj = skew_adjacency(k4)
@@ -90,6 +119,10 @@ class TestEstimate:
         assert est.mean_log == pytest.approx(2.0, abs=1e-14)
         assert est.std_err == 0.0
         assert est.failures == 0
+        # one vertex, no pair to draw for: det(sqrt(2) I_1) exactly
+        single = estimate_log_phi_tilde(WeightedGraph(1, ()), 2.0, 10, 123)
+        assert single.mean_log == pytest.approx(0.5 * math.log(2.0), rel=0, abs=1e-15)
+        assert single.max_abs_variate == 0.0
 
     def test_k2_mean_log_matches_quadrature(self, k2_unit):
         want = gauss_hermite_expect(lambda x: np.log1p(x * x))
@@ -140,8 +173,12 @@ class TestEstimate:
     def test_fast_path_agrees_with_dense(self, k23, p6):
         # bipartite graphs take the Gram route; each sample must match the
         # dense log-determinant of the same draw, and at t = 0 the Gram route
-        # must not square the condition number of U
-        for g, t, atol in ((k23, 1.0, 1e-11), (p6, 0.0, 1e-10)):
+        # must not square the condition number of U. On the 4-cycle the left
+        # vertex 2 has the larger label on edge (1, 2): the Gram block must
+        # carry the template's sign there
+        c4 = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
+        cases = ((k23, 1.0, 1e-11), (p6, 0.0, 1e-10), (c4, 0.0, 1e-10), (c4, 1.0, 1e-11))
+        for g, t, atol in cases:
             fast = estimate_log_phi_tilde(g, t, 3000, 9)
             adj = skew_adjacency(g)
             dense, failures = [], 0
@@ -187,12 +224,12 @@ class TestEstimate:
     def test_gge_sanity_even(self, k4):
         # arithmetic mean of determinants is unbiased for the polynomial value
         est = estimate_log_phi_tilde(k4, 1.0, 400_000, 21)
-        want = matching_poly_eval(k4, 1.0)
+        want = matching_counts(k4).eval(1.0)
         assert abs(est.mean_det - want) < 4 * est.std_err_det
 
     def test_gge_sanity_odd(self, triangle):
         est = estimate_log_phi_tilde(triangle, 2.0, 400_000, 22)
-        want = math.sqrt(2.0) * matching_poly_eval(triangle, 2.0)
+        want = math.sqrt(2.0) * matching_counts(triangle).eval(2.0)
         assert abs(est.mean_det - want) < 4 * est.std_err_det
 
 
@@ -303,7 +340,7 @@ class TestBoundsReport:
                 est = estimate_log_phi_tilde(g, t, 50_000, 3)
                 a = math.sqrt(g.max_weight)
                 rep = bounds_report(est, a, g.n_vertices, t, c1_constant())
-                log_phi = math.log(matching_poly_eval(g, t))
+                log_phi = math.log(matching_counts(g).eval(t))
                 slack = 4 * est.std_err
                 assert rep.lower_log - slack <= log_phi <= rep.upper_log + slack
 
@@ -312,5 +349,5 @@ class TestBoundsReport:
         est = estimate_log_phi_tilde(triangle, 4.0, 50_000, 3)
         rep = bounds_report(est, 1.0, 3, 4.0, c1_constant())
         assert rep.lower_log == est.mean_log - 0.5 * math.log(4.0)
-        log_phi = math.log(matching_poly_eval(triangle, 4.0))
+        log_phi = math.log(matching_counts(triangle).eval(4.0))
         assert rep.lower_log - 4 * est.std_err <= log_phi <= rep.upper_log + 4 * est.std_err

@@ -9,8 +9,6 @@ from matchbound.exact import (
     complete_bipartite_counts,
     complete_graph_counts,
     matching_counts,
-    matching_poly_eval,
-    matching_poly_log_eval,
 )
 from matchbound.graphs import (
     WeightedGraph,
@@ -98,18 +96,18 @@ class TestMatchingCounts:
 
 class TestPolynomialEval:
     def test_k2_at_one(self, k2_w4):
-        assert matching_poly_eval(k2_w4, 1.0) == 5.0
+        assert matching_counts(k2_w4).eval(1.0) == 5.0
 
     def test_k4_at_one(self, k4):
-        assert matching_poly_eval(k4, 1.0) == 10.0
+        assert matching_counts(k4).eval(1.0) == 10.0
 
     def test_triangle_at_two(self, triangle):
-        assert matching_poly_eval(triangle, 2.0) == 5.0
+        assert matching_counts(triangle).eval(2.0) == 5.0
 
     def test_log_eval_matches_linear(self, random6):
         for t in (0.25, 1.0, 3.0):
-            assert matching_poly_log_eval(random6, t) == pytest.approx(
-                math.log(matching_poly_eval(random6, t)), rel=1e-13
+            assert matching_counts(random6).log_eval(t) == pytest.approx(
+                math.log(matching_counts(random6).eval(t)), rel=1e-13
             )
 
     def test_log_eval_survives_huge_t(self):
@@ -120,12 +118,12 @@ class TestPolynomialEval:
 
     def test_strictly_increasing_in_t(self, k4, triangle, random6):
         for g in (k4, triangle, random6):
-            values = [matching_poly_eval(g, t) for t in (0.5, 1.0, 2.0, 4.0)]
+            values = [matching_counts(g).eval(t) for t in (0.5, 1.0, 2.0, 4.0)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_negative_t_rejected(self, k4):
         with pytest.raises(ValueError):
-            matching_poly_eval(k4, -1.0)
+            matching_counts(k4).eval(-1.0)
         with pytest.raises(ValueError):
             matching_counts(k4).log_eval(0.0)
 
