@@ -334,8 +334,8 @@ def _run_constants(args: argparse.Namespace) -> RunReport:
     started = time.monotonic()
     if not (math.isfinite(args.grid_step) and args.grid_step > 0):
         raise ValueError("--grid-step must be finite and positive")
-    if not math.isfinite(args.grid_max):
-        raise ValueError("--grid-max must be finite")
+    if not (math.isfinite(args.grid_max) and (args.grid_max + 1e-12) / args.grid_step < 1e4):
+        raise ValueError("--grid-max must be finite, and --grid-max / --grid-step below 10^4")
     c1 = c1_constant()
     table = []
     i = 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Bipartition, SkewAdjacency, WeightedGraph, bipartition, skew_adjacency
+from .graphs import SkewAdjacency, WeightedGraph, components, skew_adjacency
 from .linalg import NonPositiveDeterminantError, SkewSample, gram_logdet_batch, skew_logdet_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -46,25 +46,27 @@ def derive_seed(seed: int, index: int) -> int:
     return int(key[0])
 
 
-def _uniform_block(seed: int, first_stream: int, n_streams: int, n_uniforms: int) -> np.ndarray:
-    """(n_streams, n_uniforms) array of uniforms in (0, 1), counter-addressed."""
+def _uniform_block(seed: int, first_stream: int, n_streams: int, blocks: np.ndarray) -> np.ndarray:
+    """(n_streams, 2 len(blocks)) uniforms in (0, 1): positions 2q, 2q + 1 of each block q."""
     idx = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
     keys = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GOLDEN)
-    pos = (np.arange(n_uniforms, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    bits = _mix64(keys[:, None] + pos[None, :])
+    pos = 2 * np.asarray(blocks, dtype=np.uint64)[:, None] + np.arange(1, 3, dtype=np.uint64)
+    bits = _mix64(keys[:, None] + (pos.ravel() * _GOLDEN)[None, :])
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _normal_block(seed: int, first_stream: int, n_streams: int, n_normals: int) -> np.ndarray:
-    """(n_streams, n_normals) standard normals, two uniforms per Box-Muller pair."""
-    pairs = (n_normals + 1) // 2
-    u = _uniform_block(seed, first_stream, n_streams, 2 * pairs)
+def _normal_block(seed: int, first_stream: int, n_streams: int, blocks: np.ndarray) -> np.ndarray:
+    """(n_streams, 2 len(blocks)) standard normals, by Box-Muller on each block's uniforms.
+
+    Normal p of a stream lies in block p // 2; its bits do not depend on the other blocks.
+    """
+    u = _uniform_block(seed, first_stream, n_streams, blocks)
     radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
     angle = (2.0 * math.pi) * u[:, 1::2]
-    z = np.empty((n_streams, 2 * pairs))
+    z = np.empty_like(u)
     z[:, 0::2] = radius * np.cos(angle)
     z[:, 1::2] = radius * np.sin(angle)
-    return z[:, :n_normals]
+    return z
 
 
 @dataclass(frozen=True)
@@ -78,62 +80,98 @@ class RngStream:
         return RngStream(self.seed, i)
 
     def normals(self, count: int) -> np.ndarray:
-        return _normal_block(self.seed, self.stream_index, 1, count)[0]
+        return _normal_block(self.seed, self.stream_index, 1, np.arange(count // 2 + 1))[0, :count]
 
     def uniforms(self, count: int) -> np.ndarray:
-        return _uniform_block(self.seed, self.stream_index, 1, count)[0]
+        return _uniform_block(self.seed, self.stream_index, 1, np.arange(count // 2 + 1))[0, :count]
 
 
 @dataclass(frozen=True, eq=False)
-class _SamplePlan:
-    """How a batch of draws becomes matrices, fixed once per graph.
+class _Stack:
+    """Connected components of one route and shape, factored as one stack.
 
-    Every sample draws one normal per unordered vertex pair, row-major
-    (n_pairs of them), and its matrix is coef * z[index]: coef is the
-    signed skew template on rows x cols, index the pair of each entry.
-    The dense route takes every vertex on both axes; the Gram route takes
-    left x right of a bipartition, the same sample with its vertices
-    reordered, and factors that off-diagonal block.
+    Member c of a sample is coef[c] * z[index[c]]: the signed skew template
+    on the component's rows x cols (all its vertices on the dense route,
+    left x right on the Gram route) times each entry's drawn normal.
     """
 
     dense: bool
     coef: np.ndarray
     index: np.ndarray
-    n_pairs: int
 
 
-def _sample_plan(adj: SkewAdjacency, bip: Bipartition | None) -> _SamplePlan:
-    n = adj.dimension
-    if bip is None:
-        rows = cols = np.arange(n)
-    else:
-        rows, cols = np.array(bip.left, dtype=np.intp), np.array(bip.right, dtype=np.intp)
-    i, j = np.minimum.outer(rows, cols), np.maximum.outer(rows, cols)
-    # a diagonal entry (i == j) indexes some pair when N > 1; its coef is 0
-    index = i * n - i * (i + 1) // 2 + (j - i - 1)
-    return _SamplePlan(bip is None, adj.matrix[np.ix_(rows, cols)], index, n * (n - 1) // 2)
+@dataclass(frozen=True, eq=False)
+class _SamplePlan:
+    """How a batch of draws becomes log-determinants, fixed once per graph.
+
+    The stream holds one normal per vertex pair, row-major, two per block;
+    only the blocks that hold an edge are drawn, and idle are the drawn
+    columns that no edge uses. det of the block-diagonal sample is the
+    product over components; each isolated vertex adds exactly (1/2) log t.
+    """
+
+    blocks: np.ndarray
+    idle: np.ndarray
+    stacks: tuple[_Stack, ...]
+    isolated: int
 
 
-def _matrices(plan: _SamplePlan, z: np.ndarray) -> np.ndarray:
-    """The (count, rows, cols) stack coef * z[index], one sample per row of z."""
+def _sample_plan(g: WeightedGraph) -> _SamplePlan:
+    adj, n = skew_adjacency(g), g.n_vertices
+    i, j = np.nonzero(np.triu(adj.matrix))
+    pair = i * n - i * (i + 1) // 2 + (j - i - 1)
+    blocks = np.unique(pair // 2)
+    col = np.zeros((n, n), dtype=np.intp)  # an entry off every edge reads column 0, times 0
+    col[i, j] = col[j, i] = edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2
+    groups: dict[tuple[bool, int, int], list] = {}
+    for verts, bip in (comps := components(g)):
+        rows, cols = (verts, verts) if bip is None else (bip.left, bip.right)
+        groups.setdefault((bip is None, len(rows), len(cols)), []).append(np.ix_(rows, cols))
+    stacks = tuple(
+        _Stack(dense, np.stack([adj.matrix[c] for c in cells]), np.stack([col[c] for c in cells]))
+        for (dense, _, _), cells in groups.items()
+    )
+    idle = np.setdiff1d(np.arange(2 * len(blocks)), edges)
+    return _SamplePlan(blocks, idle, stacks, n - sum(len(v) for v, _ in comps))
+
+
+def _matrices(stack: _Stack, z: np.ndarray, t: float) -> np.ndarray:
+    """The (count * members, rows, cols) stack coef * z[index], sample-major."""
     # on the Gram route advanced indexing leaves the batch axis innermost,
     # which fixes the summation order of U U^T (np.take would change its last
     # bits); the dense stack is gathered by np.take, in C order
-    mats = np.take(z, plan.index, axis=1) if plan.dense else z[:, plan.index]
-    mats *= plan.coef
-    if plan.dense:
-        # 0 * z is -0.0 where z < 0, and the t = 0 SVD sees that sign
-        diag = np.arange(mats.shape[1])
-        mats[:, diag, diag] = 0.0
-    return mats
+    mats = np.take(z, stack.index, axis=1) if stack.dense else z[:, stack.index]
+    mats *= stack.coef
+    if t == 0:  # the SVD sees the sign of 0 * z; -0.0 + 0.0 is +0.0
+        mats += 0.0
+    return mats.reshape(-1, *mats.shape[2:])
 
 
 def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
-    """Draw sample i exactly as the estimator's batches draw it, as the N x N matrix."""
-    if adj.dimension == 1:
-        return SkewSample(np.zeros((1, 1)))  # no vertex pair, nothing to draw
-    plan = _sample_plan(adj, None)
-    return SkewSample(_matrices(plan, _normal_block(stream.seed, i, 1, plan.n_pairs))[0])
+    """Sample i as the N x N matrix from every pair's normal, off-edge entries +0."""
+    upper = np.triu_indices(adj.dimension, 1)
+    y = np.zeros((adj.dimension, adj.dimension))
+    y[upper] = adj.matrix[upper] * stream.substream(i).normals(len(upper[0])) + 0.0
+    return SkewSample(y - y.T)
+
+
+def _moments(values: np.ndarray):
+    """(count, shift, mean, M2) per column, mean and M2 taken of exp(values - shift)."""
+    top = values.max(axis=0)
+    scaled = np.exp(values - top)
+    mean = scaled.mean(axis=0)
+    return len(values), top, mean, ((scaled - mean) ** 2).sum(axis=0)
+
+
+def _merge(a, b):
+    """The moments of two sample sets together (Chan, Golub and LeVeque 1979)."""
+    if a is None or b is None:
+        return a or b
+    (na, ta, ma, qa), (nb, tb, mb, qb) = a, b
+    top = np.maximum(ta, tb)
+    sa, sb = np.exp(ta - top), np.exp(tb - top)
+    n, delta = na + nb, mb * sb - ma * sa
+    return n, top, ma * sa + delta * (nb / n), qa * sa**2 + qb * sb**2 + delta**2 * (na * nb / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +183,10 @@ class EstimateResult:
     calls a draw singular when s_min <= N * eps * s_max). mean_log estimates
     E log det(sqrt(t) I + Y); exp(mean_log) is the certified lower-bound
     quantity, while mean_det estimates the polynomial value itself (times
-    sqrt(t) at odd N). mean_det and std_err_det are inf where they exceed
-    the largest double; log_mean_det is always finite.
+    sqrt(t) at odd N), as the product over components of their mean
+    determinants, unbiased as components draw disjoint normals; std_err_det
+    is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both are kept
+    as logs, and are inf where they exceed the largest double.
     """
 
     k: int
@@ -156,33 +196,13 @@ class EstimateResult:
     mean_log: float
     std_err: float
     failures: int
-    max_abs_variate: float  # diagnostic: largest |normal| consumed
-
-    def _scaled_dets(self) -> tuple[float, np.ndarray]:
-        """The largest log-determinant and every determinant divided by its exp."""
-        top = float(self.per_sample.max())
-        return top, np.exp(self.per_sample - top)
-
-    @property
-    def log_mean_det(self) -> float:
-        """log mean_det by max-shifted log-sum-exp: finite whatever the weights."""
-        top, scaled = self._scaled_dets()
-        return top + math.log(scaled.mean())
+    max_abs_variate: float  # diagnostic: largest |normal| that enters a matrix
+    log_mean_det: float
+    log_std_err_det: float  # -inf when there is no spread
 
     @property
     def mean_det(self) -> float:
         return _exp(self.log_mean_det)
-
-    @property
-    def log_std_err_det(self) -> float:
-        """log std_err_det, from the same shift; -inf when there is no spread."""
-        if len(self.per_sample) < 2:
-            return -math.inf
-        top, scaled = self._scaled_dets()
-        spread = float(scaled.std(ddof=1))
-        if spread == 0.0:
-            return -math.inf
-        return top + math.log(spread / math.sqrt(len(scaled)))
 
     @property
     def std_err_det(self) -> float:
@@ -329,9 +349,10 @@ def estimate_log_phi_tilde(
 ) -> EstimateResult:
     """Average log det(sqrt(t) I + Y) over k independent samples.
 
-    A graph with a bipartition takes the Gram-matrix route (an edgeless
-    graph with m = 0); any other graph takes the dense antisymmetric
-    factorization. Results are bitwise independent of the thread count.
+    Each connected component takes its own route: the Gram-matrix route when
+    it is bipartite, the dense antisymmetric factorization otherwise; a
+    sample's value is the sum over components, in a fixed order. Results
+    are bitwise independent of the thread count.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
@@ -340,30 +361,43 @@ def estimate_log_phi_tilde(
     if t == 0 and g.n_vertices % 2 == 1:
         raise ValueError("t = 0 requires an even vertex count")
 
-    plan = _sample_plan(skew_adjacency(g), bipartition(g))
-    starts = list(range(0, k, _BATCH))
+    plan = _sample_plan(g)
+    if t == 0 and (plan.isolated or any(s.coef.shape[2] % 2 for s in plan.stacks if s.dense)):
+        raise EstimatorError(f"all {k} samples were singular at t = 0: a component is odd")
+    shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0  # isolated vertices
 
     def run(start: int):
-        z = _normal_block(seed, start, min(_BATCH, k - start), plan.n_pairs)
-        kernel = skew_logdet_batch if plan.dense else gram_logdet_batch
-        try:
-            values, singular = kernel(_matrices(plan, z), t)
-        except NonPositiveDeterminantError as exc:
-            raise NonPositiveDeterminantError(f"batch from sample {start}, {exc}") from None
-        return values, singular, float(np.abs(z).max()) if z.size else 0.0
+        b = min(_BATCH, k - start)
+        z = _normal_block(seed, start, b, plan.blocks)
+        z[:, plan.idle] = 0.0  # they enter no matrix, so they leave max_abs_variate alone
+        parts = [np.zeros((b, 0))]
+        for s in plan.stacks:
+            kernel = skew_logdet_batch if s.dense else gram_logdet_batch
+            try:
+                values, _ = kernel(_matrices(s, z, t), t)
+            except NonPositiveDeterminantError as exc:
+                msg = f"batch from sample {start}, {len(s.coef)} components per sample: {exc}"
+                raise NonPositiveDeterminantError(msg) from None
+            parts.append(values.reshape(b, -1))
+        per_comp = np.concatenate(parts, axis=1)
+        total = sum(per_comp.T, np.full(b, shift))  # component by component, in plan order
+        singular = total == -np.inf  # a singular component's value is -inf
+        peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
+        kept = per_comp[~singular]
+        return total[~singular], len(singular) - len(kept), kept, peak
 
-    if threads is not None and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, starts))
-    else:
-        chunks = [run(s) for s in starts]
+    per_batch, failures, moments, max_abs = [], 0, None, 0.0
+    starts = range(0, k, _BATCH)
+    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+        batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
+        # merged in batch order, so the moments do not depend on the thread count
+        for values, n_singular, kept, peak in batches:
+            per_batch.append(values)
+            failures += n_singular
+            moments = _merge(moments, _moments(kept) if len(kept) else None)
+            max_abs = max(max_abs, peak)
 
-    values = np.concatenate([c[0] for c in chunks])
-    singular = np.concatenate([c[1] for c in chunks])
-    max_abs = max(c[2] for c in chunks)
-
-    per_sample = values[~singular]
-    failures = int(singular.sum())
+    per_sample = np.concatenate(per_batch)
     if len(per_sample) == 0:
         raise EstimatorError(f"all {k} samples were singular at t = {t}")
     if np.all(per_sample == per_sample[0]):
@@ -376,6 +410,9 @@ def estimate_log_phi_tilde(
         dev = per_sample - mean_log
         var = math.fsum((dev * dev).tolist()) / (len(per_sample) - 1)
         std_err = math.sqrt(var / len(per_sample))
+    count, top, mean, m2 = moments
+    log_mean_det = math.fsum((top + np.log(mean)).tolist()) + shift
+    rel2 = math.fsum((m2 / (count - 1) / (count * mean**2)).tolist()) if count > 1 else 0.0
     return EstimateResult(
         k=k,
         t=t,
@@ -385,4 +422,6 @@ def estimate_log_phi_tilde(
         std_err=std_err,
         failures=failures,
         max_abs_variate=max_abs,
+        log_mean_det=log_mean_det,
+        log_std_err_det=log_mean_det + 0.5 * math.log(rel2) if rel2 > 0 else -math.inf,
     )

@@ -1,4 +1,4 @@
-"""Weighted graphs, file parsing, skew-symmetric edge templates, bipartition.
+"""Weighted graphs, file parsing, skew-symmetric edge templates, components, bipartition.
 
 Vertex ids are 1-based in files and 0-based everywhere else. All containers
 are immutable after construction and safe to share between threads.
@@ -7,7 +7,6 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,40 +181,42 @@ def skew_adjacency(g: WeightedGraph) -> SkewAdjacency:
     return SkewAdjacency(g.n_vertices, a, amplitude)
 
 
-def bipartition(g: WeightedGraph) -> Bipartition | None:
-    """Two-color the graph by BFS, or return None when an odd cycle exists.
+def components(g: WeightedGraph) -> list[tuple[tuple[int, ...], Bipartition | None]]:
+    """The connected components that hold an edge, in order of least vertex.
 
-    Isolated vertices go to the larger side; sides are swapped if needed so
-    that len(left) <= len(right).
+    Each is its vertex tuple (ascending) with its BFS two-coloring from the
+    least vertex, sides swapped if needed so that left is not larger, or
+    None when the component has an odd cycle.
     """
     color = [-1] * g.n_vertices
     nbrs = g.adjacency()
+    out = []
     for start in range(g.n_vertices):
         if color[start] != -1 or not nbrs[start]:
             continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        color[start], found, odd = 0, [start], False
+        for u in found:  # found grows while it is read: breadth-first order
             for v, _ in nbrs[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
+                    found.append(v)
+                odd = odd or color[v] == color[u]
+        sides = sorted((tuple(sorted(v for v in found if color[v] == c)) for c in (0, 1)), key=len)
+        out.append((tuple(sorted(found)), None if odd else Bipartition(*sides)))
+    return out
 
-    side0 = [v for v in range(g.n_vertices) if color[v] == 0]
-    side1 = [v for v in range(g.n_vertices) if color[v] == 1]
-    isolated = [v for v in range(g.n_vertices) if color[v] == -1]
-    if len(side0) >= len(side1):
-        side0.extend(isolated)
-    else:
-        side1.extend(isolated)
-    side0.sort()
-    side1.sort()
-    if len(side0) > len(side1):
-        side0, side1 = side1, side0
-    return Bipartition(tuple(side0), tuple(side1))
+
+def bipartition(g: WeightedGraph) -> Bipartition | None:
+    """Two-color the graph, or return None when an odd cycle exists.
+
+    The left side joins the smaller side of every component; isolated
+    vertices go right, so len(left) <= len(right).
+    """
+    bips = [bip for _, bip in components(g)]
+    if None in bips:
+        return None
+    left = tuple(sorted(v for bip in bips for v in bip.left))
+    return Bipartition(left, tuple(sorted(set(range(g.n_vertices)).difference(left))))
 
 
 def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:

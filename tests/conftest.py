@@ -83,6 +83,33 @@ def random6() -> WeightedGraph:
     return WeightedGraph(6, RANDOM6_EDGES)
 
 
+# K_{2,3} on {0, 7 | 4, 9, 11}, a triangle on {1, 5, 10}, K2 on {2, 8} and
+# the isolated vertices 3 and 6: labels interleaved across components
+MULTI_EDGES = (
+    (0, 4, 1.3), (0, 9, 0.7), (11, 0, 2.1), (7, 4, 0.9), (9, 7, 1.6), (7, 11, 0.5),
+    (1, 5, 1.2), (10, 5, 0.8), (1, 10, 1.9),
+    (8, 2, 1.4),
+)
+
+# every component even: C4 on {0, 3, 5, 8}, K4 on {1, 2, 6, 9}, K2 on {4, 7}
+# and on {10, 11} (two components of one shape share a stack)
+EVEN_MULTI_EDGES = (
+    (0, 3, 1.1), (3, 5, 0.6), (5, 8, 1.7), (8, 0, 0.9),
+    (1, 2, 1.3), (1, 6, 0.7), (1, 9, 2.2), (2, 6, 1.0), (2, 9, 0.4), (6, 9, 1.5),
+    (7, 4, 1.2), (10, 11, 0.8),
+)
+
+
+@pytest.fixture(scope="session")
+def multi() -> WeightedGraph:
+    return WeightedGraph(12, MULTI_EDGES)
+
+
+@pytest.fixture(scope="session")
+def even_multi() -> WeightedGraph:
+    return WeightedGraph(12, EVEN_MULTI_EDGES)
+
+
 def brute_matching_counts(g: WeightedGraph) -> list[float]:
     """phi(0..floor(N/2)) by enumerating edge subsets. Independent oracle."""
     n = g.n_vertices // 2

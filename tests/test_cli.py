@@ -313,11 +313,21 @@ class TestConstants:
     @pytest.mark.parametrize(
         "flag, value",
         [("--grid-step", "0"), ("--grid-step", "-0.25"), ("--grid-step", "nan"),
-         ("--grid-step", "inf"), ("--grid-max", "nan"), ("--grid-max", "inf")],
+         ("--grid-step", "inf"), ("--grid-max", "nan"), ("--grid-max", "inf"),
+         # more than 10^4 rows: 8e300 of them, and 10^8 + 1
+         ("--grid-step", "1e-300"), ("--grid-max", "1e5 --grid-step 1e-3")],
     )
     def test_bad_grid_is_usage_error(self, capsys, flag, value):
-        assert main(["constants", flag, value]) == 2
+        assert main(["constants", flag, *value.split()]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_largest_grid(self, capsys):
+        # 10^4 rows is the most a grid may hold
+        code, out = run_json(
+            capsys, ["constants", "--format", "json", "--grid-max", "9.999", "--grid-step", "1e-3"]
+        )
+        assert code == 0
+        assert len(json.loads(out)["gap_table"]) == 10_000
 
 
 def test_unknown_subcommand():

@@ -17,8 +17,14 @@ from matchbound.estimator import (
     tail_bound,
 )
 from matchbound.exact import matching_counts
-from matchbound.graphs import WeightedGraph, bipartition, complete_graph, skew_adjacency
-from matchbound.linalg import SingularAtZeroError, log_det_shifted
+from matchbound.graphs import (
+    WeightedGraph,
+    bipartition,
+    complete_graph,
+    components,
+    skew_adjacency,
+)
+from matchbound.linalg import SingularAtZeroError, SkewSample, log_det_shifted
 
 from conftest import gauss_hermite_expect
 
@@ -53,6 +59,14 @@ class TestRngStream:
         # asking for more variates never changes the earlier ones
         full = RngStream(5, 8).normals(50)
         assert np.array_equal(full[:20], RngStream(5, 8).normals(20))
+
+    def test_frozen_stream(self):
+        # the stream's values are part of the contract: same seed, same bytes
+        z = RngStream(2024, 7).normals(2016)
+        want = ["0x1.cb82f90fe1bddp-1", "-0x1.22cb831da4896p-1", "0x1.06e60ff60851ap+0"]
+        assert [x.hex() for x in z[:3]] == want
+        assert [x.hex() for x in z[2014:]] == ["0x1.61f32f2e16b6cp-1", "0x1.ed6004d43bd10p+0"]
+        assert RngStream(2024, 7).uniforms(1)[0].hex() == "0x1.23489d3ba1bacp-1"
 
     def test_derive_seed_spread(self):
         seeds = {derive_seed(3, i) for i in range(1000)}
@@ -91,14 +105,14 @@ class TestSampleSkew:
         )
         for g in (c4, k23):
             adj, bip = skew_adjacency(g), bipartition(g)
-            n = g.n_vertices
-            u = estimator._matrices(
-                estimator._sample_plan(adj, bip),
-                estimator._normal_block(6, 0, 5, n * (n - 1) // 2),
-            )
-            for i in range(5):
-                y = sample_skew(adj, RngStream(6), i).matrix
-                assert np.array_equal(u[i], y[np.ix_(bip.left, bip.right)])
+            plan = estimator._sample_plan(g)
+            (stack,) = plan.stacks
+            z = estimator._normal_block(6, 0, 5, plan.blocks)
+            for t in (0.0, 1.0):
+                u = estimator._matrices(stack, z, t)
+                for i in range(5):
+                    y = sample_skew(adj, RngStream(6), i).matrix
+                    assert np.array_equal(u[i], y[np.ix_(bip.left, bip.right)])
 
     def test_determinism(self, k4):
         adj = skew_adjacency(k4)
@@ -190,8 +204,20 @@ class TestEstimate:
             assert fast.failures == failures
             assert np.allclose(fast.per_sample, dense, rtol=0, atol=atol)
 
+    @pytest.mark.parametrize("graph, t", [("k4", 0.0), ("random6", 0.0), ("random6", 1.0)])
+    def test_dense_route_is_the_oracle_bitwise(self, request, graph, t):
+        # one component on the dense route factors the oracle's own matrix,
+        # off-edge zeros included: the SVD at t = 0 sees the sign of a zero
+        g = request.getfixturevalue(graph)
+        want, failures = dense_oracle(g, t, 1000, 5)
+        est = estimate_log_phi_tilde(g, t, 1000, 5)
+        assert failures == est.failures == 0
+        assert np.array_equal(est.per_sample, want)
+
     @pytest.mark.parametrize(
-        "graph, t", [("random6", 1.0), ("k23", 0.5), ("k4", 0.0), ("p6", 0.0)]
+        "graph, t",
+        [("random6", 1.0), ("k23", 0.5), ("k4", 0.0), ("p6", 0.0), ("multi", 1.0),
+         ("even_multi", 0.0)],
     )
     def test_batch_size_never_changes_a_sample(self, request, monkeypatch, graph, t):
         g = request.getfixturevalue(graph)
@@ -231,6 +257,127 @@ class TestEstimate:
         est = estimate_log_phi_tilde(triangle, 2.0, 400_000, 22)
         want = math.sqrt(2.0) * matching_counts(triangle).eval(2.0)
         assert abs(est.mean_det - want) < 4 * est.std_err_det
+
+
+def four_k23() -> WeightedGraph:
+    """Four disjoint K_{2,3}, no two edges of equal weight: 20 vertices."""
+    edges = tuple(
+        (5 * c + u, 5 * c + 2 + v, w * (1 + 0.1 * (3 * u + v)))
+        for c, w in enumerate((0.6, 0.9, 1.3, 1.8))
+        for u in range(2)
+        for v in range(3)
+    )
+    return WeightedGraph(20, edges)
+
+
+def dense_oracle(g, t, k, seed):
+    """Each sample's log-determinant from the whole N x N matrix, and the singular count."""
+    adj = skew_adjacency(g)
+    values, failures = [], 0
+    for i in range(k):
+        try:
+            values.append(log_det_shifted(sample_skew(adj, RngStream(seed), i), t))
+        except SingularAtZeroError:
+            failures += 1
+    return values, failures
+
+
+class TestComponents:
+    def test_block_draws_are_the_stream_columns(self):
+        rng = np.random.default_rng(5)
+        full = estimator._normal_block(17, 40, 9, np.arange(300))
+        # row 1 is stream 41, and normal p lies in block p // 2
+        assert np.array_equal(full[1, :45], RngStream(17, 41).normals(45))
+        for _ in range(20):
+            blocks = np.sort(rng.choice(300, size=int(rng.integers(1, 40)), replace=False))
+            cols = (2 * blocks[:, None] + np.arange(2)).ravel()
+            assert np.array_equal(estimator._normal_block(17, 40, 9, blocks), full[:, cols])
+
+    def test_only_edge_blocks_are_drawn(self, multi):
+        plan = estimator._sample_plan(multi)
+        position = {pair: p for p, pair in enumerate(itertools.combinations(range(12), 2))}
+        pairs = [position[min(u, v), max(u, v)] for u, v, _ in multi.edges]
+        assert plan.blocks.tolist() == sorted({p // 2 for p in pairs})
+        assert plan.isolated == 2
+        assert sorted((s.dense, s.coef.shape) for s in plan.stacks) == [
+            (False, (1, 1, 1)), (False, (1, 2, 3)), (True, (1, 3, 3))
+        ]
+
+    @pytest.mark.parametrize(
+        "graph, t, atol", [("multi", 1.0, 1e-11), ("even_multi", 1.0, 1e-11),
+                           ("even_multi", 0.0, 1e-10)]
+    )
+    def test_each_sample_is_the_whole_matrix_log_det(self, request, graph, t, atol):
+        g = request.getfixturevalue(graph)
+        est = estimate_log_phi_tilde(g, t, 600, 9)
+        want, failures = dense_oracle(g, t, 600, 9)
+        assert est.failures == failures
+        assert np.allclose(est.per_sample, want, rtol=0, atol=atol)
+
+    def test_odd_component_is_all_singular_at_t_zero(self, multi, triangle):
+        # the whole matrix agrees: every draw is singular
+        assert dense_oracle(multi, 0.0, 200, 9)[1] == 200
+        shifted = tuple((u + 3, v + 3, w) for u, v, w in triangle.edges)
+        two_triangles = WeightedGraph(6, triangle.edges + shifted)
+        with_isolated = WeightedGraph(4, triangle.edges)
+        for g in (multi, two_triangles, with_isolated):
+            with pytest.raises(EstimatorError, match="singular"):
+                estimate_log_phi_tilde(g, 0.0, 200, 9)
+
+    def test_isolated_vertices_add_half_log_t(self):
+        # the star's pairs all hold vertex 0, so their stream positions do not
+        # depend on the vertex count
+        star = ((0, 1, 1.5), (0, 2, 0.5), (0, 3, 2.0))
+        alone = estimate_log_phi_tilde(WeightedGraph(4, star), 0.7, 300, 2)
+        padded = estimate_log_phi_tilde(WeightedGraph(6, star), 0.7, 300, 2)
+        shift = 2 * (0.5 * math.log(0.7))
+        assert np.array_equal(padded.per_sample, alone.per_sample + shift)
+        assert padded.log_mean_det == alone.log_mean_det + shift
+        assert padded.log_std_err_det == pytest.approx(alone.log_std_err_det + shift, rel=1e-14)
+        assert padded.max_abs_variate == alone.max_abs_variate
+
+    def test_max_abs_variate_counts_edge_normals_only(self, multi):
+        plan = estimator._sample_plan(multi)
+        z = estimator._normal_block(4, 0, 300, plan.blocks)
+        edges = np.setdiff1d(np.arange(z.shape[1]), plan.idle)
+        assert len(edges) == multi.n_edges < z.shape[1]
+        est = estimate_log_phi_tilde(multi, 1.0, 300, 4)
+        assert est.max_abs_variate == np.abs(z[:, edges]).max() < np.abs(z).max()
+
+    def test_single_component_mean_det_is_the_whole_sample_mean(self, random6, k23):
+        # one component: the merged batch moments give the plain sample mean
+        for g in (random6, k23):
+            est = estimate_log_phi_tilde(g, 0.8, 9000, 13)
+            top = est.per_sample.max()
+            scaled = np.exp(est.per_sample - top)
+            assert est.log_mean_det == pytest.approx(top + math.log(scaled.mean()), rel=1e-12)
+            log_se = top + math.log(scaled.std(ddof=1) / math.sqrt(len(scaled)))
+            assert est.log_std_err_det == pytest.approx(log_se, rel=1e-12)
+
+    @pytest.mark.parametrize("graph", ["multi", "even_multi"])
+    def test_mean_det_is_the_product_over_components(self, request, graph):
+        # each component's determinants from the whole matrix's diagonal
+        # blocks; isolated vertices contribute t^(1/2) each
+        g, t, k = request.getfixturevalue(graph), 0.9, 400
+        adj = skew_adjacency(g)
+        blocks = [np.ix_(verts, verts) for verts, _ in components(g)]
+        dets = np.array([
+            [math.exp(log_det_shifted(SkewSample(y[b]), t)) for b in blocks]
+            for y in (sample_skew(adj, RngStream(3), i).matrix for i in range(k))
+        ])
+        isolated = g.n_vertices - sum(len(v) for v, _ in components(g))
+        mean, var = dets.mean(axis=0), dets.var(axis=0, ddof=1)
+        est = estimate_log_phi_tilde(g, t, k, 3)
+        want = math.fsum(np.log(mean)) + 0.5 * isolated * math.log(t)
+        assert est.log_mean_det == pytest.approx(want, rel=1e-12)
+        rel2 = math.fsum(var / (k * mean**2))
+        assert est.log_std_err_det == pytest.approx(want + 0.5 * math.log(rel2), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_product_mean_det_is_calibrated(self, seed):
+        g = four_k23()
+        est = estimate_log_phi_tilde(g, 1.0, 2000, 100 + seed)
+        assert abs(est.mean_det - matching_counts(g).eval(1.0)) <= 4 * est.std_err_det
 
 
 class TestPlanner:

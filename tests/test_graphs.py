@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from matchbound.graphs import (
+    Bipartition,
     GraphFormatError,
     WeightedGraph,
     bipartition,
     complete_bipartite_graph,
     complete_graph,
+    components,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -141,6 +143,15 @@ class TestBipartition:
         left = set(bip.left)
         for u, v, _ in k23.edges:
             assert (u in left) != (v in left)
+
+    def test_components_of_interleaved_labels(self, multi):
+        # K_{2,3}, a triangle and K2 in order of least vertex; 3 and 6 are isolated
+        assert components(multi) == [
+            ((0, 4, 7, 9, 11), Bipartition((0, 7), (4, 9, 11))),
+            ((1, 5, 10), None),
+            ((2, 8), Bipartition((2,), (8,))),
+        ]
+        assert bipartition(multi) is None
 
     def test_exhaustive_small_graphs_match_odd_cycle_oracle(self):
         for n in range(1, 6):
