@@ -149,7 +149,6 @@ def _plan_summary(plan: FprasPlan) -> dict[str, Any]:
         "delta": plan.delta,
         "deviation_radius": plan.deviation_radius,
         "samples": plan.samples,
-        "predicted_cost": plan.predicted_cost,
     }
 
 

@@ -27,45 +27,65 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _BATCH = 4096  # fixed batch partition; independent of thread count
+_CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
 
 
 class EstimatorError(RuntimeError):
     """Estimation could not produce a value (for example, all samples singular)."""
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on z; tmp is a work buffer of z's shape."""
+    for shift, mult in ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2)):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
+
+
+def _stream_keys(seed: int, idx: np.ndarray) -> np.ndarray:
+    """The substream key of each uint64 stream index."""
+    keys = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GOLDEN
+    return _mix64(keys, np.empty_like(keys))
 
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable 64-bit child seed for an indexed subtask."""
-    idx = np.array([index], dtype=np.uint64)  # array ops wrap mod 2^64 silently
-    key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GOLDEN)
-    return int(key[0])
+    return int(_stream_keys(seed, np.array([index], dtype=np.uint64))[0])  # wraps mod 2^64
 
 
-def _uniform_block(seed: int, first_stream: int, n_streams: int, blocks: np.ndarray) -> np.ndarray:
-    """(n_streams, 2 len(blocks)) uniforms in (0, 1): positions 2q, 2q + 1 of each block q."""
-    idx = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
-    keys = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GOLDEN)
-    pos = 2 * np.asarray(blocks, dtype=np.uint64)[:, None] + np.arange(1, 3, dtype=np.uint64)
-    bits = _mix64(keys[:, None] + (pos.ravel() * _GOLDEN)[None, :])
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _uniforms(keys, steps, out, bits, tmp) -> np.ndarray:
+    """out[i, j] = the top 53 bits of splitmix64(keys[i] + steps[j]), centred, in (0, 1)."""
+    np.add(keys[:, None], steps, out=bits)
+    np.right_shift(_mix64(bits, tmp), np.uint64(11), out=bits)
+    np.add(bits, 0.5, out=out)
+    out *= 2.0**-53
+    return out
 
 
 def _normal_block(seed: int, first_stream: int, n_streams: int, blocks: np.ndarray) -> np.ndarray:
     """(n_streams, 2 len(blocks)) standard normals, by Box-Muller on each block's uniforms.
 
-    Normal p of a stream lies in block p // 2; its bits do not depend on the other blocks.
+    Normal p of a stream lies in block p // 2; its bits do not depend on the other blocks,
+    so the rows are made a chunk at a time in a few reused buffers.
     """
-    u = _uniform_block(seed, first_stream, n_streams, blocks)
-    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    angle = (2.0 * math.pi) * u[:, 1::2]
-    z = np.empty_like(u)
-    z[:, 0::2] = radius * np.cos(angle)
-    z[:, 1::2] = radius * np.sin(angle)
+    blocks = np.asarray(blocks, dtype=np.uint64)
+    radius_at, angle_at = ((2 * blocks + np.uint64(j)) * _GOLDEN for j in (1, 2))
+    keys = _stream_keys(seed, np.arange(first_stream, first_stream + n_streams, dtype=np.uint64))
+    z = np.empty((n_streams, 2 * len(blocks)))
+    rows = max(1, _CHUNK // max(1, len(blocks)))
+    bits, tmp = np.empty((2, min(rows, n_streams), len(blocks)), dtype=np.uint64)
+    radius, angle, trig = np.empty((3, min(rows, n_streams), len(blocks)))
+    for lo in range(0, n_streams, rows):
+        chunk, n = keys[lo : lo + rows], min(rows, n_streams - lo)
+        r = _uniforms(chunk, radius_at, radius[:n], bits[:n], tmp[:n])
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        a = _uniforms(chunk, angle_at, angle[:n], bits[:n], tmp[:n])
+        a *= 2.0 * math.pi
+        np.multiply(r, np.cos(a, out=trig[:n]), out=z[lo : lo + n, 0::2])
+        np.multiply(r, np.sin(a, out=trig[:n]), out=z[lo : lo + n, 1::2])
     return z
 
 
@@ -83,7 +103,9 @@ class RngStream:
         return _normal_block(self.seed, self.stream_index, 1, np.arange(count // 2 + 1))[0, :count]
 
     def uniforms(self, count: int) -> np.ndarray:
-        return _uniform_block(self.seed, self.stream_index, 1, np.arange(count // 2 + 1))[0, :count]
+        keys = _stream_keys(self.seed, np.array([self.stream_index], dtype=np.uint64))
+        steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN  # positions 1 to count
+        return _uniforms(keys, steps, np.empty((1, count)), *np.empty((2, 1, count), np.uint64))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +247,6 @@ class FprasPlan:
     delta: float
     deviation_radius: float  # epsilon / (2N)
     samples: int
-    predicted_cost: float  # samples * N^3 flop proxy
 
 
 @dataclass(frozen=True)
@@ -272,7 +293,6 @@ def plan_samples(
         delta=delta,
         deviation_radius=epsilon / (2.0 * n_vertices),
         samples=max(1, k),
-        predicted_cost=float(k) * float(n_vertices) ** 3,
     )
 
 

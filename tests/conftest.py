@@ -3,7 +3,8 @@
 The oracles here never reuse the library's recursion or factorization
 paths: matching counts come from enumerating edge subsets, expectations
 from Gauss-Hermite quadrature, the shifted log-gap from a Poisson-mixture
-series, and odd cycles from adjacency powers.
+series, odd cycles from adjacency powers, and the variate stream from its
+plain out-of-place formula.
 """
 
 from __future__ import annotations
@@ -211,3 +212,30 @@ def shifted_log_gap_series(a: float) -> float:
         psi += 2.0 / (2 * j - 1)
     mean_log = math.log(2.0) + math.fsum(terms) / math.fsum(weights)
     return math.log1p(a * a) - mean_log
+
+
+def stream_oracle(seed: int, first_stream: int, n_streams: int, blocks) -> np.ndarray:
+    """(n_streams, 2 len(blocks)) normals of the variate stream, whole arrays at a time.
+
+    Stream i has key splitmix64(seed + (i + 1) golden). The uniform at position p
+    is the top 53 bits of splitmix64(key + p golden), centred in their cell. Normals
+    2q and 2q + 1 are Box-Muller on the uniforms at positions 2q + 1 and 2q + 2.
+    """
+    golden = np.uint64(0x9E3779B97F4A7C15)
+
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    idx = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
+    keys = mix(np.uint64(seed) + (idx + np.uint64(1)) * golden)
+    pos = 2 * np.asarray(blocks, dtype=np.uint64)[:, None] + np.arange(1, 3, dtype=np.uint64)
+    bits = mix(keys[:, None] + (pos.ravel() * golden)[None, :])
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    angle = (2.0 * math.pi) * u[:, 1::2]
+    z = np.empty_like(u)
+    z[:, 0::2] = radius * np.cos(angle)
+    z[:, 1::2] = radius * np.sin(angle)
+    return z

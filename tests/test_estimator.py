@@ -26,7 +26,7 @@ from matchbound.graphs import (
 )
 from matchbound.linalg import SingularAtZeroError, SkewSample, log_det_shifted
 
-from conftest import gauss_hermite_expect
+from conftest import gauss_hermite_expect, stream_oracle
 
 C1 = 1.2703628454614782  # Euler-Mascheroni + log 2
 
@@ -215,14 +215,18 @@ class TestEstimate:
         assert np.array_equal(est.per_sample, want)
 
     @pytest.mark.parametrize(
-        "graph, t",
-        [("random6", 1.0), ("k23", 0.5), ("k4", 0.0), ("p6", 0.0), ("multi", 1.0),
-         ("even_multi", 0.0)],
+        "graph, t, knob, size",
+        [
+            pytest.param(graph, t, knob, size, id=f"{graph}-{t}{suffix}")
+            for knob, size, suffix in (("_BATCH", 7, ""), ("_CHUNK", 3, "-chunk3"))
+            for graph, t in (("random6", 1.0), ("k23", 0.5), ("k4", 0.0), ("p6", 0.0),
+                             ("multi", 1.0), ("even_multi", 0.0))
+        ],
     )
-    def test_batch_size_never_changes_a_sample(self, request, monkeypatch, graph, t):
+    def test_batch_size_never_changes_a_sample(self, request, monkeypatch, graph, t, knob, size):
         g = request.getfixturevalue(graph)
         default = estimate_log_phi_tilde(g, t, 100, 3)
-        monkeypatch.setattr(estimator, "_BATCH", 7)
+        monkeypatch.setattr(estimator, knob, size)
         small = estimate_log_phi_tilde(g, t, 100, 3)
         assert np.array_equal(default.per_sample, small.per_sample)
         assert default.failures == small.failures
@@ -292,6 +296,26 @@ class TestComponents:
             blocks = np.sort(rng.choice(300, size=int(rng.integers(1, 40)), replace=False))
             cols = (2 * blocks[:, None] + np.arange(2)).ravel()
             assert np.array_equal(estimator._normal_block(17, 40, 9, blocks), full[:, cols])
+
+    @pytest.mark.parametrize(
+        "rows, first", [(1, 0), (1, 12_345), (37, 0), (37, 12_345), (4096, 12_345)]
+    )
+    def test_chunked_stream_is_the_oracle(self, monkeypatch, random6, rows, first):
+        # chunk sizes 1 and 5 put chunk edges inside a batch; the stream must not see them
+        k26 = [(u, 2 + v) for u in range(2) for v in range(6)]  # the sparse workload's copies
+        sparse = WeightedGraph(128, tuple((8 * c + u, 8 * c + v, 1.0) for c in range(16)
+                                          for u, v in k26))
+        rng = np.random.default_rng(rows + first)
+        graphs = (complete_graph(64), sparse, random6)
+        block_sets = [estimator._sample_plan(g).blocks for g in graphs]
+        block_sets += [np.sort(rng.choice(4000, size=int(rng.integers(1, 300)), replace=False))
+                       for _ in range(3)]
+        chunks = (1, 5, estimator._CHUNK)
+        for blocks in block_sets:
+            want = stream_oracle(31, first, rows, blocks)
+            for chunk in chunks:
+                monkeypatch.setattr(estimator, "_CHUNK", chunk)
+                assert np.array_equal(estimator._normal_block(31, first, rows, blocks), want)
 
     def test_only_edge_blocks_are_drawn(self, multi):
         plan = estimator._sample_plan(multi)
@@ -399,10 +423,6 @@ class TestPlanner:
         base = plan_samples(0.5, 0.25, 6, 1.0, 1.0)
         halved = plan_samples(0.25, 0.25, 6, 1.0, 1.0)
         assert halved.samples == pytest.approx(4 * base.samples, abs=4)
-
-    def test_predicted_cost(self):
-        plan = plan_samples(0.5, 0.25, 4, 1.0, 1.0)
-        assert plan.predicted_cost == plan.samples * 64.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
