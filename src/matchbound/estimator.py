@@ -28,6 +28,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _BATCH = 4096  # fixed batch partition; independent of thread count
 _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
+_SUM_CHUNK = 1 << 16  # values per exact sum: each binade's partial sums stay below 2^43
+_SUM_SCALE = 1 << 1126  # x 2^1126 is an integer for every finite double x
 
 
 class EstimatorError(RuntimeError):
@@ -177,6 +179,28 @@ def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
     return SkewSample(y - y.T)
 
 
+def _exact_total(x: np.ndarray) -> int:
+    """sum(x) * 2^1126 exactly, for finite doubles, by integer sums per binade.
+
+    np.frexp gives x = q 2^(e - 53) with q an integer below 2^53 and e >= -1073, so
+    x 2^1126 = q 2^(e + 1073). q splits into its high 27 and low 26 bits, and bincount
+    sums each half per exponent; a partial sum of _SUM_CHUNK halves stays below 2^43,
+    hence exact in a double. The total does not depend on the order of x, and
+    total / _SUM_SCALE rounds it once, to nearest with ties to even.
+    """
+    total = 0
+    for lo in range(0, len(x), _SUM_CHUNK):
+        mant, exp = np.frexp(x[lo : lo + _SUM_CHUNK])
+        q = (mant * 2.0**53).astype(np.int64)
+        base = int(exp.min())
+        exp -= base
+        for part, shift in ((q >> 26, base + 1099), (q & ((1 << 26) - 1), base + 1073)):
+            sums = np.bincount(exp, weights=part)
+            for b in np.flatnonzero(sums):
+                total += int(sums[b]) << int(b + shift)
+    return total
+
+
 def _moments(values: np.ndarray):
     """(count, shift, mean, M2) per column, mean and M2 taken of exp(values - shift)."""
     top = values.max(axis=0)
@@ -209,6 +233,10 @@ class EstimateResult:
     determinants, unbiased as components draw disjoint normals; std_err_det
     is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both are kept
     as logs, and are inf where they exceed the largest double.
+
+    Every sum is exact integer arithmetic per binade, rounded once, so no
+    thread count or batch size moves a bit. per_sample, 8 bytes a sample,
+    is the only storage that grows with k.
     """
 
     k: int
@@ -382,8 +410,13 @@ def estimate_log_phi_tilde(
         raise ValueError("t = 0 requires an even vertex count")
 
     plan = _sample_plan(g)
-    if t == 0 and (plan.isolated or any(s.coef.shape[2] % 2 for s in plan.stacks if s.dense)):
-        raise EstimatorError(f"all {k} samples were singular at t = 0: a component is odd")
+    unmatchable = plan.isolated or any(  # a component that has no perfect matching
+        s.coef.shape[1] != s.coef.shape[2] or (s.dense and s.coef.shape[2] % 2)
+        for s in plan.stacks
+    )
+    if t == 0 and unmatchable:
+        msg = "a component is odd or has unequal sides"
+        raise EstimatorError(f"all {k} samples were singular at t = 0: {msg}")
     shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0  # isolated vertices
 
     def run(start: int):
@@ -403,36 +436,42 @@ def estimate_log_phi_tilde(
         total = sum(per_comp.T, np.full(b, shift))  # component by component, in plan order
         singular = total == -np.inf  # a singular component's value is -inf
         peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
-        kept = per_comp[~singular]
-        return total[~singular], len(singular) - len(kept), kept, peak
+        kept, values = per_comp[~singular], total[~singular]
+        return values, _exact_total(values), len(singular) - len(kept), kept, peak
 
-    per_batch, failures, moments, max_abs = [], 0, None, 0.0
+    per_sample, count, sum_log, failures, moments, max_abs = np.empty(k), 0, 0, 0, None, 0.0
     starts = range(0, k, _BATCH)
     with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
         batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
-        # merged in batch order, so the moments do not depend on the thread count
-        for values, n_singular, kept, peak in batches:
-            per_batch.append(values)
+        # merged in batch order, so the moments do not depend on the thread count;
+        # the sums are exact integers, so no order can change them
+        for values, exact, n_singular, kept, peak in batches:
+            per_sample[count : count + len(values)] = values
+            count += len(values)
+            sum_log += exact
             failures += n_singular
             moments = _merge(moments, _moments(kept) if len(kept) else None)
             max_abs = max(max_abs, peak)
 
-    per_sample = np.concatenate(per_batch)
-    if len(per_sample) == 0:
+    per_sample = per_sample[:count]
+    if count == 0:
         raise EstimatorError(f"all {k} samples were singular at t = {t}")
-    if np.all(per_sample == per_sample[0]):
+    if per_sample.min() == per_sample.max():
         # degenerate draw (edgeless graph): the mean is exact, spread is zero
         mean_log = float(per_sample[0])
         std_err = 0.0
     else:
-        # fsum keeps the reduction exact, hence independent of batching order
-        mean_log = math.fsum(per_sample.tolist()) / len(per_sample)
-        dev = per_sample - mean_log
-        var = math.fsum((dev * dev).tolist()) / (len(per_sample) - 1)
-        std_err = math.sqrt(var / len(per_sample))
-    count, top, mean, m2 = moments
-    log_mean_det = math.fsum((top + np.log(mean)).tolist()) + shift
-    rel2 = math.fsum((m2 / (count - 1) / (count * mean**2)).tolist()) if count > 1 else 0.0
+        # each sum is exact and rounded once, so batching and threads cannot move it
+        mean_log = sum_log / _SUM_SCALE / count
+        sum_sq = 0
+        for lo in range(0, count, _SUM_CHUNK):
+            dev = per_sample[lo : lo + _SUM_CHUNK] - mean_log
+            dev *= dev
+            sum_sq += _exact_total(dev)
+        std_err = math.sqrt(sum_sq / _SUM_SCALE / (count - 1) / count)
+    _, top, mean, m2 = moments
+    log_mean_det = _exact_total(top + np.log(mean)) / _SUM_SCALE + shift
+    rel2 = _exact_total(m2 / (count - 1) / (count * mean**2)) / _SUM_SCALE if count > 1 else 0.0
     return EstimateResult(
         k=k,
         t=t,

@@ -3,8 +3,8 @@
 The oracles here never reuse the library's recursion or factorization
 paths: matching counts come from enumerating edge subsets, expectations
 from Gauss-Hermite quadrature, the shifted log-gap from a Poisson-mixture
-series, odd cycles from adjacency powers, and the variate stream from its
-plain out-of-place formula.
+series, odd cycles from adjacency powers, the variate stream from its
+plain out-of-place formula, and the estimator's reduction from math.fsum.
 """
 
 from __future__ import annotations
@@ -239,3 +239,18 @@ def stream_oracle(seed: int, first_stream: int, n_streams: int, blocks) -> np.nd
     z[:, 0::2] = radius * np.cos(angle)
     z[:, 1::2] = radius * np.sin(angle)
     return z
+
+
+def fsum_reduction(per_sample: np.ndarray) -> tuple[float, float]:
+    """(mean_log, std_err) of the samples by math.fsum over Python floats.
+
+    The mean is the correctly rounded sum over the count; the variance sums each
+    rounded squared deviation from that mean the same way. Equal samples have
+    their common value as the mean and no spread.
+    """
+    x = per_sample.tolist()
+    if all(v == x[0] for v in x):
+        return x[0], 0.0
+    mean = math.fsum(x) / len(x)
+    var = math.fsum([(v - mean) * (v - mean) for v in x]) / (len(x) - 1)
+    return mean, math.sqrt(var / len(x))

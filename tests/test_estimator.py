@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from matchbound.graphs import (
 )
 from matchbound.linalg import SingularAtZeroError, SkewSample, log_det_shifted
 
-from conftest import gauss_hermite_expect, stream_oracle
+from conftest import fsum_reduction, gauss_hermite_expect, stream_oracle
 
 C1 = 1.2703628454614782  # Euler-Mascheroni + log 2
 
@@ -246,6 +247,43 @@ class TestEstimate:
         with pytest.raises(ValueError, match="even"):
             estimate_log_phi_tilde(triangle, 0.0, 10, 0)
 
+    def test_t_zero_unequal_sides_raise_before_sampling(self, monkeypatch):
+        # a bipartite component with unequal sides is singular by structure
+        def no_draws(*args):
+            raise AssertionError("sampled a graph that is singular at t = 0")
+
+        monkeypatch.setattr(estimator, "_normal_block", no_draws)
+        star = WeightedGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
+        for g in (sixteen_k26(), star):
+            with pytest.raises(EstimatorError, match="singular"):
+                estimate_log_phi_tilde(g, 0.0, 10**6, 0)
+
+    @pytest.mark.parametrize(
+        "threads, knob, size", [(1, None, 0), (2, None, 0), (2, "_BATCH", 7), (2, "_SUM_CHUNK", 5)]
+    )
+    @pytest.mark.parametrize("graph, t", [("random6", 1.0), ("k23", 0.5), ("multi", 1.0)])
+    def test_reduction_is_fsum_bitwise(self, request, monkeypatch, graph, t, threads, knob, size):
+        if knob:
+            monkeypatch.setattr(estimator, knob, size)
+        est = estimate_log_phi_tilde(request.getfixturevalue(graph), t, 3000, 8, threads=threads)
+        mean_log, std_err = fsum_reduction(est.per_sample)
+        assert est.mean_log.hex() == mean_log.hex()
+        assert est.std_err.hex() == std_err.hex()
+
+    def test_memory_per_sample_is_bounded(self, random6):
+        # the kept per-sample array costs 8 bytes a sample; the reduction adds none
+        def peak(k):
+            tracemalloc.start()
+            try:
+                estimate_log_phi_tilde(random6, 1.0, k, 3, threads=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1 << 12)  # one-time allocations out of the way
+        small, large = peak(1 << 16), peak(1 << 18)
+        assert (large - small) / ((1 << 18) - (1 << 16)) < 16
+
     def test_t_zero_no_perfect_matching_all_singular(self):
         star = WeightedGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
         with pytest.raises(EstimatorError, match="singular"):
@@ -261,6 +299,13 @@ class TestEstimate:
         est = estimate_log_phi_tilde(triangle, 2.0, 400_000, 22)
         want = math.sqrt(2.0) * matching_counts(triangle).eval(2.0)
         assert abs(est.mean_det - want) < 4 * est.std_err_det
+
+
+def sixteen_k26() -> WeightedGraph:
+    """The sparse workload's shape: 16 disjoint K_{2,6} of unit weight, 128 vertices."""
+    k26 = [(u, 2 + v) for u in range(2) for v in range(6)]
+    return WeightedGraph(128, tuple((8 * c + u, 8 * c + v, 1.0) for c in range(16)
+                                    for u, v in k26))
 
 
 def four_k23() -> WeightedGraph:
@@ -302,11 +347,8 @@ class TestComponents:
     )
     def test_chunked_stream_is_the_oracle(self, monkeypatch, random6, rows, first):
         # chunk sizes 1 and 5 put chunk edges inside a batch; the stream must not see them
-        k26 = [(u, 2 + v) for u in range(2) for v in range(6)]  # the sparse workload's copies
-        sparse = WeightedGraph(128, tuple((8 * c + u, 8 * c + v, 1.0) for c in range(16)
-                                          for u, v in k26))
         rng = np.random.default_rng(rows + first)
-        graphs = (complete_graph(64), sparse, random6)
+        graphs = (complete_graph(64), sixteen_k26(), random6)
         block_sets = [estimator._sample_plan(g).blocks for g in graphs]
         block_sets += [np.sort(rng.choice(4000, size=int(rng.integers(1, 300)), replace=False))
                        for _ in range(3)]
@@ -402,6 +444,65 @@ class TestComponents:
         g = four_k23()
         est = estimate_log_phi_tilde(g, 1.0, 2000, 100 + seed)
         assert abs(est.mean_det - matching_counts(g).eval(1.0)) <= 4 * est.std_err_det
+
+
+def exact_scaled_sum(x) -> int:
+    """sum(x) * 2^1126 from each double's exact integer ratio."""
+    total = 0
+    for v in x:
+        num, den = float(v).as_integer_ratio()
+        total += num * ((1 << 1126) // den)
+    return total
+
+
+_rng = np.random.default_rng(2013)
+EXACT_SUM_CASES = {
+    "cancellation": [1e16, 1.0, -1e16],
+    "tenth-times-ten": [0.1] * 10,
+    "subnormals": [5e-324, 5e-324, -1e-310, 2.2250738585072014e-308, -2.5e-320],
+    "least-subnormal": [5e-324],
+    "mixed-signs-1e-300-to-1e300": _rng.choice([-1.0, 1.0], 4000) * 10.0 ** _rng.uniform(
+        -300, 300, 4000),
+    "extremes": [1.7976931348623157e308, -1.7976931348623157e308, 1.0, -5e-324],
+    "signed-zeros": [0.0, -0.0, -0.0],
+    "negative-zero": [-0.0],
+    "empty": [],
+    "one": [-2.75],
+    "chunk-minus-one": _rng.normal(0, 1, estimator._SUM_CHUNK - 1),
+    "chunk-plus-one": _rng.normal(0, 1, estimator._SUM_CHUNK + 1),
+    # every mantissa at its largest: the widest partial sums a chunk can make
+    "full-mantissas": np.repeat([1 - 2.0**-53, -(1 - 2.0**-53)], [estimator._SUM_CHUNK + 1, 5]),
+}
+
+
+class TestExactTotal:
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("case", sorted(EXACT_SUM_CASES))
+    def test_exact_and_fsum_bitwise(self, monkeypatch, case, chunk):
+        x = np.asarray(EXACT_SUM_CASES[case], dtype=np.float64)
+        if chunk:
+            monkeypatch.setattr(estimator, "_SUM_CHUNK", chunk)
+        total = estimator._exact_total(x)
+        assert total == exact_scaled_sum(x)
+        assert (total / estimator._SUM_SCALE).hex() == math.fsum(x.tolist()).hex()
+
+    def test_million_normals_mean_three(self):
+        x = np.random.default_rng(3).normal(3.0, 1.0, 10**6)
+        total = estimator._exact_total(x)
+        assert (total / estimator._SUM_SCALE).hex() == math.fsum(x.tolist()).hex()
+
+    def test_order_and_split_do_not_matter(self):
+        x = np.random.default_rng(4).normal(0, 1e6, 5000) ** 3
+        whole = estimator._exact_total(x)
+        assert estimator._exact_total(x[::-1]) == whole
+        assert estimator._exact_total(x[:1234]) + estimator._exact_total(x[1234:]) == whole
+
+    def test_overflowing_sum_raises_like_fsum(self):
+        x = [1.5e308, 1.5e308]
+        with pytest.raises(OverflowError):
+            math.fsum(x)
+        with pytest.raises(OverflowError):
+            estimator._exact_total(np.array(x)) / estimator._SUM_SCALE
 
 
 class TestPlanner:
