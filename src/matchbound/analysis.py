@@ -107,8 +107,8 @@ def optimality_sweep(
     enough for exact enumeration (m, n <= 4). Gaps trend to zero as the
     sides grow.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if not (0 < weight_lo <= weight_hi):
         raise ValueError("need 0 < weight_lo <= weight_hi")
     c1 = c1_constant()
@@ -151,7 +151,7 @@ def optimality_sweep(
                 exact_per_vertex=exact_pv,
                 gap_per_vertex=exact_pv - estimate_pv,
                 std_err_per_vertex=est.std_err / n_vertices,
-                gap_bound=min(weight_hi / (2.0 * t), c1),
+                gap_bound=min(weight_hi / t / 2.0, c1),
             )
         )
     return rows

@@ -16,15 +16,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Any
 
-from .analysis import GapSweepRow, c1_constant, gaussian_log_gap, optimality_sweep
+from .analysis import c1_constant, gaussian_log_gap, optimality_sweep
 from .estimator import (
     BoundsReport,
     EstimateResult,
     EstimatorError,
-    FprasPlan,
     _exp,
     bounds_report,
     estimate_log_phi_tilde,
@@ -40,15 +39,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 _SLACK_STD_ERRS = 4.0
-
-
-@dataclass
-class RunReport:
-    """Everything one invocation produced. wall_time_seconds stays out of
-    the JSON payload so identical invocations are byte-identical."""
-
-    payload: dict[str, Any]
-    wall_time_seconds: float
 
 
 def _json_scalar(x: Any) -> str:
@@ -113,112 +103,61 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_graph(path: str) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+def _pick(obj: Any, keys: str) -> dict[str, Any]:
+    """The named attributes of obj, in the order of the space-separated keys."""
+    return {key: getattr(obj, key) for key in keys.split()}
 
 
-def _estimate_summary(est: EstimateResult) -> dict[str, Any]:
-    return {
-        "samples": est.k,
-        "failures": est.failures,
-        "t": est.t,
-        "seed": est.seed,
-        "mean_log": est.mean_log,
-        "std_err": est.std_err,
-        "mean_det": est.mean_det,
-        "std_err_det": est.std_err_det,
-        "log_mean_det": est.log_mean_det,
-        "max_abs_variate": est.max_abs_variate,
-    }
+def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, float, dict[str, Any]]:
+    """The graph of --graph, its amplitude and its report block, once --t is checked."""
+    with open(args.graph, "r", encoding="utf-8") as fh:
+        g = parse_graph(fh.read())
+    if not 0 < args.t < math.inf:
+        raise ValueError("--t must be positive and finite")
+    amplitude = skew_adjacency(g).amplitude
+    return g, amplitude, {"n_vertices": g.n_vertices, "n_edges": g.n_edges, "amplitude": amplitude}
 
 
-def _bounds_summary(b: BoundsReport) -> dict[str, Any]:
-    return {
-        "lower_log": b.lower_log,
-        "gap_asymptotic": b.gap_asymptotic,
-        "gap_finite_sample": b.gap_finite_sample,
-        "upper_log": b.upper_log,
-        "per_vertex_gap": b.per_vertex_gap,
-    }
+def _bracket(
+    args: argparse.Namespace, g: WeightedGraph, amplitude: float, k: int
+) -> tuple[EstimateResult, BoundsReport, dict[str, Any]]:
+    """Estimate with k samples and bracket the result: both, and their report blocks."""
+    est = estimate_log_phi_tilde(g, args.t, k, args.seed, threads=args.threads)
+    bounds = bounds_report(est, amplitude, g.n_vertices, args.t, c1_constant())
+    keys = "failures t seed mean_log std_err mean_det std_err_det log_mean_det max_abs_variate"
+    blocks = {"estimate": {"samples": est.k, **_pick(est, keys)}, "bounds": asdict(bounds)}
+    return est, bounds, blocks
 
 
-def _plan_summary(plan: FprasPlan) -> dict[str, Any]:
-    return {
-        "epsilon": plan.epsilon,
-        "delta": plan.delta,
-        "deviation_radius": plan.deviation_radius,
-        "samples": plan.samples,
-    }
-
-
-def _row_summary(row: GapSweepRow) -> dict[str, Any]:
-    return {
-        "m": row.m,
-        "n": row.n,
-        "t": row.t,
-        "samples": row.samples,
-        "exact_per_vertex": row.exact_per_vertex,
-        "estimate_per_vertex": row.estimate_per_vertex,
-        "gap_per_vertex": row.gap_per_vertex,
-        "std_err_per_vertex": row.std_err_per_vertex,
-        "gap_bound": row.gap_bound,
-    }
-
-
-def _command_echo(args: argparse.Namespace, keys: list[str]) -> dict[str, Any]:
-    echo: dict[str, Any] = {"subcommand": args.subcommand}
-    for key in keys:
-        echo[key] = getattr(args, key.replace("-", "_"))
-    return echo
-
-
-def _run_estimate(args: argparse.Namespace) -> RunReport:
-    started = time.monotonic()
-    g = _load_graph(args.graph)
-    if not args.t > 0:
-        raise ValueError("--t must be positive")
-    adj = skew_adjacency(g)
-    bip = bipartition(g)
+def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    g, amplitude, graph = _graph(args)
+    graph["bipartite"] = bipartition(g) is not None
 
     plan = None
     k = args.samples
     if k is None:
         if args.eps is None or args.delta is None:
             raise ValueError("provide --samples or both --eps and --delta")
-        if adj.amplitude == 0.0:
+        if amplitude == 0.0:
             k = 1  # edgeless graphs are deterministic; one sample is exact
         else:
-            plan = plan_samples(args.eps, args.delta, g.n_vertices, adj.amplitude, args.t)
+            plan = plan_samples(args.eps, args.delta, g.n_vertices, amplitude, args.t)
             k = plan.samples
-
-    est = estimate_log_phi_tilde(g, args.t, k, args.seed, threads=args.threads)
-    bounds = bounds_report(est, adj.amplitude, g.n_vertices, args.t, c1_constant())
+    _, _, blocks = _bracket(args, g, amplitude, k)
 
     # thread count is deliberately not echoed: it never affects the numbers,
     # and reports must be byte-identical across worker counts
     payload: dict[str, Any] = {
-        "command": _command_echo(args, ["graph", "t", "eps", "delta", "samples", "seed"]),
-        "graph": {
-            "n_vertices": g.n_vertices,
-            "n_edges": g.n_edges,
-            "amplitude": adj.amplitude,
-            "bipartite": bip is not None,
-        },
+        "command": _pick(args, "subcommand graph t eps delta samples seed"),
+        "graph": graph,
     }
     if plan is not None:
-        payload["plan"] = _plan_summary(plan)
-    payload["estimate"] = _estimate_summary(est)
-    payload["bounds"] = _bounds_summary(bounds)
-    return RunReport(payload, time.monotonic() - started)
+        payload["plan"] = asdict(plan)
+    return {**payload, **blocks}, True
 
 
-def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
-    started = time.monotonic()
-    g = _load_graph(args.graph)
-    if not args.t > 0:
-        raise ValueError("--t must be positive")
-    adj = skew_adjacency(g)
+def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    g, amplitude, graph = _graph(args)
 
     # phi_{cw}(k) = c^k phi_w(k): count on weights scaled to a largest weight
     # of 1, so the float counts cannot overflow, and sum the terms
@@ -233,8 +172,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
     lead = max(terms)
     log_value = lead + math.log(math.fsum(math.exp(x - lead) for x in terms))
 
-    est = estimate_log_phi_tilde(g, args.t, args.samples, args.seed, threads=args.threads)
-    bounds = bounds_report(est, adj.amplitude, g.n_vertices, args.t, c1_constant())
+    est, bounds, blocks = _bracket(args, g, amplitude, args.samples)
 
     # unbiased target: the polynomial value, times sqrt(t) when N is odd;
     # mean, target and standard error are all divided by the larger of the
@@ -254,14 +192,9 @@ def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
     sandwich_ok = lower_ok and upper_ok
 
     payload: dict[str, Any] = {
-        "command": _command_echo(args, ["graph", "t", "samples", "seed"]),
-        "graph": {
-            "n_vertices": g.n_vertices,
-            "n_edges": g.n_edges,
-            "amplitude": adj.amplitude,
-        },
-        "estimate": _estimate_summary(est),
-        "bounds": _bounds_summary(bounds),
+        "command": _pick(args, "subcommand graph t samples seed"),
+        "graph": graph,
+        **blocks,
         "oracle": {
             "log_value": log_value,
             "value": _exp(log_value),
@@ -272,7 +205,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
             "sandwich_ok": sandwich_ok,
         },
     }
-    return RunReport(payload, time.monotonic() - started), sandwich_ok
+    return payload, sandwich_ok
 
 
 def _parse_sides(raw: str) -> list[int | tuple[int, int]]:
@@ -305,32 +238,24 @@ def _parse_weight_range(raw: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _run_bench(args: argparse.Namespace) -> RunReport:
-    started = time.monotonic()
+def _run_bench(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     sides = _parse_sides(args.sides)
     lo, hi = _parse_weight_range(args.w)
     rows = optimality_sweep(
         sides, args.t, lo, hi, args.seed, args.samples, threads=args.threads
     )
+    keys = (
+        "m n t samples exact_per_vertex estimate_per_vertex "
+        "gap_per_vertex std_err_per_vertex gap_bound"
+    )
     payload = {
-        "command": _command_echo(args, ["sides", "t", "w", "samples", "seed"]),
-        "rows": [_row_summary(r) for r in rows],
+        "command": _pick(args, "subcommand sides t w samples seed"),
+        "rows": [_pick(r, keys) for r in rows],
     }
-    return RunReport(payload, time.monotonic() - started)
+    return payload, True
 
 
-def _bench_csv(rows: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # csv defaults are RFC 4180: CRLF, minimal quoting
-    header = list(rows[0].keys())
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()])
-    return buf.getvalue()
-
-
-def _run_constants(args: argparse.Namespace) -> RunReport:
-    started = time.monotonic()
+def _run_constants(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     if not (math.isfinite(args.grid_step) and args.grid_step > 0):
         raise ValueError("--grid-step must be finite and positive")
     if not (math.isfinite(args.grid_max) and (args.grid_max + 1e-12) / args.grid_step < 1e4):
@@ -342,12 +267,7 @@ def _run_constants(args: argparse.Namespace) -> RunReport:
     while (a := i * args.grid_step) <= args.grid_max + 1e-12:
         table.append({"a": a, "gap": gaussian_log_gap(a)})
         i += 1
-    payload = {
-        "command": {"subcommand": "constants"},
-        "c1": c1,
-        "gap_table": table,
-    }
-    return RunReport(payload, time.monotonic() - started)
+    return {"command": _pick(args, "subcommand"), "c1": c1, "gap_table": table}, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,15 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, with_graph: bool = True) -> None:
+    def common(
+        p: argparse.ArgumentParser,
+        with_graph: bool = True,
+        sampled: bool = True,
+        formats: tuple[str, ...] = ("json", "text"),
+    ) -> None:
         if with_graph:
             p.add_argument("--graph", required=True, help="graph file path")
+        if sampled:
             p.add_argument("--t", type=float, required=True, help="polynomial argument, > 0")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-        p.add_argument(
-            "--threads", type=int, default=os.cpu_count(), help="worker threads (default: all cores)"
-        )
-        p.add_argument("--format", choices=("json", "text"), default="text")
+            p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=os.cpu_count(),
+                help="worker threads (default: all cores)",
+            )
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
 
     p_est = sub.add_parser("estimate", help="estimate certified bounds for a graph file")
@@ -379,75 +308,63 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=100_000)
 
     p_bench = sub.add_parser("bench", help="per-vertex gap sweep over complete bipartite graphs")
+    common(p_bench, with_graph=False, formats=("json", "text", "csv"))
     p_bench.add_argument("--sides", required=True, help="comma list: N or MxN entries")
-    p_bench.add_argument("--t", type=float, required=True)
     p_bench.add_argument("--w", required=True, help="uniform weight W, or LO,HI for random weights")
     p_bench.add_argument("--samples", type=int, default=20_000, help="samples per sweep point")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=os.cpu_count())
-    p_bench.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    p_bench.add_argument("--out", default=None)
 
     p_const = sub.add_parser("constants", help="print the gap constant and its shifted table")
+    common(p_const, with_graph=False, sampled=False)
     p_const.add_argument("--grid-max", type=float, default=8.0)
     p_const.add_argument("--grid-step", type=float, default=0.25)
-    p_const.add_argument("--format", choices=("json", "text"), default="text")
-    p_const.add_argument("--out", default=None)
 
     return parser
 
 
-def _render(report: RunReport, fmt: str) -> str:
+def _render(payload: dict[str, Any], fmt: str, subcommand: str, seconds: float) -> str:
     if fmt == "json":
-        return to_json(report.payload) + "\n"
+        return to_json(payload) + "\n"
     if fmt == "csv":
-        return _bench_csv(report.payload["rows"])
-    lines = _text_block(report.payload)
-    lines.append(f"wall_time_seconds = {report.wall_time_seconds:.3f}")
+        buf = io.StringIO()
+        writer = csv.writer(buf)  # csv defaults are RFC 4180: CRLF, minimal quoting
+        writer.writerow(payload["rows"][0].keys())
+        for row in payload["rows"]:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()])
+        return buf.getvalue()
+    if subcommand == "constants":
+        lines = [f"c1 = {payload['c1']:.10f}", "", f"{'a':>6}  {'gap':>14}"]
+        lines += [f"{row['a']:>6.2f}  {row['gap']:>14.10f}" for row in payload["gap_table"]]
+    else:
+        lines = _text_block(payload)
+    lines.append(f"wall_time_seconds = {seconds:.3f}")
     return "\n".join(lines) + "\n"
 
 
-def _render_constants_text(report: RunReport) -> str:
-    lines = [f"c1 = {report.payload['c1']:.10f}", "", f"{'a':>6}  {'gap':>14}"]
-    for row in report.payload["gap_table"]:
-        lines.append(f"{row['a']:>6.2f}  {row['gap']:>14.10f}")
-    lines.append(f"wall_time_seconds = {report.wall_time_seconds:.3f}")
-    return "\n".join(lines) + "\n"
+_HANDLERS = {
+    "estimate": _run_estimate,
+    "verify": _run_verify,
+    "bench": _run_bench,
+    "constants": _run_constants,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "estimate":
-            report = _run_estimate(args)
-            _write_output(_render(report, args.format), args.out)
-            return EXIT_OK
-        if args.subcommand == "verify":
-            report, sandwich_ok = _run_verify(args)
-            _write_output(_render(report, args.format), args.out)
-            if not sandwich_ok:
-                print("verification failed: sandwich bound violated beyond slack", file=sys.stderr)
-                return EXIT_VERIFY
-            return EXIT_OK
-        if args.subcommand == "bench":
-            report = _run_bench(args)
-            _write_output(_render(report, args.format), args.out)
-            return EXIT_OK
-        if args.subcommand == "constants":
-            report = _run_constants(args)
-            if args.format == "text":
-                _write_output(_render_constants_text(report), args.out)
-            else:
-                _write_output(_render(report, args.format), args.out)
-            return EXIT_OK
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        # the wall time goes to the text report only, so JSON stays byte-identical
+        started = time.monotonic()
+        payload, ok = _HANDLERS[args.subcommand](args)
+        seconds = time.monotonic() - started
+        _write_output(_render(payload, args.format, args.subcommand, seconds), args.out)
     except (GraphFormatError, GraphTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonPositiveDeterminantError, SingularAtZeroError, EstimatorError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if not ok:
+        print("verification failed: sandwich bound violated beyond slack", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

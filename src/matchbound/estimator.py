@@ -234,9 +234,12 @@ class EstimateResult:
     is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both are kept
     as logs, and are inf where they exceed the largest double.
 
-    Every sum is exact integer arithmetic per binade, rounded once, so no
-    thread count or batch size moves a bit. per_sample, 8 bytes a sample,
-    is the only storage that grows with k.
+    per_sample, mean_log and std_err come from sums that are exact integer
+    arithmetic per binade, rounded once, so neither the thread count nor
+    the batch size moves a bit of them. log_mean_det and log_std_err_det
+    merge per-batch float moments in batch order: no thread count moves
+    them, but the batch size can, in the last bits. per_sample, 8 bytes a
+    sample, is the only storage that grows with k.
     """
 
     k: int
@@ -364,13 +367,15 @@ def bounds_report(
         gap_asym = n * c1
         gap_fin = gap_asym
     else:
-        gap_asym = n * min(a**2 / (2.0 * t), c1)
+        gap_asym = n * min(a**2 / t / 2.0, c1)
         k = est.k
-        exponent = a**2 * k * n / (2.0 * t)
+        exponent = a**2 * k * n / t / 2.0
         if exponent > 700.0:
             gap_fin = gap_asym
         else:
-            x = exponent + math.log(math.sqrt(8.0 * k * n) * a / math.sqrt(math.pi * t))
+            # log(sqrt(8kN) a / sqrt(pi t)) as a sum of logs: pi * t overflows past ~5.7e307
+            x = exponent + 0.5 * math.log(8.0 * k * n) + math.log(a)
+            x -= 0.5 * (math.log(math.pi) + math.log(t))
             softplus = x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
             gap_fin = min(softplus / k, gap_asym)
     gap = min(gap_asym, gap_fin)
@@ -404,8 +409,10 @@ def estimate_log_phi_tilde(
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
     if t == 0 and g.n_vertices % 2 == 1:
         raise ValueError("t = 0 requires an even vertex count")
 
@@ -441,7 +448,7 @@ def estimate_log_phi_tilde(
 
     per_sample, count, sum_log, failures, moments, max_abs = np.empty(k), 0, 0, 0, None, 0.0
     starts = range(0, k, _BATCH)
-    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
         # merged in batch order, so the moments do not depend on the thread count;
         # the sums are exact integers, so no order can change them

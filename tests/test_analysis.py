@@ -123,6 +123,9 @@ class TestOptimalitySweep:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             optimality_sweep([2], 0.0, 1.0, 1.0, 0, 10)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                optimality_sweep([2], t, 1.0, 1.0, 0, 10)
         with pytest.raises(ValueError):
             optimality_sweep([2], 1.0, 2.0, 1.0, 0, 10)
         with pytest.raises(ValueError):

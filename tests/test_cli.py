@@ -83,6 +83,24 @@ class TestEstimate:
     def test_nonpositive_t_is_usage_error(self, capsys, k2_file):
         assert main(["estimate", "--graph", k2_file, "--t", "0", "--samples", "10"]) == 2
 
+    def test_huge_t(self, capsys, k2_file):
+        # pi * t overflows a double past ~5.7e307; the bracket must not
+        code, out = run_json(
+            capsys,
+            ["estimate", "--graph", k2_file, "--t", "1e308", "--samples", "100",
+             "--format", "json"],
+        )
+        assert code == 0
+        bounds = json.loads(out)["bounds"]
+        assert bounds["lower_log"] <= bounds["upper_log"]
+        assert bounds["gap_finite_sample"] <= bounds["gap_asymptotic"]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, k2_file, threads):
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--samples", "10"]
+        assert main(argv + ["--threads", threads]) == 2
+        assert "threads" in capsys.readouterr().err
+
     def test_bad_graph_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1\n1 1 1.0\n")
@@ -328,6 +346,103 @@ class TestConstants:
         )
         assert code == 0
         assert len(json.loads(out)["gap_table"]) == 10_000
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+@pytest.mark.parametrize("subcommand", ["estimate", "verify", "bench"])
+def test_nonfinite_t_is_usage_error(capsys, k2_file, subcommand, t):
+    if subcommand == "bench":
+        argv = ["bench", "--sides", "2", "--w", "1"]
+    else:
+        argv = [subcommand, "--graph", k2_file]
+    assert main(argv + ["--t", t, "--samples", "10"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def block_keys(report):
+    """The key list of every JSON object in a report, in order, by its path."""
+    keys = {}
+
+    def walk(path, node):
+        if isinstance(node, dict):
+            assert keys.setdefault(path, list(node)) == list(node), path  # rows agree
+            for key, value in node.items():
+                walk(f"{path}.{key}", value)
+        elif isinstance(node, list):
+            for item in node:
+                walk(f"{path}[]", item)
+
+    walk("", report)
+    return keys
+
+
+ESTIMATE_KEYS = [
+    "samples", "failures", "t", "seed", "mean_log", "std_err", "mean_det",
+    "std_err_det", "log_mean_det", "max_abs_variate",
+]
+BOUNDS_KEYS = ["lower_log", "gap_asymptotic", "gap_finite_sample", "upper_log", "per_vertex_gap"]
+
+
+class TestReportSchema:
+    """Pins the keys of every JSON block and their order, which no lookup test sees."""
+
+    def report(self, capsys, argv):
+        code, out = run_json(capsys, argv + ["--format", "json"])
+        assert code == 0
+        return block_keys(json.loads(out))
+
+    def test_estimate_with_samples(self, capsys, k2_file):
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--samples", "100"]
+        assert self.report(capsys, argv) == {
+            "": ["command", "graph", "estimate", "bounds"],
+            ".command": ["subcommand", "graph", "t", "eps", "delta", "samples", "seed"],
+            ".graph": ["n_vertices", "n_edges", "amplitude", "bipartite"],
+            ".estimate": ESTIMATE_KEYS,
+            ".bounds": BOUNDS_KEYS,
+        }
+
+    def test_estimate_with_plan(self, capsys, k2_file):
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "0.5", "--delta", "0.25"]
+        assert self.report(capsys, argv) == {
+            "": ["command", "graph", "plan", "estimate", "bounds"],
+            ".command": ["subcommand", "graph", "t", "eps", "delta", "samples", "seed"],
+            ".graph": ["n_vertices", "n_edges", "amplitude", "bipartite"],
+            ".plan": ["epsilon", "delta", "deviation_radius", "samples"],
+            ".estimate": ESTIMATE_KEYS,
+            ".bounds": BOUNDS_KEYS,
+        }
+
+    def test_verify(self, capsys, triangle_file):
+        argv = ["verify", "--graph", triangle_file, "--t", "1", "--samples", "100"]
+        assert self.report(capsys, argv) == {
+            "": ["command", "graph", "estimate", "bounds", "oracle"],
+            ".command": ["subcommand", "graph", "t", "samples", "seed"],
+            ".graph": ["n_vertices", "n_edges", "amplitude"],
+            ".estimate": ESTIMATE_KEYS,
+            ".bounds": BOUNDS_KEYS,
+            ".oracle": [
+                "log_value", "value", "target_mean_det", "residual_std_errs",
+                "sandwich_lower_ok", "sandwich_upper_ok", "sandwich_ok",
+            ],
+        }
+
+    def test_bench(self, capsys):
+        argv = ["bench", "--sides", "1,2x3", "--t", "1", "--w", "0.5,2", "--samples", "100"]
+        assert self.report(capsys, argv) == {
+            "": ["command", "rows"],
+            ".command": ["subcommand", "sides", "t", "w", "samples", "seed"],
+            ".rows[]": [
+                "m", "n", "t", "samples", "exact_per_vertex", "estimate_per_vertex",
+                "gap_per_vertex", "std_err_per_vertex", "gap_bound",
+            ],
+        }
+
+    def test_constants(self, capsys):
+        assert self.report(capsys, ["constants", "--grid-max", "1"]) == {
+            "": ["command", "c1", "gap_table"],
+            ".command": ["subcommand"],
+            ".gap_table[]": ["a", "gap"],
+        }
 
 
 def test_unknown_subcommand():

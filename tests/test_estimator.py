@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -235,6 +237,16 @@ class TestEstimate:
     def test_bad_sample_count(self, k4):
         with pytest.raises(ValueError):
             estimate_log_phi_tilde(k4, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_nonfinite_t_rejected(self, k4, t):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_log_phi_tilde(k4, t, 10, 0)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_threads_rejected(self, k4, threads):
+        with pytest.raises(ValueError, match="threads"):
+            estimate_log_phi_tilde(k4, 1.0, 10, 0, threads=threads)
 
     def test_t_zero_even_with_perfect_matching(self, k2_w4):
         est = estimate_log_phi_tilde(k2_w4, 0.0, 2000, 3)
@@ -589,6 +601,16 @@ class TestBoundsReport:
             assert rep.upper_log == rep.lower_log + min(
                 rep.gap_asymptotic, rep.gap_finite_sample
             )
+
+    @pytest.mark.parametrize("t", [1e308, sys.float_info.max])
+    def test_huge_t_bracket_is_finite(self, k4, triangle, t):
+        # pi * t overflows a double past ~5.7e307
+        for g in (k4, triangle):
+            est = self._est(g, t, k=50)
+            rep = bounds_report(est, 1.0, g.n_vertices, t, c1_constant())
+            assert all(math.isfinite(x) for x in astuple(rep))
+            assert 0 <= rep.gap_finite_sample <= rep.gap_asymptotic
+            assert rep.upper_log >= rep.lower_log
 
     def test_saturation_at_huge_exponent(self, k4):
         est = self._est(k4, 0.01, k=100_000)
