@@ -103,9 +103,9 @@ def optimality_sweep(
 
     A bare integer side means the square graph K_{n,n}. Equal weight bounds
     use the uniform closed-form count; distinct bounds draw each edge
-    weight uniformly from [weight_lo, weight_hi] and require sides small
-    enough for exact enumeration (m, n <= 4). Gaps trend to zero as the
-    sides grow.
+    weight uniformly from [weight_lo, weight_hi] and count it exactly with
+    matching_counts, whose table cap bounds the sides. Gaps trend to zero
+    as the sides grow.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be positive and finite")
@@ -124,8 +124,6 @@ def optimality_sweep(
             g = complete_bipartite_graph(m, n, weight_hi)
             exact_log = complete_bipartite_counts(m, n, weight_hi).log_eval(t)
         else:
-            if n > 4:
-                raise ValueError("random-weight sweep points need m, n <= 4")
             span = weight_hi - weight_lo
             picks = _weight_draws(row_seed, m * n)
             edges = tuple(

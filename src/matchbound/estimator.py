@@ -287,14 +287,13 @@ class BoundsReport:
     The averaged log-determinant brackets the log of the determinant mean,
     which is the polynomial value times sqrt(t) when the vertex count is
     odd; lower_log therefore subtracts log(t)/2 for odd N so that the
-    bracket always refers to the polynomial itself. upper_log applies the
-    smaller of the two defensible gaps. The Monte Carlo standard error is
-    deliberately not folded in and must be read from the estimate.
+    bracket always refers to the polynomial itself; upper_log adds
+    gap_asymptotic. The Monte Carlo standard error is deliberately not
+    folded in and must be read from the estimate.
     """
 
     lower_log: float
     gap_asymptotic: float
-    gap_finite_sample: float
     upper_log: float
     per_vertex_gap: float
 
@@ -349,44 +348,30 @@ def tail_bound(r: float, n_vertices: int, k: int, amplitude: float, t: float) ->
 def bounds_report(
     est: EstimateResult, amplitude: float, n_vertices: int, t: float, c1: float
 ) -> BoundsReport:
-    """Assemble the additive bracket from an estimate.
+    """Assemble the additive bracket from an estimate: gap N min(a^2 / 2t, c1).
 
-    gap_asymptotic = N min(a^2 / 2t, c1) always holds; the finite-sample
-    gap log1p(sqrt(8kN) a exp(a^2 k N / 2t) / sqrt(pi t)) / k is computed
-    in softplus form and saturates to the asymptotic gap once the exponent
-    passes 700 (where it is the weaker bound anyway).
+    The finite-sample gap log1p(sqrt(8kN) a exp(a^2 kN / 2t) / sqrt(pi t)) / k
+    is never smaller, so it is not reported. With E = a^2 kN / 2t its log1p
+    argument is 4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1 for E >= 0 (1
+    at E = 0, increasing since e^E > sqrt(pi E) / 2), so the gap is at least
+    log(e^E) / k = a^2 N / 2t >= N min(a^2 / 2t, c1).
     """
-    n = n_vertices
-    a = amplitude
+    n, a = n_vertices, amplitude
     if n % 2 == 1 and t == 0:
         raise ValueError("odd vertex counts are not defined at t = 0")
     if a == 0.0:
-        gap_asym = 0.0
-        gap_fin = 0.0
+        gap = 0.0
     elif t == 0:
-        gap_asym = n * c1
-        gap_fin = gap_asym
+        gap = n * c1
     else:
-        gap_asym = n * min(a**2 / t / 2.0, c1)
-        k = est.k
-        exponent = a**2 * k * n / t / 2.0
-        if exponent > 700.0:
-            gap_fin = gap_asym
-        else:
-            # log(sqrt(8kN) a / sqrt(pi t)) as a sum of logs: pi * t overflows past ~5.7e307
-            x = exponent + 0.5 * math.log(8.0 * k * n) + math.log(a)
-            x -= 0.5 * (math.log(math.pi) + math.log(t))
-            softplus = x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
-            gap_fin = min(softplus / k, gap_asym)
-    gap = min(gap_asym, gap_fin)
+        gap = n * min(a**2 / t / 2.0, c1)
     # the determinant mean carries a sqrt(t) factor at odd N; shift the
     # bracket so it bounds the polynomial value, not the determinant mean
     parity_shift = 0.5 * math.log(t) if n % 2 == 1 else 0.0
     lower = est.mean_log - parity_shift
     return BoundsReport(
         lower_log=lower,
-        gap_asymptotic=gap_asym,
-        gap_finite_sample=gap_fin,
+        gap_asymptotic=gap,
         upper_log=lower + gap,
         per_vertex_gap=gap / n,
     )

@@ -1,24 +1,28 @@
-"""Exact weighted matching counts for small graphs and closed forms.
+"""Exact weighted matching counts: one profile DP for any graph, and closed forms.
 
 The count vector phi(k) sums the weight products of all k-edge matchings;
-the matching polynomial is sum_k phi(k) * t**(floor(N/2) - k). Exact
-enumeration recurses on the highest-degree remaining vertex with a bitmask
-memo, so it is limited to small vertex counts.
+the matching polynomial is sum_k phi(k) * t**(floor(N/2) - k). The DP's
+table grows with the bandwidth of a breadth-first order, not with N, and
+one cap on the table bounds its memory.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import WeightedGraph
 
-VERTEX_CAP = 24
-MEMO_BUDGET = 1 << 18  # count vectors kept per invocation
+# live DP cells, states x coefficients per state; every graph of at most 24
+# vertices fits (K24 peaks at 41,226 states of 13 coefficients)
+TABLE_CAP = 1 << 20
 
 
 class GraphTooLargeError(ValueError):
-    """Exact enumeration was asked for a graph above the vertex cap."""
+    """Exact counts need more than TABLE_CAP table cells, or overflow a double."""
 
 
 @dataclass(frozen=True)
@@ -62,61 +66,61 @@ class MatchingCounts:
         return top + math.log(math.fsum(math.exp(x - top) for x in terms))
 
 
+def _finite_counts(n_vertices: int, counts: Iterable[float]) -> MatchingCounts:
+    """counts padded with zeros; GraphTooLargeError if one is not a finite double."""
+    try:
+        values = tuple(map(float, counts))
+    except OverflowError:  # an int count or a power of w past the largest double
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise GraphTooLargeError(f"a count of this {n_vertices}-vertex graph overflows a double")
+    return MatchingCounts(n_vertices, values + (0.0,) * (n_vertices // 2 + 1 - len(values)))
+
+
 def matching_counts(g: WeightedGraph) -> MatchingCounts:
-    """Exact weighted k-matching totals for every k.
+    """Exact weighted k-matching totals for every k, by a profile DP.
 
-    Recursion removes the highest-degree remaining vertex v:
-    phi(k, G) = phi(k, G - v) + sum_u w(v,u) * phi(k-1, G - v - u).
-    Memoized on the bitmask of remaining vertices until the entry budget is
-    hit (dense graphs revisit subsets; sparse ones recurse cheaply without).
+    Vertices are taken in breadth-first order, one component after another.
+    Before vertex i, a state is the set of later vertices already matched
+    (bit d for vertex i + d); its row holds the counts of the partial
+    matchings that reach it. Vertex i is already matched, left unmatched, or
+    matched to a later free neighbour u, one more edge of weight w(i, u).
+    Between components the table is the empty state alone, so they need no
+    convolution. GraphTooLargeError once it passes TABLE_CAP cells.
     """
-    if g.n_vertices > VERTEX_CAP:
-        raise GraphTooLargeError(
-            f"{g.n_vertices} vertices exceed the exact-enumeration cap of {VERTEX_CAP}"
-        )
-    nbrs = g.adjacency()
-    nbr_masks = [0] * g.n_vertices
-    for v in range(g.n_vertices):
-        for u, _ in nbrs[v]:
-            nbr_masks[v] |= 1 << u
-
-    memo: dict[int, list[float]] = {}
-
-    def solve(mask: int) -> list[float]:
-        # returns phi(0..floor(p/2)) for the induced subgraph, p = popcount
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        live = mask
-        best_v, best_deg = -1, -1
-        v = 0
-        m = live
-        while m:
-            if m & 1:
-                deg = (nbr_masks[v] & mask).bit_count()
-                if deg > best_deg:
-                    best_v, best_deg = v, deg
-            m >>= 1
-            v += 1
-        size = mask.bit_count()
-        if best_deg <= 0:
-            return [1.0] + [0.0] * (size // 2)
-
-        rest = mask & ~(1 << best_v)
-        out = solve(rest)[: size // 2 + 1]
-        out = out + [0.0] * (size // 2 + 1 - len(out))
-        for u, w in nbrs[best_v]:
-            if mask >> u & 1:
-                sub = solve(rest & ~(1 << u))
-                for k, c in enumerate(sub):
-                    if c:
-                        out[k + 1] += w * c
-        if len(memo) < MEMO_BUDGET:
-            memo[mask] = out
-        return out
-
-    full = (1 << g.n_vertices) - 1
-    return MatchingCounts(g.n_vertices, tuple(solve(full)))
+    n, nbrs = g.n_vertices, g.adjacency()
+    pos: dict[int, int] = {}  # vertex -> its place in the order
+    for start in range(n):
+        if start not in pos:
+            pos[start], found = len(pos), [start]
+            for v in found:  # found grows while it is read: breadth-first order
+                for u, _ in nbrs[v]:
+                    if u not in pos:
+                        pos[u] = len(pos)
+                        found.append(u)
+    size = n // 2 + 1
+    masks, table = [0], np.eye(1, size)
+    with np.errstate(over="ignore"):  # an overflowed count raises at the end
+        for i, v in enumerate(pos):  # a dict keeps its insertion order
+            rows: dict[int, int] = {}  # next state -> its row in the next table
+            keep = [rows.setdefault(m >> 1, len(rows)) for m in masks]
+            moves = []
+            for u, w in nbrs[v]:
+                if pos[u] > i:
+                    bits = 1 << (pos[u] - i) | 1  # v and u must both be free
+                    src = [s for s, m in enumerate(masks) if not m & bits]
+                    dst = [rows.setdefault((masks[s] | bits) >> 1, len(rows)) for s in src]
+                    moves.append((w, src, dst))
+                    if len(rows) * size > TABLE_CAP:
+                        raise GraphTooLargeError(f"exact counts need over {TABLE_CAP} table cells")
+            if moves or len(rows) < len(masks):  # else keep is the identity
+                new = np.zeros((len(rows), size))
+                np.add.at(new, keep, table)
+                for w, src, dst in moves:  # one-to-one: no row repeats in dst
+                    new[dst, 1:] += w * table[src, :-1]
+                table = new
+            masks = list(rows)
+    return _finite_counts(n, table[0])
 
 
 def complete_graph_counts(n: int, w: float = 1.0) -> MatchingCounts:
@@ -125,29 +129,17 @@ def complete_graph_counts(n: int, w: float = 1.0) -> MatchingCounts:
         raise ValueError("n must be at least 1")
     if not w > 0:
         raise ValueError("weight must be positive")
-    counts = []
-    for k in range(n // 2 + 1):
-        pairings = 1
-        for odd in range(1, 2 * k, 2):
-            pairings *= odd
-        counts.append(float(math.comb(n, 2 * k) * pairings) * w**k)
-    return MatchingCounts(n, tuple(counts))
+    return _finite_counts(
+        n, (math.comb(n, 2 * k) * math.prod(range(1, 2 * k, 2)) * w**k for k in range(n // 2 + 1))
+    )
 
 
 def complete_bipartite_counts(m: int, n: int, w: float = 1.0) -> MatchingCounts:
-    """Closed form for K_{m,n}: phi(k) = C(m,k) C(n,k) k! w^k, zero past min(m,n)."""
+    """Closed form for K_{m,n}: phi(k) = C(m,k) n!/(n-k)! w^k, zero past min(m,n)."""
     if m < 1 or n < 1:
         raise ValueError("side sizes must be at least 1")
     if m > n:
         raise ValueError("expected m <= n")
     if not w > 0:
         raise ValueError("weight must be positive")
-    counts = []
-    for k in range((m + n) // 2 + 1):
-        if k <= m:
-            counts.append(
-                float(math.comb(m, k) * math.comb(n, k) * math.factorial(k)) * w**k
-            )
-        else:
-            counts.append(0.0)
-    return MatchingCounts(m + n, tuple(counts))
+    return _finite_counts(m + n, (math.comb(m, k) * math.perm(n, k) * w**k for k in range(m + 1)))

@@ -1,6 +1,6 @@
 """Shared graph fixtures and independent test oracles.
 
-The oracles here never reuse the library's recursion or factorization
+The oracles here never reuse the library's counting or factorization
 paths: matching counts come from enumerating edge subsets, expectations
 from Gauss-Hermite quadrature, the shifted log-gap from a Poisson-mixture
 series, odd cycles from adjacency powers, the variate stream from its
@@ -134,6 +134,29 @@ def brute_matching_counts(g: WeightedGraph) -> list[float]:
                 total += prod
         counts[k] = total
     return counts
+
+
+def grid_graph(rows: int, cols: int) -> WeightedGraph:
+    """The rows x cols grid with unit weights, vertex r * cols + c at (r, c)."""
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = [(r * cols + c, r * cols + c + 1, 1.0) for r, c in cells if c + 1 < cols]
+    edges += [(r * cols + c, (r + 1) * cols + c, 1.0) for r, c in cells if r + 1 < rows]
+    return WeightedGraph(rows * cols, tuple(edges))
+
+
+def sparse_graph() -> WeightedGraph:
+    """16 disjoint K_{2,6}: copy c on vertices 8c..8c+7, sides 2 and 6, weight 0.5 + 1.5c/15."""
+    edges = []
+    for c in range(16):
+        base, w = 8 * c, 0.5 + 1.5 * c / 15
+        edges += [(base + u, base + 2 + v, w) for u in range(2) for v in range(6)]
+    return WeightedGraph(128, tuple(edges))
+
+
+def relabel(g: WeightedGraph, rng: np.random.Generator) -> WeightedGraph:
+    """g with its vertex labels randomly permuted."""
+    perm = [int(v) for v in rng.permutation(g.n_vertices)]
+    return WeightedGraph(g.n_vertices, tuple((perm[u], perm[v], w) for u, v, w in g.edges))
 
 
 def delete_edge(g: WeightedGraph, index: int) -> WeightedGraph:

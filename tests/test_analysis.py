@@ -107,9 +107,12 @@ class TestOptimalitySweep:
         slack = 4 * row.std_err_per_vertex
         assert -slack <= row.gap_per_vertex <= row.gap_bound + slack
 
-    def test_random_weight_mode_rejects_large_sides(self):
-        with pytest.raises(ValueError, match="<= 4"):
-            optimality_sweep([8], 1.0, 0.5, 2.0, 0, 100)
+    def test_random_weight_mode_large_sides(self):
+        # K_{8,8} with random weights is counted exactly by the profile DP
+        row = optimality_sweep([8], 1.0, 0.5, 2.0, 0, 4_000)[0]
+        assert (row.m, row.n) == (8, 8)
+        slack = 4 * row.std_err_per_vertex
+        assert -slack <= row.gap_per_vertex <= row.gap_bound + slack
 
     def test_rectangular_sides_normalized(self):
         rows = optimality_sweep([(5, 2)], 1.0, 1.0, 1.0, 0, 500)

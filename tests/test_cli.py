@@ -4,7 +4,11 @@ import math
 import pytest
 
 import matchbound.cli as cli
+import matchbound.exact as exact
 from matchbound.cli import main
+from matchbound.graphs import complete_graph, path_graph, serialize_graph
+
+from conftest import grid_graph, sparse_graph
 
 
 @pytest.fixture
@@ -93,7 +97,7 @@ class TestEstimate:
         assert code == 0
         bounds = json.loads(out)["bounds"]
         assert bounds["lower_log"] <= bounds["upper_log"]
-        assert bounds["gap_finite_sample"] <= bounds["gap_asymptotic"]
+        assert bounds["upper_log"] == bounds["lower_log"] + bounds["gap_asymptotic"]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_is_usage_error(self, capsys, k2_file, threads):
@@ -222,10 +226,30 @@ class TestVerify:
         assert math.isfinite(oracle["residual_std_errs"])
         assert oracle["sandwich_ok"] is True
 
-    def test_too_large_graph_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "big.txt"
-        path.write_text("30 0\n")
-        assert main(["verify", "--graph", str(path), "--t", "1"]) == 2
+    def test_too_large_graph_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(exact, "TABLE_CAP", 1_000)
+        path = tmp_path / "k12.txt"
+        path.write_text(serialize_graph(complete_graph(12)))
+        assert main(["verify", "--graph", str(path), "--t", "1", "--samples", "10"]) == 2
+        assert "table cells" in capsys.readouterr().err
+
+    def test_count_overflow_is_usage_error(self, capsys, tmp_path):
+        # the 2 x 800 ladder has bandwidth 2, but about 3 10^405 matchings
+        path = tmp_path / "ladder.txt"
+        path.write_text(serialize_graph(grid_graph(2, 800)))
+        assert main(["verify", "--graph", str(path), "--t", "1", "--samples", "10"]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph", [path_graph(64), sparse_graph()], ids=["p64", "sparse"])
+    def test_large_sparse_graphs(self, capsys, tmp_path, graph):
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(graph))
+        code, out = run_json(
+            capsys,
+            ["verify", "--graph", str(path), "--t", "1", "--samples", "2000", "--format", "json"],
+        )
+        assert code == 0
+        assert json.loads(out)["oracle"]["sandwich_ok"] is True
 
     def test_numerical_failure_exit_code(self, capsys, triangle_file, monkeypatch):
         from matchbound.estimator import EstimatorError
@@ -288,6 +312,12 @@ class TestBench:
         assert main(["bench", "--sides", "2", "--t", "1", "--w", "0"]) == 2
         assert main(["bench", "--sides", "2", "--t", "1", "--w", "-1"]) == 2
         assert main(["bench", "--sides", "2", "--t", "1", "--w", "inf"]) == 2
+
+    @pytest.mark.parametrize("sides, w", [("200", "1"), ("150", "4")])
+    def test_count_overflow_is_usage_error(self, capsys, sides, w):
+        argv = ["bench", "--sides", sides, "--t", "1", "--w", w, "--samples", "4"]
+        assert main(argv) == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_empty_sides_is_usage_error(self, capsys):
         assert main(["bench", "--sides", ",", "--t", "1", "--w", "1"]) == 2
@@ -380,7 +410,7 @@ ESTIMATE_KEYS = [
     "samples", "failures", "t", "seed", "mean_log", "std_err", "mean_det",
     "std_err_det", "log_mean_det", "max_abs_variate",
 ]
-BOUNDS_KEYS = ["lower_log", "gap_asymptotic", "gap_finite_sample", "upper_log", "per_vertex_gap"]
+BOUNDS_KEYS = ["lower_log", "gap_asymptotic", "upper_log", "per_vertex_gap"]
 
 
 class TestReportSchema:

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import matchbound.exact as exact
 from matchbound.exact import (
     GraphTooLargeError,
     MatchingCounts,
@@ -17,7 +19,15 @@ from matchbound.graphs import (
     path_graph,
 )
 
-from conftest import brute_matching_counts, delete_edge, delete_vertices, random_weighted_graph
+from conftest import (
+    brute_matching_counts,
+    delete_edge,
+    delete_vertices,
+    grid_graph,
+    random_weighted_graph,
+    relabel,
+    sparse_graph,
+)
 
 
 class TestMatchingCounts:
@@ -83,15 +93,61 @@ class TestMatchingCounts:
             sum(w for _, _, w in random6.edges), rel=1e-15
         )
 
-    def test_vertex_cap(self):
-        with pytest.raises(GraphTooLargeError):
-            matching_counts(WeightedGraph(25, ()))
+    def test_table_cap(self, monkeypatch):
+        # K_12 peaks at 163 states of 7 coefficients, 1,141 cells
+        monkeypatch.setattr(exact, "TABLE_CAP", 1_000)
+        started = time.monotonic()
+        with pytest.raises(GraphTooLargeError, match="table cells"):
+            matching_counts(complete_graph(12))
+        assert time.monotonic() - started < 1.0
+
+    def test_dense_graph_past_the_cap(self):
+        with pytest.raises(GraphTooLargeError, match="table cells"):
+            matching_counts(complete_graph(40))
 
     def test_sparse_graph_at_cap(self):
-        # a 24-vertex path finishes fast even though 2^24 memo keys exist
+        # every graph on 24 vertices fits the table cap; a path needs 2 states
         counts = matching_counts(path_graph(24))
         assert counts.counts[0] == 1.0
         assert counts.counts[1] == 23.0
+
+
+class TestProfileReach:
+    """Graphs far past 24 vertices whose breadth-first bandwidth is small."""
+
+    def test_long_path_is_fibonacci_under_any_labels(self):
+        fib = [1, 1]  # fib[n] = Fibonacci(n + 1) matchings of the n-vertex path
+        while len(fib) < 65:
+            fib.append(fib[-1] + fib[-2])
+        counts = matching_counts(path_graph(64)).counts
+        assert sum(counts) == fib[64]
+        for seed in range(3):
+            shuffled = relabel(path_graph(64), np.random.default_rng(seed))
+            assert matching_counts(shuffled).counts == counts
+
+    def test_relabelled_grid_is_fast(self):
+        # perfect matchings of the 4 x n grid: a(n) = a(n-1) + 5a(n-2) + a(n-3) - a(n-4)
+        tilings = [1, 1, 5, 11]
+        while len(tilings) < 17:
+            tilings.append(tilings[-1] + 5 * tilings[-2] + tilings[-3] - tilings[-4])
+        started = time.monotonic()
+        counts = matching_counts(relabel(grid_graph(4, 16), np.random.default_rng(1))).counts
+        assert time.monotonic() - started < 1.0
+        assert counts == matching_counts(grid_graph(4, 16)).counts
+        assert counts[-1] == tilings[16]
+
+    def test_disjoint_union_is_the_convolution(self):
+        # 16 disjoint K_{2,6}: the union's counts convolve its parts' counts
+        want = np.ones(1)
+        for c in range(16):
+            want = np.convolve(want, complete_bipartite_counts(2, 6, 0.5 + 1.5 * c / 15).counts)
+        got = matching_counts(sparse_graph()).counts
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_count_overflow_raises(self):
+        # the 2 x 800 ladder has about 3 10^405 matchings
+        with pytest.raises(GraphTooLargeError, match="overflows"):
+            matching_counts(grid_graph(2, 800))
 
 
 class TestPolynomialEval:
@@ -163,6 +219,15 @@ class TestClosedForms:
         closed = complete_bipartite_counts(3, 4, 0.7).counts
         recursed = matching_counts(complete_bipartite_graph(3, 4, 0.7)).counts
         assert np.allclose(closed, recursed, rtol=1e-12, atol=0)
+
+    def test_count_overflow_raises(self):
+        for closed_form in (
+            lambda: complete_bipartite_counts(200, 200),  # the int 200! passes the largest double
+            lambda: complete_bipartite_counts(2, 2, 1e200),  # so does the float 1e200**2
+            lambda: complete_graph_counts(4, 1e154),  # 3 * 1e308 rounds to inf
+        ):
+            with pytest.raises(GraphTooLargeError, match="overflows"):
+                closed_form()
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
