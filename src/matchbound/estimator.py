@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,8 +29,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _BATCH = 4096  # fixed batch partition; independent of thread count
 _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
-_SUM_CHUNK = 1 << 16  # values per exact sum: each binade's partial sums stay below 2^43
-_SUM_SCALE = 1 << 1126  # x 2^1126 is an integer for every finite double x
+_SUM_CHUNK = 1 << 16  # values per exact sum: each binade's partial sums stay below 2^44
+_LN2 = math.log(2.0)
 
 
 class EstimatorError(RuntimeError):
@@ -179,45 +180,50 @@ def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
     return SkewSample(y - y.T)
 
 
-def _exact_total(x: np.ndarray) -> int:
-    """sum(x) * 2^1126 exactly, for finite doubles, by integer sums per binade.
+def _exact_total(x: np.ndarray, e=0) -> Fraction:
+    """sum(x 2^e) exactly, for finite doubles x and integers e, by integer sums per binade.
 
-    np.frexp gives x = q 2^(e - 53) with q an integer below 2^53 and e >= -1073, so
-    x 2^1126 = q 2^(e + 1073). q splits into its high 27 and low 26 bits, and bincount
-    sums each half per exponent; a partial sum of _SUM_CHUNK halves stays below 2^43,
-    hence exact in a double. The total does not depend on the order of x, and
-    total / _SUM_SCALE rounds it once, to nearest with ties to even.
+    np.frexp gives x = m 2^p, |m| in [1/2, 1), and m 2^27 = h + l 2^-26 with integers
+    |h| < 2^27, |l| < 2^26. bincount sums the h and l per binade of p + e: below 2^44 for
+    _SUM_CHUNK terms, so exact in a double; 16 adjacent binades combine exactly in an
+    int64. The total does not depend on the order of the terms; float() rounds it once.
     """
-    total = 0
+    total = Fraction(0)
     for lo in range(0, len(x), _SUM_CHUNK):
         mant, exp = np.frexp(x[lo : lo + _SUM_CHUNK])
-        q = (mant * 2.0**53).astype(np.int64)
+        exp = exp + (e[lo : lo + _SUM_CHUNK] if np.ndim(e) else e)
         base = int(exp.min())
         exp -= base
-        for part, shift in ((q >> 26, base + 1099), (q & ((1 << 26) - 1), base + 1073)):
-            sums = np.bincount(exp, weights=part)
-            for b in np.flatnonzero(sums):
-                total += int(sums[b]) << int(b + shift)
+        low, high = np.modf(mant * 2.0**27)  # l 2^-26 and h, whose sums both stay exact
+        width = (int(exp.max()) + 42) // 16 * 16  # an h counts 26 binades above its own
+        sums = np.bincount(exp, low, width) * 2.0**26
+        sums[26:] += np.bincount(exp, high, width)[:-26]
+        blocks = (sums.astype(np.int64).reshape(-1, 16) @ (1 << np.arange(16))).tolist()
+        chunk, shift = sum(v << 16 * i for i, v in enumerate(blocks)), base - 53
+        total += Fraction(chunk << max(shift, 0), 1 << max(-shift, 0))
     return total
 
 
-def _moments(values: np.ndarray):
-    """(count, shift, mean, M2) per column, mean and M2 taken of exp(values - shift)."""
-    top = values.max(axis=0)
-    scaled = np.exp(values - top)
-    mean = scaled.mean(axis=0)
-    return len(values), top, mean, ((scaled - mean) ** 2).sum(axis=0)
+def _exp_sums(v: np.ndarray) -> tuple[Fraction, Fraction]:
+    """(sum e^v, sum e^2v) exactly, with e^v = f 2^n, n = floor(v / ln 2) and f rounded once.
+
+    No term overflows or underflows. f^2 = g + err exactly (Dekker's product on
+    Veltkamp's 26-bit halves of f), so the second sum is that of f^2 exactly.
+    """
+    n = np.floor(v / _LN2).astype(np.int64)
+    f = np.exp(v - n * _LN2)
+    hi = f * (2.0**27 + 1)
+    hi -= hi - f
+    lo = f - hi
+    g = f * f
+    err = lo * lo - ((g - hi * hi) - 2.0 * hi * lo)
+    return _exact_total(f, n), _exact_total(np.concatenate([g, err]), np.concatenate([2 * n] * 2))
 
 
-def _merge(a, b):
-    """The moments of two sample sets together (Chan, Golub and LeVeque 1979)."""
-    if a is None or b is None:
-        return a or b
-    (na, ta, ma, qa), (nb, tb, mb, qb) = a, b
-    top = np.maximum(ta, tb)
-    sa, sb = np.exp(ta - top), np.exp(tb - top)
-    n, delta = na + nb, mb * sb - ma * sa
-    return n, top, ma * sa + delta * (nb / n), qa * sa**2 + qb * sb**2 + delta**2 * (na * nb / n)
+def _log(r: Fraction) -> float:
+    """log r of a positive rational, normalized by bit length so that no part overflows."""
+    a = r.numerator.bit_length() - r.denominator.bit_length()
+    return math.log(r * Fraction(2) ** -a) + a * _LN2
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,12 +240,10 @@ class EstimateResult:
     is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both are kept
     as logs, and are inf where they exceed the largest double.
 
-    per_sample, mean_log and std_err come from sums that are exact integer
-    arithmetic per binade, rounded once, so neither the thread count nor
-    the batch size moves a bit of them. log_mean_det and log_std_err_det
-    merge per-batch float moments in batch order: no thread count moves
-    them, but the batch size can, in the last bits. per_sample, 8 bytes a
-    sample, is the only storage that grows with k.
+    Every statistic comes from sums that are exact integer arithmetic per
+    binade, rounded once, so neither the thread count nor the batch size
+    moves a bit of any field. per_sample, 8 bytes a sample, is the only
+    storage that grows with k.
     """
 
     k: int
@@ -317,12 +321,14 @@ def plan_samples(
         raise ValueError("amplitude must be positive")
     if not t > 0:
         raise ValueError("t must be positive")
-    k = math.ceil(8.0 * amplitude**2 * n_vertices * math.log(4.0 / delta) / (t * epsilon**2))
+    k = 8.0 * amplitude**2 * n_vertices * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
+    if not k < math.inf:  # the count overflows, or t eps^2 underflows to 0
+        raise ValueError(f"the planned sample count is not finite at eps {epsilon}, t {t}")
     return FprasPlan(
         epsilon=epsilon,
         delta=delta,
         deviation_radius=epsilon / (2.0 * n_vertices),
-        samples=max(1, k),
+        samples=max(1, math.ceil(k)),
     )
 
 
@@ -419,7 +425,7 @@ def estimate_log_phi_tilde(
         for s in plan.stacks:
             kernel = skew_logdet_batch if s.dense else gram_logdet_batch
             try:
-                values, _ = kernel(_matrices(s, z, t), t)
+                values = kernel(_matrices(s, z, t), t)
             except NonPositiveDeterminantError as exc:
                 msg = f"batch from sample {start}, {len(s.coef)} components per sample: {exc}"
                 raise NonPositiveDeterminantError(msg) from None
@@ -429,20 +435,20 @@ def estimate_log_phi_tilde(
         singular = total == -np.inf  # a singular component's value is -inf
         peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
         kept, values = per_comp[~singular], total[~singular]
-        return values, _exact_total(values), len(singular) - len(kept), kept, peak
+        sums = np.array([_exp_sums(column) for column in kept.T], dtype=object).reshape(-1, 2).T
+        return values, _exact_total(values), len(singular) - len(kept), sums, peak
 
-    per_sample, count, sum_log, failures, moments, max_abs = np.empty(k), 0, 0, 0, None, 0.0
+    per_sample, count, sum_log, failures, sums, max_abs = np.empty(k), 0, 0, 0, 0, 0.0
     starts = range(0, k, _BATCH)
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
-        # merged in batch order, so the moments do not depend on the thread count;
-        # the sums are exact integers, so no order can change them
-        for values, exact, n_singular, kept, peak in batches:
+        # every sum is exact, so neither the batch order nor the batch size can change it
+        for values, exact, n_singular, batch_sums, peak in batches:
             per_sample[count : count + len(values)] = values
             count += len(values)
             sum_log += exact
             failures += n_singular
-            moments = _merge(moments, _moments(kept) if len(kept) else None)
+            sums = sums + batch_sums
             max_abs = max(max_abs, peak)
 
     per_sample = per_sample[:count]
@@ -453,17 +459,17 @@ def estimate_log_phi_tilde(
         mean_log = float(per_sample[0])
         std_err = 0.0
     else:
-        # each sum is exact and rounded once, so batching and threads cannot move it
-        mean_log = sum_log / _SUM_SCALE / count
+        mean_log = float(sum_log) / count
         sum_sq = 0
         for lo in range(0, count, _SUM_CHUNK):
             dev = per_sample[lo : lo + _SUM_CHUNK] - mean_log
             dev *= dev
             sum_sq += _exact_total(dev)
-        std_err = math.sqrt(sum_sq / _SUM_SCALE / (count - 1) / count)
-    _, top, mean, m2 = moments
-    log_mean_det = _exact_total(top + np.log(mean)) / _SUM_SCALE + shift
-    rel2 = _exact_total(m2 / (count - 1) / (count * mean**2)) / _SUM_SCALE if count > 1 else 0.0
+        std_err = math.sqrt(float(sum_sq) / (count - 1) / count)
+    # per component, mean_C = S1 / k and var_C / (k mean_C^2) = (k S2 - S1^2) / ((k - 1) S1^2)
+    s1, s2 = sums
+    log_mean_det = float(_exact_total(np.array([_log(m) for m in s1 / count]))) + shift
+    rel2 = ((count * s2 - s1 * s1) / ((count - 1) * s1 * s1)).sum() if count > 1 else 0
     return EstimateResult(
         k=k,
         t=t,
@@ -474,5 +480,5 @@ def estimate_log_phi_tilde(
         failures=failures,
         max_abs_variate=max_abs,
         log_mean_det=log_mean_det,
-        log_std_err_det=log_mean_det + 0.5 * math.log(rel2) if rel2 > 0 else -math.inf,
+        log_std_err_det=log_mean_det + 0.5 * _log(rel2) if rel2 > 0 else -math.inf,
     )

@@ -92,8 +92,8 @@ def _positive_logdet(mats: np.ndarray) -> np.ndarray:
     return logabs
 
 
-def _logabsdet_at_zero(mats: np.ndarray, order: int):
-    """log|det| over a (B, k, k) stack from its singular values, plus a singular mask.
+def _logabsdet_at_zero(mats: np.ndarray, order: int) -> np.ndarray:
+    """log|det| over a (B, k, k) stack from its singular values.
 
     order is the dimension N of the antisymmetric matrix the stack stands
     for: a sample is singular (value -inf) when s_min <= N * eps * s_max.
@@ -102,45 +102,38 @@ def _logabsdet_at_zero(mats: np.ndarray, order: int):
     # min/max with an initial value also cover k = 0 (empty product, never singular)
     singular = s.min(axis=-1, initial=np.inf) <= order * _EPS * s.max(axis=-1, initial=0.0)
     with np.errstate(divide="ignore"):
-        logabs = np.log(s).sum(axis=-1)
-    logabs[singular] = -np.inf
-    return logabs, singular
+        return np.where(singular, -np.inf, np.log(s).sum(axis=-1))
 
 
-def skew_logdet_batch(y_batch: np.ndarray, t: float):
+def skew_logdet_batch(y_batch: np.ndarray, t: float) -> np.ndarray:
     """Batched log det(sqrt(t) I + Y) over a (B, N, N) stack of antisymmetric Y.
 
-    Returns (values, singular): at t = 0 singular samples are flagged
-    (value -inf) instead of raising; at t > 0 none is, and a determinant
-    that is not positive and finite raises NonPositiveDeterminantError.
-    At t > 0 the diagonal of y_batch is overwritten with sqrt(t).
+    At t = 0 a singular sample has the value -inf instead of raising; at
+    t > 0 none is, and a determinant that is not positive and finite
+    raises NonPositiveDeterminantError. At t > 0 the diagonal of y_batch
+    is overwritten with sqrt(t).
     """
-    b, n, _ = y_batch.shape
+    n = y_batch.shape[1]
     if t == 0:
         return _logabsdet_at_zero(y_batch, n)
     y_batch[:, np.arange(n), np.arange(n)] = math.sqrt(t)
-    return _positive_logdet(y_batch), np.zeros(b, dtype=bool)
+    return _positive_logdet(y_batch)
 
 
-def gram_logdet_batch(u_batch: np.ndarray, t: float):
+def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
     """Batched log det of the embedded block samples of a (B, m, n) stack, m <= n.
 
     At t > 0 this is log det(t I_m + U U^T) plus ((n - m)/2) log t; at
     t = 0 it is 2 log|det U|, taken from the singular values of U rather
-    than of U U^T, whose condition number is squared. Returns (values,
-    singular) as skew_logdet_batch does; at t = 0 every rectangular
-    sample is singular.
+    than of U U^T, whose condition number is squared. Singular samples
+    are -inf as in skew_logdet_batch; at t = 0 every rectangular sample is.
     """
     b, m, n = u_batch.shape
-    if t == 0:
-        if m != n:
-            # the t^((n-m)/2) factor is identically zero
-            return np.full(b, -np.inf), np.ones(b, dtype=bool)
-        logabs, singular = _logabsdet_at_zero(u_batch, m + n)
-        return 2.0 * logabs, singular
+    if t == 0:  # at m < n the t^((n-m)/2) factor is identically zero
+        return 2.0 * _logabsdet_at_zero(u_batch, m + n) if m == n else np.full(b, -np.inf)
     gram = u_batch @ u_batch.transpose(0, 2, 1)
     gram[:, np.arange(m), np.arange(m)] += t
-    return _positive_logdet(gram) + 0.5 * (n - m) * math.log(t), np.zeros(b, dtype=bool)
+    return _positive_logdet(gram) + 0.5 * (n - m) * math.log(t)
 
 
 def log_det_shifted(y: SkewSample, t: float) -> float:
@@ -154,10 +147,10 @@ def log_det_shifted(y: SkewSample, t: float) -> float:
         raise ValueError("t must be nonnegative")
     if t == 0 and y.dimension % 2 == 1:
         raise ValueError("t = 0 requires an even dimension (determinant is identically 0)")
-    values, singular = skew_logdet_batch(y.matrix[None, :, :].copy(), t)
-    if singular[0]:
+    value = float(skew_logdet_batch(y.matrix[None, :, :].copy(), t)[0])
+    if value == -math.inf:
         raise SingularAtZeroError("singular sample at t = 0")
-    return float(values[0])
+    return value
 
 
 def log_det_bipartite(u: BipartiteSample, t: float) -> float:
@@ -171,7 +164,7 @@ def log_det_bipartite(u: BipartiteSample, t: float) -> float:
         raise ValueError("t must be nonnegative")
     if t == 0 and u.m != u.n:
         raise ValueError("t = 0 requires m = n (determinant is identically 0)")
-    values, singular = gram_logdet_batch(u.matrix[None, :, :], t)
-    if singular[0]:
+    value = float(gram_logdet_batch(u.matrix[None, :, :], t)[0])
+    if value == -math.inf:
         raise SingularAtZeroError("singular bipartite sample at t = 0")
-    return float(values[0])
+    return value

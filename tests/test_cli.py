@@ -4,11 +4,12 @@ import math
 import pytest
 
 import matchbound.cli as cli
+import matchbound.estimator as estimator
 import matchbound.exact as exact
 from matchbound.cli import main
-from matchbound.graphs import complete_graph, path_graph, serialize_graph
+from matchbound.graphs import WeightedGraph, complete_graph, path_graph, serialize_graph
 
-from conftest import grid_graph, sparse_graph
+from conftest import MULTI_EDGES, RANDOM6_EDGES, grid_graph, sparse_graph
 
 
 @pytest.fixture
@@ -130,6 +131,27 @@ class TestEstimate:
         code2, out2 = run_json(capsys, argv + ["--threads", "8"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("graph", ["multi", "k64", "sparse", "random6"])
+    def test_byte_identical_across_batch_sizes(self, capsys, tmp_path, monkeypatch, graph):
+        g = {"multi": WeightedGraph(12, MULTI_EDGES), "k64": complete_graph(64),
+             "sparse": sparse_graph(), "random6": WeightedGraph(6, RANDOM6_EDGES)}[graph]
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        argv = ["estimate", "--graph", str(path), "--t", "1", "--samples", "3000",
+                "--seed", "5", "--format", "json"]
+        reports = set()
+        for batch in (7, 1024, 4096):
+            monkeypatch.setattr(estimator, "_BATCH", batch)
+            code, out = run_json(capsys, argv)
+            assert code == 0
+            reports.add(out)
+        assert len(reports) == 1
+
+    def test_unbounded_plan_is_usage_error(self, capsys, k2_file):
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "1e-160", "--delta", "0.1"]
+        assert main(argv) == 2
+        assert "error: the planned sample count is not finite" in capsys.readouterr().err
 
     def test_byte_identical_repeat_invocation(self, capsys, k2_file):
         argv = ["estimate", "--graph", k2_file, "--t", "0.5", "--samples",

@@ -1,8 +1,10 @@
+import decimal
 import itertools
 import math
 import sys
 import tracemalloc
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,13 +25,15 @@ from matchbound.exact import matching_counts
 from matchbound.graphs import (
     WeightedGraph,
     bipartition,
+    complete_bipartite_graph,
     complete_graph,
     components,
+    path_graph,
     skew_adjacency,
 )
 from matchbound.linalg import SingularAtZeroError, SkewSample, log_det_shifted
 
-from conftest import fsum_reduction, gauss_hermite_expect, stream_oracle
+from conftest import RANDOM6_EDGES, fsum_reduction, gauss_hermite_expect, stream_oracle
 
 C1 = 1.2703628454614782  # Euler-Mascheroni + log 2
 
@@ -233,6 +237,8 @@ class TestEstimate:
         small = estimate_log_phi_tilde(g, t, 100, 3)
         assert np.array_equal(default.per_sample, small.per_sample)
         assert default.failures == small.failures
+        for field in ("mean_log", "std_err", "log_mean_det", "log_std_err_det"):
+            assert getattr(default, field) == getattr(small, field), field
 
     def test_bad_sample_count(self, k4):
         with pytest.raises(ValueError):
@@ -423,7 +429,7 @@ class TestComponents:
         assert est.max_abs_variate == np.abs(z[:, edges]).max() < np.abs(z).max()
 
     def test_single_component_mean_det_is_the_whole_sample_mean(self, random6, k23):
-        # one component: the merged batch moments give the plain sample mean
+        # one component: the exact sums give the plain sample mean
         for g in (random6, k23):
             est = estimate_log_phi_tilde(g, 0.8, 9000, 13)
             top = est.per_sample.max()
@@ -456,6 +462,59 @@ class TestComponents:
         g = four_k23()
         est = estimate_log_phi_tilde(g, 1.0, 2000, 100 + seed)
         assert abs(est.mean_det - matching_counts(g).eval(1.0)) <= 4 * est.std_err_det
+
+
+def decimal_det_moments(per_sample) -> tuple[float, float]:
+    """(log mean, log std err) of exp(per_sample) in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dets = [decimal.Decimal(v).exp() for v in per_sample.tolist()]
+        k = len(dets)
+        mean = sum(dets) / k
+        var = sum((d - mean) ** 2 for d in dets) / (k - 1)
+        return float(mean.ln()), float((var / k).sqrt().ln())
+
+
+class TestDeterminantMoments:
+    @pytest.mark.parametrize(
+        "graph, t",
+        [
+            (path_graph(6), 0.0),
+            (WeightedGraph(6, RANDOM6_EDGES), 0.3),
+            (complete_graph(4), 1e-250),
+            (complete_bipartite_graph(8, 8, 1e100), 1e-100),
+        ],
+        ids=["p6", "random6", "k4", "k88"],
+    )
+    def test_single_component_against_decimal(self, graph, t):
+        est = estimate_log_phi_tilde(graph, t, 2000, 17)
+        assert est.failures == 0
+        log_mean, log_se = decimal_det_moments(est.per_sample)
+        assert abs(est.log_mean_det - log_mean) <= 1e-15 * (1 + abs(log_mean))
+        assert abs(est.log_std_err_det - log_se) <= 1e-15 * (1 + abs(log_se))
+
+    def test_equal_samples_have_no_spread(self, k2_unit):
+        # t + x^2 rounds to t at t = 1e300: every determinant is the same double
+        est = estimate_log_phi_tilde(k2_unit, 1e300, 5000, 3)
+        assert np.all(est.per_sample == est.per_sample[0])
+        assert est.log_std_err_det == -math.inf
+        assert est.log_mean_det == est.mean_log
+
+    def test_exp_sums_are_exact(self):
+        # each e^v is f 2^n with f rounded once; both sums are exact in those f, at any scale
+        v = np.concatenate([np.random.default_rng(8).normal(0, 5, 500), [-2e4, 0.0, 3e4]])
+        n = np.floor(v / estimator._LN2)
+        f = np.exp(v - n * estimator._LN2)
+        terms = [(Fraction(x), int(p)) for x, p in zip(f.tolist(), n.tolist())]
+        s1, s2 = estimator._exp_sums(v)
+        assert s1 == sum(x * Fraction(2) ** p for x, p in terms)
+        assert s2 == sum(x * x * Fraction(2) ** (2 * p) for x, p in terms)
+
+    def test_exponent_per_term(self):
+        rng = np.random.default_rng(6)
+        x, e = rng.normal(0, 1, 3000), rng.integers(-5000, 5000, 3000)
+        want = sum(Fraction(v) * Fraction(2) ** int(p) for v, p in zip(x.tolist(), e))
+        assert estimator._exact_total(x, e) == want
 
 
 def exact_scaled_sum(x) -> int:
@@ -495,13 +554,13 @@ class TestExactTotal:
         if chunk:
             monkeypatch.setattr(estimator, "_SUM_CHUNK", chunk)
         total = estimator._exact_total(x)
-        assert total == exact_scaled_sum(x)
-        assert (total / estimator._SUM_SCALE).hex() == math.fsum(x.tolist()).hex()
+        assert total * 2**1126 == exact_scaled_sum(x)
+        assert float(total).hex() == math.fsum(x.tolist()).hex()
 
     def test_million_normals_mean_three(self):
         x = np.random.default_rng(3).normal(3.0, 1.0, 10**6)
         total = estimator._exact_total(x)
-        assert (total / estimator._SUM_SCALE).hex() == math.fsum(x.tolist()).hex()
+        assert float(total).hex() == math.fsum(x.tolist()).hex()
 
     def test_order_and_split_do_not_matter(self):
         x = np.random.default_rng(4).normal(0, 1e6, 5000) ** 3
@@ -514,7 +573,7 @@ class TestExactTotal:
         with pytest.raises(OverflowError):
             math.fsum(x)
         with pytest.raises(OverflowError):
-            estimator._exact_total(np.array(x)) / estimator._SUM_SCALE
+            float(estimator._exact_total(np.array(x)))
 
 
 class TestPlanner:
@@ -536,6 +595,12 @@ class TestPlanner:
         base = plan_samples(0.5, 0.25, 6, 1.0, 1.0)
         halved = plan_samples(0.25, 0.25, 6, 1.0, 1.0)
         assert halved.samples == pytest.approx(4 * base.samples, abs=4)
+
+    @pytest.mark.parametrize("epsilon, t", [(1e-160, 1.0), (1e-170, 1.0), (0.5, 5e-324)])
+    def test_unbounded_count_is_value_error(self, epsilon, t):
+        # the count overflows, or t eps^2 underflows to zero
+        with pytest.raises(ValueError, match="not finite"):
+            plan_samples(epsilon, 0.1, 2, 1.0, t)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
