@@ -22,7 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import SkewAdjacency, WeightedGraph, components, skew_adjacency
-from .linalg import NonPositiveDeterminantError, SkewSample, gram_logdet_batch, skew_logdet_batch
+from .linalg import (
+    SMALL_ORDER,
+    NonPositiveDeterminantError,
+    SkewSample,
+    gram_logdet_batch,
+    skew_logdet_batch,
+)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -124,6 +130,11 @@ class _Stack:
     coef: np.ndarray
     index: np.ndarray
 
+    @property
+    def small(self) -> bool:
+        """Whether its order (rows) is at most SMALL_ORDER: the kernels then eliminate it."""
+        return self.coef.shape[1] <= SMALL_ORDER
+
 
 @dataclass(frozen=True, eq=False)
 class _SamplePlan:
@@ -141,7 +152,14 @@ class _SamplePlan:
     isolated: int
 
 
-def _sample_plan(g: WeightedGraph) -> _SamplePlan:
+def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
+    """The plan of g at t, which picks each bipartite component's route.
+
+    Forming U U^T rounds each eigenvalue t + s^2 >= t by about n_C eps max_w, for a
+    component of n_C vertices and largest weight max_w, so the Gram route is taken
+    only where n_C eps max_w / t <= 1e-12, and at t = 0, where it factors U itself;
+    elsewhere a bipartite component takes the dense route.
+    """
     adj, n = skew_adjacency(g), g.n_vertices
     i, j = np.nonzero(np.triu(adj.matrix))
     pair = i * n - i * (i + 1) // 2 + (j - i - 1)
@@ -150,6 +168,9 @@ def _sample_plan(g: WeightedGraph) -> _SamplePlan:
     col[i, j] = col[j, i] = edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2
     groups: dict[tuple[bool, int, int], list] = {}
     for verts, bip in (comps := components(g)):
+        if bip is not None and t > 0:
+            max_w = float(np.square(adj.matrix[np.ix_(verts, verts)]).max())
+            bip = bip if len(verts) * np.finfo(float).eps * (max_w / t) <= 1e-12 else None
         rows, cols = (verts, verts) if bip is None else (bip.left, bip.right)
         groups.setdefault((bip is None, len(rows), len(cols)), []).append(np.ix_(rows, cols))
     stacks = tuple(
@@ -161,15 +182,26 @@ def _sample_plan(g: WeightedGraph) -> _SamplePlan:
 
 
 def _matrices(stack: _Stack, z: np.ndarray, t: float) -> np.ndarray:
-    """The (count * members, rows, cols) stack coef * z[index], sample-major."""
-    # on the Gram route advanced indexing leaves the batch axis innermost,
-    # which fixes the summation order of U U^T (np.take would change its last
-    # bits); the dense stack is gathered by np.take, in C order
-    mats = np.take(z, stack.index, axis=1) if stack.dense else z[:, stack.index]
-    mats *= stack.coef
+    """The matrices coef * z[index] of every member and sample, as one (rows, cols) stack.
+
+    A small stack is gathered batch-innermost: z.T indexed by the plan's index,
+    transposed to (rows, cols, members), gives (rows, cols, members, count) in one
+    gather, and its view as (members * count, rows, cols) is member-major. A larger
+    one is (count * members, rows, cols), sample-major: the dense stack is gathered by np.take, in C order, and the
+    Gram stack by advanced indexing, which leaves the batch axis innermost for the
+    summation order of U U^T (np.take would change its last bits).
+    """
+    if stack.small:
+        mats = z.T[stack.index.transpose(1, 2, 0)]
+        mats *= stack.coef.transpose(1, 2, 0)[..., None]
+        mats = mats.reshape(*mats.shape[:2], -1).transpose(2, 0, 1)
+    else:
+        mats = np.take(z, stack.index, axis=1) if stack.dense else z[:, stack.index]
+        mats *= stack.coef
+        mats = mats.reshape(-1, *mats.shape[2:])
     if t == 0:  # the SVD sees the sign of 0 * z; -0.0 + 0.0 is +0.0
         mats += 0.0
-    return mats.reshape(-1, *mats.shape[2:])
+    return mats
 
 
 def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
@@ -309,7 +341,8 @@ def plan_samples(
 
     With these choices the tail bound puts the geometric-mean estimate
     within a multiplicative (1 +- epsilon) of its target with probability
-    at least 1 - delta/2.
+    at least 1 - delta/2. A count that is not finite, or that an array of
+    one double a sample cannot hold, raises ValueError.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must be in (0, 1]")
@@ -324,6 +357,8 @@ def plan_samples(
     k = 8.0 * amplitude**2 * n_vertices * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
     if not k < math.inf:  # the count overflows, or t eps^2 underflows to 0
         raise ValueError(f"the planned sample count is not finite at eps {epsilon}, t {t}")
+    if k > np.iinfo(np.intp).max // 8:  # per_sample holds 8 bytes a sample
+        raise ValueError(f"the planned sample count {k:.3g} is too large at eps {epsilon}, t {t}")
     return FprasPlan(
         epsilon=epsilon,
         delta=delta,
@@ -394,9 +429,10 @@ def estimate_log_phi_tilde(
     """Average log det(sqrt(t) I + Y) over k independent samples.
 
     Each connected component takes its own route: the Gram-matrix route when
-    it is bipartite, the dense antisymmetric factorization otherwise; a
-    sample's value is the sum over components, in a fixed order. Results
-    are bitwise independent of the thread count.
+    it is bipartite and U U^T keeps t (see _sample_plan), the dense
+    antisymmetric factorization otherwise; a sample's value is the sum over
+    components, in a fixed order. Results are bitwise independent of the
+    thread count and the batch size.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
@@ -407,7 +443,7 @@ def estimate_log_phi_tilde(
     if t == 0 and g.n_vertices % 2 == 1:
         raise ValueError("t = 0 requires an even vertex count")
 
-    plan = _sample_plan(g)
+    plan = _sample_plan(g, t)
     unmatchable = plan.isolated or any(  # a component that has no perfect matching
         s.coef.shape[1] != s.coef.shape[2] or (s.dense and s.coef.shape[2] % 2)
         for s in plan.stacks
@@ -426,10 +462,12 @@ def estimate_log_phi_tilde(
             kernel = skew_logdet_batch if s.dense else gram_logdet_batch
             try:
                 values = kernel(_matrices(s, z, t), t)
-            except NonPositiveDeterminantError as exc:
-                msg = f"batch from sample {start}, {len(s.coef)} components per sample: {exc}"
+            except NonPositiveDeterminantError as exc:  # name the sample drawn, not the row
+                members, i = len(s.coef), exc.index
+                row, member = (i % b, i // b) if s.small else (i // members, i % members)
+                msg = f"sample {start + row}, component {member} of {members} alike: {exc}"
                 raise NonPositiveDeterminantError(msg) from None
-            parts.append(values.reshape(b, -1))
+            parts.append(values.reshape(-1, b).T if s.small else values.reshape(b, -1))
         per_comp = np.concatenate(parts, axis=1)
         total = sum(per_comp.T, np.full(b, shift))  # component by component, in plan order
         singular = total == -np.inf  # a singular component's value is -inf

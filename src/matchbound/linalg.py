@@ -1,16 +1,27 @@
-"""Log-determinants of shifted skew-symmetric matrices, by LAPACK.
+"""Log-determinants of shifted skew-symmetric matrices, by elimination or LAPACK.
 
 For antisymmetric Y and t > 0, det(sqrt(t) I + Y) equals the product of
-sqrt(t + s_i^2) over the singular values of Y, so it is strictly positive;
-np.linalg.slogdet computes it and the +1 sign is checked as a numerical
-health check. At t = 0 the determinant is the product of the singular
-values themselves, computed by np.linalg.svd, and a sample whose smallest
-singular value is at most N * eps times its largest counts as singular.
-The bipartite block form [[0, U], [-U^T, 0]] reduces to the m-by-m Gram
-matrix U U^T at t > 0 and to the singular values of U at t = 0.
+sqrt(t + s_i^2) over the singular values of Y, so it is strictly positive.
+Up to order SMALL_ORDER the batch kernels factor by Gaussian elimination
+without pivoting, a few ufunc calls per step over the batch axis: the
+symmetric part of sqrt(t) I + Y is sqrt(t) I, positive definite, so every
+pivot is positive in exact arithmetic, and the growth is bounded in terms
+of ||Y|| / sqrt(t) (Golub and Van Loan, "Unsymmetric positive definite
+linear systems", LAA 1979; Higham, Accuracy and Stability of Numerical
+Algorithms, 10.4). A matrix past GROWTH_CAP, and every larger order, goes
+to np.linalg.slogdet instead. A pivot or a sign that is not positive, or a
+value that is not finite, is the numerical health check. At t = 0 the
+determinant is the product of the singular values themselves, computed by
+np.linalg.svd, and a sample whose smallest singular value is at most
+N * eps times its largest counts as singular. The bipartite block form
+[[0, U], [-U^T, 0]] reduces to the m-by-m Gram matrix U U^T at t > 0,
+which is symmetric positive definite once shifted by t I, and to the
+singular values of U at t = 0.
 
 The batch kernels take a leading batch axis so Monte Carlo callers factor
-thousands of samples per numpy call; the scalar helpers wrap them.
+thousands of samples per numpy call; the scalar helpers wrap them. Every
+value is a function of its own matrix alone: neither the batch size nor
+the memory layout of the stack moves a bit.
 """
 
 from __future__ import annotations
@@ -21,10 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+SMALL_ORDER = 12  # at most this order (N on the dense route, m on the Gram route): elimination
+GROWTH_CAP = 1e3  # dense elimination only where ||Y||_F^2 <= GROWTH_CAP * t
 
 
 class NonPositiveDeterminantError(ArithmeticError):
-    """A determinant that is positive in exact arithmetic came out non-positive or non-finite."""
+    """A determinant that is positive in exact arithmetic came out non-positive or non-finite.
+
+    index is the position in its batch of the sample named, where a batch kernel raised it.
+    """
+
+    index: int | None = None
 
 
 class SingularAtZeroError(ArithmeticError):
@@ -79,17 +97,65 @@ def bipartite_block(u: BipartiteSample) -> SkewSample:
     return SkewSample(y)
 
 
-def _positive_logdet(mats: np.ndarray) -> np.ndarray:
+def _require_positive(bad: np.ndarray, detail, rows: np.ndarray | None = None) -> None:
+    """Raise NonPositiveDeterminantError naming the first flagged sample, if any.
+
+    rows maps a flagged position to the sample's index in the caller's batch.
+    """
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        i = int(hit[0])
+        index = i if rows is None else int(rows[i])
+        err = NonPositiveDeterminantError(
+            f"sample {index} of the batch: {detail(i)} where a positive finite determinant"
+            " is guaranteed"
+        )
+        err.index = index
+        raise err
+
+
+def _positive_logdet(mats: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """log det over a (B, k, k) stack whose determinants are positive in exact arithmetic."""
     sign, logabs = np.linalg.slogdet(mats)
-    bad = np.flatnonzero((sign != 1.0) | ~np.isfinite(logabs))
-    if bad.size:
-        i = int(bad[0])
-        raise NonPositiveDeterminantError(
-            f"sample {i} of the batch: determinant sign {sign[i]:+.0f}, log|det| {logabs[i]:.17g}"
-            " where a positive finite determinant is guaranteed"
-        )
+    _require_positive(
+        (sign != 1.0) | ~np.isfinite(logabs),
+        lambda i: f"determinant sign {sign[i]:+.0f}, log|det| {logabs[i]:.17g}",
+        rows,
+    )
     return logabs
+
+
+def _eliminated_logdet(a: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """log det over an (n, n, B) C-contiguous stack by elimination without pivoting, in place.
+
+    Each step updates the trailing rows with ufunc calls over contiguous length-B
+    vectors; the log-determinant sums the pivots' logs in row order. Where every
+    pivot is positive in exact arithmetic, a sum that is not finite (a pivot that
+    is not positive, or an overflow) raises NonPositiveDeterminantError.
+    """
+    n = len(a)
+    tmp = np.empty(a.shape[1:])
+    pivots = _diagonal(a)
+    with np.errstate(all="ignore"):  # the health check below sees every overflow or nan
+        for k in range(n - 1):
+            for i in range(k + 1, n):
+                lk = np.divide(a[i, k], a[k, k], out=tmp[0])
+                a[i, k + 1 :] -= np.multiply(lk, a[k, k + 1 :], out=tmp[1 : n - k])
+        np.copyto(tmp, pivots)  # contiguous: np.log takes the same path at any B
+        total = np.zeros(a.shape[2])
+        for row in np.log(tmp, out=tmp):  # in row order: the sum's bits depend on no other sample
+            total += row
+    _require_positive(
+        ~np.isfinite(total),
+        lambda i: f"smallest pivot {pivots[:, i].min():.17g}, log det {total[i]:.17g}",
+        rows,
+    )
+    return total
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The (n, B) view of the diagonal of an (n, n, B) C-contiguous stack."""
+    return a.reshape(len(a) ** 2, a.shape[2])[:: len(a) + 1]
 
 
 def _logabsdet_at_zero(mats: np.ndarray, order: int) -> np.ndarray:
@@ -110,14 +176,34 @@ def skew_logdet_batch(y_batch: np.ndarray, t: float) -> np.ndarray:
 
     At t = 0 a singular sample has the value -inf instead of raising; at
     t > 0 none is, and a determinant that is not positive and finite
-    raises NonPositiveDeterminantError. At t > 0 the diagonal of y_batch
-    is overwritten with sqrt(t).
+    raises NonPositiveDeterminantError. At t > 0 y_batch may be
+    overwritten. Up to order SMALL_ORDER a matrix with
+    ||Y||_F^2 <= GROWTH_CAP * t is eliminated without pivoting, fastest
+    when y_batch is a view of an (N, N, B) C-contiguous array; any other
+    goes to slogdet.
     """
-    n = y_batch.shape[1]
+    b, n = y_batch.shape[:2]
     if t == 0:
         return _logabsdet_at_zero(y_batch, n)
-    y_batch[:, np.arange(n), np.arange(n)] = math.sqrt(t)
-    return _positive_logdet(y_batch)
+    if n > SMALL_ORDER:
+        y_batch[:, np.arange(n), np.arange(n)] = math.sqrt(t)
+        return _positive_logdet(y_batch)
+    a = np.ascontiguousarray(y_batch.transpose(1, 2, 0))  # (N, N, B): a view when it already is
+    upper = a[np.triu_indices(n, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the matrix goes to slogdet
+        upper *= upper
+        norm2 = np.zeros(b)
+        for row in upper:  # in a fixed order, so a norm depends on no other sample
+            norm2 += row
+        fits = 2.0 * norm2 <= GROWTH_CAP * t  # ||Y||_F^2 is twice the upper triangle's
+    _diagonal(a)[:] = math.sqrt(t)
+    if fits.all():
+        return _eliminated_logdet(a)
+    values = np.empty(b)
+    far, near = np.flatnonzero(~fits), np.flatnonzero(fits)
+    values[far] = _positive_logdet(a[:, :, far].transpose(2, 0, 1), far)
+    values[near] = _eliminated_logdet(a[:, :, near], near)
+    return values
 
 
 def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
@@ -127,13 +213,25 @@ def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
     t = 0 it is 2 log|det U|, taken from the singular values of U rather
     than of U U^T, whose condition number is squared. Singular samples
     are -inf as in skew_logdet_batch; at t = 0 every rectangular sample is.
+    Up to m = SMALL_ORDER, U U^T is summed over the n columns in order and
+    eliminated without pivoting (it is positive definite), fastest when
+    u_batch is a view of an (m, n, B) C-contiguous array. u_batch is not
+    changed.
     """
     b, m, n = u_batch.shape
     if t == 0:  # at m < n the t^((n-m)/2) factor is identically zero
         return 2.0 * _logabsdet_at_zero(u_batch, m + n) if m == n else np.full(b, -np.inf)
-    gram = u_batch @ u_batch.transpose(0, 2, 1)
-    gram[:, np.arange(m), np.arange(m)] += t
-    return _positive_logdet(gram) + 0.5 * (n - m) * math.log(t)
+    if m > SMALL_ORDER:
+        gram = u_batch @ u_batch.transpose(0, 2, 1)
+        gram[:, np.arange(m), np.arange(m)] += t
+        return _positive_logdet(gram) + 0.5 * (n - m) * math.log(t)
+    u = u_batch.transpose(1, 2, 0)  # (m, n, B)
+    gram, term = np.zeros((m, m, b)), np.empty((m, m, b))
+    with np.errstate(over="ignore", invalid="ignore"):  # the health check sees an overflow
+        for k in range(n):  # one multiply-add per column, in order, for every sample alike
+            gram += np.multiply(u[:, None, k], u[None, :, k], out=term)
+        _diagonal(gram)[:] += t
+    return _eliminated_logdet(gram) + 0.5 * (n - m) * math.log(t)
 
 
 def log_det_shifted(y: SkewSample, t: float) -> float:

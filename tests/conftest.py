@@ -4,13 +4,15 @@ The oracles here never reuse the library's counting or factorization
 paths: matching counts come from enumerating edge subsets, expectations
 from Gauss-Hermite quadrature, the shifted log-gap from a Poisson-mixture
 series, odd cycles from adjacency powers, the variate stream from its
-plain out-of-place formula, and the estimator's reduction from math.fsum.
+plain out-of-place formula, the estimator's reduction from math.fsum, and
+a determinant exactly, by fraction-free elimination on Python integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,3 +279,35 @@ def fsum_reduction(per_sample: np.ndarray) -> tuple[float, float]:
     mean = math.fsum(x) / len(x)
     var = math.fsum([(v - mean) * (v - mean) for v in x]) / (len(x) - 1)
     return mean, math.sqrt(var / len(x))
+
+
+def exact_det(matrix) -> Fraction:
+    """det of a square matrix of doubles or Fractions, exactly.
+
+    Scaled by the least common denominator of its entries the matrix is an
+    integer one, whose determinant Bareiss's fraction-free elimination gives
+    exactly: every division in it is exact.
+    """
+    rows = [[Fraction(x) for x in row] for row in np.asarray(matrix, dtype=object).tolist()]
+    n = len(rows)
+    scale = math.lcm(*(x.denominator for row in rows for x in row), 1)
+    a = [[int(x * scale) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return Fraction(sign * a[-1][-1] if n else 1, scale**n)
+
+
+def exact_log(r: Fraction) -> float:
+    """log r of a positive rational, to about one rounding: r = f 2^e with f in [1/2, 2)."""
+    e = r.numerator.bit_length() - r.denominator.bit_length()
+    f = r / 2**e if e >= 0 else r * 2**-e
+    return math.log(float(f)) + e * math.log(2.0)

@@ -153,6 +153,27 @@ class TestEstimate:
         assert main(argv) == 2
         assert "error: the planned sample count is not finite" in capsys.readouterr().err
 
+    def test_plan_past_any_array_is_usage_error(self, capsys, k2_file):
+        # 5.9e21 samples: finite, but past what an array of one double a sample can hold
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "1e-10", "--delta", "0.1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: the planned sample count 5.9e+21 is too large" in err
+        assert "eps 1e-10, t 1.0" in err
+
+    def test_ill_scaled_bipartite_path_takes_the_dense_route(self, capsys, tmp_path):
+        # the path 3-1-4-2: forming U U^T would lose t; the dense route keeps it
+        path = tmp_path / "p4.txt"
+        path.write_text("4 3\n3 1 1.5e-166\n1 4 1.95e39\n4 2 2.5e219\n")
+        argv = ["estimate", "--graph", str(path), "--t", "2.65", "--samples", "200",
+                "--format", "json"]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        g = WeightedGraph(4, ((2, 0, 1.5e-166), (0, 3, 1.95e39), (3, 1, 2.5e219)))
+        exact_log = exact.matching_counts(g).log_eval(2.65)
+        assert report["bounds"]["lower_log"] <= exact_log <= report["bounds"]["upper_log"]
+
     def test_byte_identical_repeat_invocation(self, capsys, k2_file):
         argv = ["estimate", "--graph", k2_file, "--t", "0.5", "--samples",
                 "5000", "--seed", "11", "--format", "json"]

@@ -31,9 +31,21 @@ from matchbound.graphs import (
     path_graph,
     skew_adjacency,
 )
-from matchbound.linalg import SingularAtZeroError, SkewSample, log_det_shifted
+from matchbound.linalg import (
+    NonPositiveDeterminantError,
+    SingularAtZeroError,
+    SkewSample,
+    log_det_shifted,
+)
 
-from conftest import RANDOM6_EDGES, fsum_reduction, gauss_hermite_expect, stream_oracle
+from conftest import (
+    RANDOM6_EDGES,
+    exact_det,
+    exact_log,
+    fsum_reduction,
+    gauss_hermite_expect,
+    stream_oracle,
+)
 
 C1 = 1.2703628454614782  # Euler-Mascheroni + log 2
 
@@ -456,6 +468,45 @@ class TestComponents:
         assert est.log_mean_det == pytest.approx(want, rel=1e-12)
         rel2 = math.fsum(var / (k * mean**2))
         assert est.log_std_err_det == pytest.approx(want + 0.5 * math.log(rel2), rel=1e-12)
+
+    def test_gram_route_only_where_u_ut_keeps_t(self):
+        # forming U U^T rounds t + s^2 by about n_C eps max_w: the path 3-1-4-2
+        # (n_C 4, max_w 2.5e219) keeps the Gram route only from t of about 2.2e207
+        path = WeightedGraph(4, ((2, 0, 1.5e-166), (0, 3, 1.95e39), (3, 1, 2.5e219)))
+
+        def routes(g, t):
+            return [s.dense for s in estimator._sample_plan(g, t).stacks]
+
+        assert routes(path, 2.65) == [True]
+        assert routes(path, 1e300) == [False]
+        assert routes(path, 0.0) == [False]  # at t = 0 the Gram route factors U itself
+        assert routes(sixteen_k26(), 1.0) == [False]  # every perfbench component keeps its route
+        est = estimate_log_phi_tilde(path, 2.65, 40, 1)
+        adj = skew_adjacency(path)
+        for i, value in enumerate(est.per_sample):
+            y = sample_skew(adj, RngStream(1), i).matrix + math.sqrt(2.65) * np.eye(4)
+            exact = exact_log(exact_det(y))
+            assert abs(value - exact) <= 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize("order", [3, 13])
+    def test_health_check_names_sample_and_component(self, monkeypatch, order):
+        # two components of one shape share a stack: member-major up to SMALL_ORDER,
+        # sample-major past it; either way the message names the sample drawn
+        g = WeightedGraph(2 * order, tuple(
+            (c * order + u, c * order + v, 1.0)
+            for c in range(2) for u, v in itertools.combinations(range(order), 2)
+        ))
+        kernel = estimator.skew_logdet_batch
+        row = 1 * 10 + 7 if order <= 12 else 7 * 2 + 1  # sample 7, component 1, of 10 samples
+
+        def corrupt(y, t):
+            y[row, 0, 1] = np.nan
+            return kernel(y, t)
+
+        monkeypatch.setattr(estimator, "skew_logdet_batch", corrupt)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonPositiveDeterminantError, match="^sample 7, component 1 of 2 "):
+                estimate_log_phi_tilde(g, 1.0, 10, 0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_product_mean_det_is_calibrated(self, seed):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from matchbound.estimator import RngStream, sample_skew
 from matchbound.graphs import WeightedGraph, complete_graph, skew_adjacency
 from matchbound.linalg import (
+    GROWTH_CAP,
+    SMALL_ORDER,
     BipartiteSample,
     NonPositiveDeterminantError,
     SingularAtZeroError,
@@ -16,6 +19,8 @@ from matchbound.linalg import (
     log_det_shifted,
     skew_logdet_batch,
 )
+
+from conftest import exact_det, exact_log
 
 
 def random_skew(rng: np.random.Generator, n: int) -> SkewSample:
@@ -219,3 +224,117 @@ def test_large_sample_round_trip():
     g = complete_graph(10, 2.5)
     y = sample_skew(skew_adjacency(g), RngStream(31), 4)
     assert log_det_shifted(y, 1.3) == pytest.approx(eigen_oracle(y, 1.3), rel=1e-10)
+
+
+def random_weights(rng: np.random.Generator, rows: int, cols: int, t: float) -> np.ndarray:
+    """Edge weights t 10^U(-1, 2.5) on about 60% of the rows x cols entries, else 0."""
+    w = t * 10.0 ** rng.uniform(-1.0, 2.5, (rows, cols))
+    return np.where(rng.random((rows, cols)) < 0.6, w, 0.0)
+
+
+def shifted_skew(rng: np.random.Generator, n: int, t: float, count: int) -> np.ndarray:
+    """count samples sqrt(t) I + Y of one random weighted graph on n vertices."""
+    coef = np.triu(np.sqrt(random_weights(rng, n, n, t)), 1)
+    y = coef * rng.standard_normal((count, n, n))
+    y -= y.transpose(0, 2, 1)
+    y[:, np.arange(n), np.arange(n)] = math.sqrt(t)
+    return y
+
+
+def within_slogdet_error(got: float, slogdet: float, exact: float) -> bool:
+    """got's error is at most 4 x slogdet's, or 1e-14 relative."""
+    return abs(got - exact) <= max(4.0 * abs(slogdet - exact), 1e-14 * abs(exact))
+
+
+class TestSmallOrderKernels:
+    """Elimination without pivoting against the exact determinant of the same float matrix."""
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_dense_against_exact(self, t):
+        rng = np.random.default_rng(int(-math.log10(t)))
+        fitted = []
+        for n in range(2, SMALL_ORDER + 1):
+            mats = shifted_skew(rng, n, t, 6)
+            got = skew_logdet_batch(mats.copy(), t)
+            slogdet = np.linalg.slogdet(mats)[1]
+            for i, m in enumerate(mats):
+                exact = exact_log(exact_det(m))
+                assert within_slogdet_error(got[i], slogdet[i], exact), (n, i)
+                y = m - np.diag(np.diag(m))
+                fitted.append(np.sum(y * y) <= GROWTH_CAP * t)
+        assert 0 < sum(fitted) < len(fitted)  # both sides of the growth cap
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_gram_against_exact(self, t):
+        # every weight within the Gram route's switch: n_C eps max_w / t <= 1e-12
+        rng = np.random.default_rng(20 + int(-math.log10(t)))
+        for m in range(1, 7):
+            for n in range(m, SMALL_ORDER + 1 - m):
+                coef = np.sqrt(random_weights(rng, m, n, t))
+                us = coef * rng.standard_normal((4, m, n))
+                got = gram_logdet_batch(us, t)
+                shift = 0.5 * (n - m) * math.log(t)
+                gram = us @ us.transpose(0, 2, 1) + t * np.eye(m)
+                slogdet = np.linalg.slogdet(gram)[1] + shift
+                for i, u in enumerate(us):
+                    exact_gram = [[Fraction(t) * (p == q) for q in range(m)] for p in range(m)]
+                    rows = [[Fraction(x) for x in row] for row in u.tolist()]
+                    for p in range(m):
+                        for q in range(m):
+                            exact_gram[p][q] += sum(a * b for a, b in zip(rows[p], rows[q]))
+                    exact = exact_log(exact_det(exact_gram)) + shift
+                    assert within_slogdet_error(got[i], slogdet[i], exact), (m, n, i)
+
+    def test_rows_past_the_cap_take_slogdet(self, monkeypatch):
+        # one stack with matrices on both sides of ||Y||_F^2 = GROWTH_CAP t
+        rng, n, t = np.random.default_rng(41), 8, 1e-4
+        y = np.triu(rng.standard_normal((6, n, n)), 1)
+        y -= y.transpose(0, 2, 1)
+        y *= np.sqrt(GROWTH_CAP * t / np.sum(y * y, axis=(1, 2)))[:, None, None]
+        y *= np.array([1 - 1e-9, 1 + 1e-9, 0.5, 3.0, 1 - 1e-9, 10.0])[:, None, None]
+        mats = y + math.sqrt(t) * np.eye(n)
+        factored = []
+
+        def spy(a):
+            factored.extend(a.copy())
+            return slogdet(a)
+
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
+        got = skew_logdet_batch(y.copy(), t)
+        assert np.array_equal(np.array(factored), mats[[1, 3, 5]])
+        assert np.array_equal(got[[1, 3, 5]], slogdet(mats[[1, 3, 5]])[1])
+        for i in (0, 2, 4):
+            exact = exact_log(exact_det(mats[i]))
+            assert within_slogdet_error(got[i], slogdet(mats[i])[1], exact)
+
+    @pytest.mark.parametrize("entry", [3.0, 1.0])
+    def test_non_positive_pivot_raises(self, entry):
+        # a symmetric entry pair makes the second pivot 1 - entry^2: negative, or zero
+        rng = np.random.default_rng(3)
+        y = np.triu(rng.standard_normal((5, 4, 4)), 1) * 0.1
+        y -= y.transpose(0, 2, 1)
+        y[3, 0, 1] = y[3, 1, 0] = entry
+        with pytest.raises(NonPositiveDeterminantError, match="sample 3 .*smallest pivot") as exc:
+            skew_logdet_batch(y, 1.0)
+        assert exc.value.index == 3
+
+    def test_gram_health_check_names_the_sample(self):
+        us = np.ones((4, 2, 5))
+        us[2, 1, 3] = np.nan
+        with pytest.raises(NonPositiveDeterminantError, match="sample 2 ") as exc:
+            gram_logdet_batch(us, 1.0)
+        assert exc.value.index == 2
+
+    def test_layout_never_changes_a_bit(self):
+        # the estimator hands over a view of (n, n, B) memory; a scalar caller a C-order stack
+        rng = np.random.default_rng(8)
+        y = np.triu(rng.standard_normal((9, 7, 7)), 1)
+        y -= y.transpose(0, 2, 1)
+        u = rng.standard_normal((9, 3, 5))
+        batch_inner = np.ascontiguousarray(y.transpose(1, 2, 0)).transpose(2, 0, 1)
+        dense = skew_logdet_batch(batch_inner, 0.6)
+        gram = gram_logdet_batch(np.ascontiguousarray(u.transpose(1, 2, 0)).transpose(2, 0, 1), 0.6)
+        for i in range(9):
+            assert dense[i] == skew_logdet_batch(y[i : i + 1].copy(), 0.6)[0]
+            assert gram[i] == gram_logdet_batch(u[i : i + 1], 0.6)[0]
