@@ -33,7 +33,8 @@ from .linalg import (
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_BATCH = 4096  # fixed batch partition; independent of thread count
+_BATCH = 4096  # most rows a batch takes; the partition never depends on the thread count
+_BATCH_BYTES = 24 << 20  # a batch's variates and matrices stay within this, whatever N
 _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
 _SUM_CHUNK = 1 << 16  # values per exact sum: each binade's partial sums stay below 2^44
 _LN2 = math.log(2.0)
@@ -158,7 +159,9 @@ def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
     Forming U U^T rounds each eigenvalue t + s^2 >= t by about n_C eps max_w, for a
     component of n_C vertices and largest weight max_w, so the Gram route is taken
     only where n_C eps max_w / t <= 1e-12, and at t = 0, where it factors U itself;
-    elsewhere a bipartite component takes the dense route.
+    elsewhere a bipartite component takes the dense route. Every variate has
+    z^2 <= 108 ln 2 < 75, so no entry of t I + U U^T exceeds t + n_C 75 max_w, which
+    must be finite on the Gram route too.
     """
     adj, n = skew_adjacency(g), g.n_vertices
     i, j = np.nonzero(np.triu(adj.matrix))
@@ -169,8 +172,9 @@ def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
     groups: dict[tuple[bool, int, int], list] = {}
     for verts, bip in (comps := components(g)):
         if bip is not None and t > 0:
-            max_w = float(np.square(adj.matrix[np.ix_(verts, verts)]).max())
-            bip = bip if len(verts) * np.finfo(float).eps * (max_w / t) <= 1e-12 else None
+            n_c, max_w = len(verts), float(np.square(adj.matrix[np.ix_(verts, verts)]).max())
+            keeps_t = n_c * np.finfo(float).eps * (max_w / t) <= 1e-12
+            bip = bip if keeps_t and t + n_c * 75.0 * max_w < math.inf else None
         rows, cols = (verts, verts) if bip is None else (bip.left, bip.right)
         groups.setdefault((bip is None, len(rows), len(cols)), []).append(np.ix_(rows, cols))
     stacks = tuple(
@@ -202,6 +206,16 @@ def _matrices(stack: _Stack, z: np.ndarray, t: float) -> np.ndarray:
     if t == 0:  # the SVD sees the sign of 0 * z; -0.0 + 0.0 is +0.0
         mats += 0.0
     return mats
+
+
+def _batch_rows(plan: _SamplePlan) -> int:
+    """Rows per batch: as many as fit _BATCH_BYTES, at most _BATCH, at least 1.
+
+    A sample takes 8 bytes per drawn normal in z and per entry of its gathered
+    matrices; an edgeless plan takes none.
+    """
+    row_bytes = 8 * (2 * len(plan.blocks) + sum(s.coef.size for s in plan.stacks))
+    return min(_BATCH, max(1, _BATCH_BYTES // max(1, row_bytes)))
 
 
 def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
@@ -275,7 +289,8 @@ class EstimateResult:
     Every statistic comes from sums that are exact integer arithmetic per
     binade, rounded once, so neither the thread count nor the batch size
     moves a bit of any field. per_sample, 8 bytes a sample, is the only
-    storage that grows with k.
+    storage that grows with k; each batch's variates and matrices stay
+    within _BATCH_BYTES per thread, whatever N (see _batch_rows).
     """
 
     k: int
@@ -453,8 +468,10 @@ def estimate_log_phi_tilde(
         raise EstimatorError(f"all {k} samples were singular at t = 0: {msg}")
     shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0  # isolated vertices
 
+    rows = _batch_rows(plan)  # fixed per call: the partition depends on the plan alone
+
     def run(start: int):
-        b = min(_BATCH, k - start)
+        b = min(rows, k - start)
         z = _normal_block(seed, start, b, plan.blocks)
         z[:, plan.idle] = 0.0  # they enter no matrix, so they leave max_abs_variate alone
         parts = [np.zeros((b, 0))]
@@ -477,7 +494,7 @@ def estimate_log_phi_tilde(
         return values, _exact_total(values), len(singular) - len(kept), sums, peak
 
     per_sample, count, sum_log, failures, sums, max_abs = np.empty(k), 0, 0, 0, 0, 0.0
-    starts = range(0, k, _BATCH)
+    starts = range(0, k, rows)
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
         # every sum is exact, so neither the batch order nor the batch size can change it

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from matchbound import estimator
 from matchbound.graphs import (
     WeightedGraph,
     complete_bipartite_graph,
@@ -153,6 +154,14 @@ def sparse_graph() -> WeightedGraph:
         base, w = 8 * c, 0.5 + 1.5 * c / 15
         edges += [(base + u, base + 2 + v, w) for u in range(2) for v in range(6)]
     return WeightedGraph(128, tuple(edges))
+
+
+def sample_row_bytes(g: WeightedGraph, t: float = 1.0) -> int:
+    """Bytes one sample takes in an estimator batch, measured, not an oracle: the
+    nbytes of its drawn normals and of its gathered matrices on the plan of g at t."""
+    plan = estimator._sample_plan(g, t)
+    z = estimator._normal_block(0, 0, 1, plan.blocks)
+    return z.nbytes + sum(estimator._matrices(s, z, t).nbytes for s in plan.stacks)
 
 
 def relabel(g: WeightedGraph, rng: np.random.Generator) -> WeightedGraph:

@@ -9,7 +9,7 @@ import matchbound.exact as exact
 from matchbound.cli import main
 from matchbound.graphs import WeightedGraph, complete_graph, path_graph, serialize_graph
 
-from conftest import MULTI_EDGES, RANDOM6_EDGES, grid_graph, sparse_graph
+from conftest import MULTI_EDGES, RANDOM6_EDGES, grid_graph, sample_row_bytes, sparse_graph
 
 
 @pytest.fixture
@@ -148,6 +148,23 @@ class TestEstimate:
             reports.add(out)
         assert len(reports) == 1
 
+    @pytest.mark.parametrize("graph", ["multi", "k64", "sparse", "random6"])
+    def test_byte_identical_across_batch_budgets(self, capsys, tmp_path, monkeypatch, graph):
+        # a 1-byte budget gives one row a batch; seven rows' bytes part 40 samples 5 x 7 + 5
+        g = {"multi": WeightedGraph(12, MULTI_EDGES), "k64": complete_graph(64),
+             "sparse": sparse_graph(), "random6": WeightedGraph(6, RANDOM6_EDGES)}[graph]
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        argv = ["estimate", "--graph", str(path), "--t", "1", "--samples", "40",
+                "--seed", "5", "--format", "json"]
+        reports = set()
+        for budget in (estimator._BATCH_BYTES, 1, 7 * sample_row_bytes(g)):
+            monkeypatch.setattr(estimator, "_BATCH_BYTES", budget)
+            code, out = run_json(capsys, argv)
+            assert code == 0
+            reports.add(out)
+        assert len(reports) == 1
+
     def test_unbounded_plan_is_usage_error(self, capsys, k2_file):
         argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "1e-160", "--delta", "0.1"]
         assert main(argv) == 2
@@ -173,6 +190,19 @@ class TestEstimate:
         g = WeightedGraph(4, ((2, 0, 1.5e-166), (0, 3, 1.95e39), (3, 1, 2.5e219)))
         exact_log = exact.matching_counts(g).log_eval(2.65)
         assert report["bounds"]["lower_log"] <= exact_log <= report["bounds"]["upper_log"]
+
+    @pytest.mark.parametrize("t", ["1e306", "1e307", "1.7e308"])
+    def test_gram_matrix_past_the_largest_double_takes_the_dense_route(self, capsys, tmp_path, t):
+        # K2 of weight 1e308: t I + U U^T overflows; the dense route keeps the determinant
+        path = tmp_path / "k2.txt"
+        path.write_text("2 1\n1 2 1e308\n")
+        argv = ["estimate", "--graph", str(path), "--t", t, "--samples", "200",
+                "--format", "json"]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        bounds = json.loads(out)["bounds"]
+        exact_log = exact.matching_counts(WeightedGraph(2, ((0, 1, 1e308),))).log_eval(float(t))
+        assert bounds["lower_log"] <= exact_log <= bounds["upper_log"]
 
     def test_byte_identical_repeat_invocation(self, capsys, k2_file):
         argv = ["estimate", "--graph", k2_file, "--t", "0.5", "--samples",

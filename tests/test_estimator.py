@@ -44,6 +44,8 @@ from conftest import (
     exact_log,
     fsum_reduction,
     gauss_hermite_expect,
+    sample_row_bytes,
+    sparse_graph,
     stream_oracle,
 )
 
@@ -237,7 +239,9 @@ class TestEstimate:
         "graph, t, knob, size",
         [
             pytest.param(graph, t, knob, size, id=f"{graph}-{t}{suffix}")
-            for knob, size, suffix in (("_BATCH", 7, ""), ("_CHUNK", 3, "-chunk3"))
+            for knob, size, suffix in (
+                ("_BATCH", 7, ""), ("_CHUNK", 3, "-chunk3"), ("_BATCH_BYTES", 1, "-bytes1")
+            )
             for graph, t in (("random6", 1.0), ("k23", 0.5), ("k4", 0.0), ("p6", 0.0),
                              ("multi", 1.0), ("even_multi", 0.0))
         ],
@@ -329,6 +333,46 @@ class TestEstimate:
         est = estimate_log_phi_tilde(triangle, 2.0, 400_000, 22)
         want = math.sqrt(2.0) * matching_counts(triangle).eval(2.0)
         assert abs(est.mean_det - want) < 4 * est.std_err_det
+
+
+class TestBatchRows:
+    """Rows per batch come from the plan's bytes per sample, at most _BATCH."""
+
+    def test_k64_fills_the_budget(self):
+        g = complete_graph(64)
+        rows, row_bytes = estimator._batch_rows(estimator._sample_plan(g, 1.0)), sample_row_bytes(g)
+        assert rows == 514
+        assert rows * row_bytes <= estimator._BATCH_BYTES < (rows + 1) * row_bytes
+
+    @pytest.mark.parametrize("graph", ["random6", "sparse"])
+    def test_small_samples_keep_the_row_cap(self, request, graph):
+        g = sparse_graph() if graph == "sparse" else request.getfixturevalue(graph)
+        assert 4096 * sample_row_bytes(g) <= estimator._BATCH_BYTES
+        assert estimator._batch_rows(estimator._sample_plan(g, 1.0)) == estimator._BATCH == 4096
+
+    def test_edgeless_plan_takes_at_least_one_row(self):
+        g = WeightedGraph(4, ())
+        assert sample_row_bytes(g) == 0
+        assert estimator._batch_rows(estimator._sample_plan(g, 1.0)) >= 1
+
+    def test_row_cap_and_one_row_floor(self, monkeypatch):
+        plan = estimator._sample_plan(complete_graph(64), 1.0)
+        monkeypatch.setattr(estimator, "_BATCH", 7)
+        assert estimator._batch_rows(plan) == 7
+        monkeypatch.setattr(estimator, "_BATCH_BYTES", 1)
+        assert estimator._batch_rows(plan) == 1
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_peak_memory_is_bounded_by_the_budget(self, n):
+        # K128 peaked at 187 MiB with 4096-row batches; per_sample adds 8 bytes a sample
+        g, k = complete_graph(n), 1000
+        tracemalloc.start()
+        try:
+            estimate_log_phi_tilde(g, 1.0, k, 1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * estimator._BATCH_BYTES + 8 * k
 
 
 def sixteen_k26() -> WeightedGraph:
@@ -487,6 +531,16 @@ class TestComponents:
             y = sample_skew(adj, RngStream(1), i).matrix + math.sqrt(2.65) * np.eye(4)
             exact = exact_log(exact_det(y))
             assert abs(value - exact) <= 1e-14 * abs(exact)
+
+    def test_gram_route_only_where_t_plus_u_ut_is_finite(self):
+        # every |z| < 8.66, so no entry of t I + U U^T exceeds t + n_C 75 max_w
+        def routes(w, t):
+            k2 = WeightedGraph(2, ((0, 1, w),))
+            return [s.dense for s in estimator._sample_plan(k2, t).stacks]
+
+        assert routes(1e300, 1e306) == [False]
+        for t in (1e306, 1e307, 1.7e308):
+            assert routes(1e308, t) == [True]
 
     @pytest.mark.parametrize("order", [3, 13])
     def test_health_check_names_sample_and_component(self, monkeypatch, order):
