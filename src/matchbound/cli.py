@@ -135,6 +135,8 @@ def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
     plan = None
     k = args.samples
+    if k is not None and (args.eps is not None or args.delta is not None):
+        raise ValueError("give --samples or --eps with --delta, not both")
     if k is None:
         if args.eps is None or args.delta is None:
             raise ValueError("provide --samples or both --eps and --delta")

@@ -250,20 +250,20 @@ def _exact_total(x: np.ndarray, e=0) -> Fraction:
     return total
 
 
-def _exp_sums(v: np.ndarray) -> tuple[Fraction, Fraction]:
-    """(sum e^v, sum e^2v) exactly, with e^v = f 2^n, n = floor(v / ln 2) and f rounded once.
+def _moments(x: np.ndarray, e=0) -> tuple[Fraction, Fraction]:
+    """(sum x 2^e, sum x^2 2^2e) exactly, for finite doubles x and integers e.
 
-    No term overflows or underflows. f^2 = g + err exactly (Dekker's product on
-    Veltkamp's 26-bit halves of f), so the second sum is that of f^2 exactly.
+    np.frexp gives x = m 2^p, |m| in [1/2, 1), and m^2 = g + err exactly (Dekker's
+    product on Veltkamp's 26-bit halves of m), which neither overflows nor underflows.
     """
-    n = np.floor(v / _LN2).astype(np.int64)
-    f = np.exp(v - n * _LN2)
-    hi = f * (2.0**27 + 1)
-    hi -= hi - f
-    lo = f - hi
-    g = f * f
+    m, p = np.frexp(x)
+    p = 2 * (p + e)
+    hi = m * (2.0**27 + 1)
+    hi -= hi - m
+    lo = m - hi
+    g = m * m
     err = lo * lo - ((g - hi * hi) - 2.0 * hi * lo)
-    return _exact_total(f, n), _exact_total(np.concatenate([g, err]), np.concatenate([2 * n] * 2))
+    return _exact_total(x, e), _exact_total(np.concatenate([g, err]), np.concatenate([p, p]))
 
 
 def _log(r: Fraction) -> float:
@@ -286,11 +286,14 @@ class EstimateResult:
     is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both are kept
     as logs, and are inf where they exceed the largest double.
 
-    Every statistic comes from sums that are exact integer arithmetic per
-    binade, rounded once, so neither the thread count nor the batch size
-    moves a bit of any field. per_sample, 8 bytes a sample, is the only
-    storage that grows with k; each batch's variates and matrices stay
-    within _BATCH_BYTES per thread, whatever N (see _batch_rows).
+    Every statistic comes from the exact moments S1 = sum x and S2 = sum x^2
+    (_moments) of the log-determinants and of each component's determinants:
+    mean_log is S1 / k rounded once, and std_err is sqrt(var / k) of the exact
+    var = (k S2 - S1^2) / (k (k - 1)), which is 0 at k = 1 and for equal
+    samples. So neither the thread count nor the batch size moves a bit of
+    any field. per_sample, 8 bytes a sample, is written and never read back;
+    it is the only storage that grows with k. Each batch's variates and
+    matrices stay within _BATCH_BYTES per thread, whatever N (see _batch_rows).
     """
 
     k: int
@@ -490,48 +493,38 @@ def estimate_log_phi_tilde(
         singular = total == -np.inf  # a singular component's value is -inf
         peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
         kept, values = per_comp[~singular], total[~singular]
-        sums = np.array([_exp_sums(column) for column in kept.T], dtype=object).reshape(-1, 2).T
-        return values, _exact_total(values), len(singular) - len(kept), sums, peak
+        n = np.floor(kept / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
+        f = np.exp(kept - n * _LN2)
+        moments = [_moments(values)] + [_moments(fc, nc) for fc, nc in zip(f.T, n.T)]
+        return values, len(singular) - len(kept), np.array(moments, dtype=object).T, peak
 
-    per_sample, count, sum_log, failures, sums, max_abs = np.empty(k), 0, 0, 0, 0, 0.0
+    per_sample, count, failures, sums, max_abs = np.empty(k), 0, 0, 0, 0.0
     starts = range(0, k, rows)
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
         # every sum is exact, so neither the batch order nor the batch size can change it
-        for values, exact, n_singular, batch_sums, peak in batches:
+        for values, n_singular, batch_sums, peak in batches:
             per_sample[count : count + len(values)] = values
             count += len(values)
-            sum_log += exact
             failures += n_singular
             sums = sums + batch_sums
             max_abs = max(max_abs, peak)
 
-    per_sample = per_sample[:count]
     if count == 0:
         raise EstimatorError(f"all {k} samples were singular at t = {t}")
-    if per_sample.min() == per_sample.max():
-        # degenerate draw (edgeless graph): the mean is exact, spread is zero
-        mean_log = float(per_sample[0])
-        std_err = 0.0
-    else:
-        mean_log = float(sum_log) / count
-        sum_sq = 0
-        for lo in range(0, count, _SUM_CHUNK):
-            dev = per_sample[lo : lo + _SUM_CHUNK] - mean_log
-            dev *= dev
-            sum_sq += _exact_total(dev)
-        std_err = math.sqrt(float(sum_sq) / (count - 1) / count)
-    # per component, mean_C = S1 / k and var_C / (k mean_C^2) = (k S2 - S1^2) / ((k - 1) S1^2)
+    # column 0 sums the log-determinants, column C + 1 component C's determinants; each
+    # unbiased variance is exact, and 0 at k = 1, where k S2 = S1^2
     s1, s2 = sums
-    log_mean_det = float(_exact_total(np.array([_log(m) for m in s1 / count]))) + shift
-    rel2 = ((count * s2 - s1 * s1) / ((count - 1) * s1 * s1)).sum() if count > 1 else 0
+    var = (count * s2 - s1 * s1) / (count * max(count - 1, 1))
+    log_mean_det = math.fsum(_log(m) for m in s1[1:] / count) + shift
+    rel2 = (var[1:] * count / (s1[1:] * s1[1:])).sum()  # sum_C var_C / (k mean_C^2)
     return EstimateResult(
         k=k,
         t=t,
         seed=seed,
-        per_sample=per_sample,
-        mean_log=mean_log,
-        std_err=std_err,
+        per_sample=per_sample[:count],
+        mean_log=float(s1[0] / count),
+        std_err=math.sqrt(float(var[0] / count)),
         failures=failures,
         max_abs_variate=max_abs,
         log_mean_det=log_mean_det,

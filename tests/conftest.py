@@ -4,8 +4,9 @@ The oracles here never reuse the library's counting or factorization
 paths: matching counts come from enumerating edge subsets, expectations
 from Gauss-Hermite quadrature, the shifted log-gap from a Poisson-mixture
 series, odd cycles from adjacency powers, the variate stream from its
-plain out-of-place formula, the estimator's reduction from math.fsum, and
-a determinant exactly, by fraction-free elimination on Python integers.
+plain out-of-place formula, the estimator's reduction from exact
+rationals, and a determinant exactly, by fraction-free elimination on
+Python integers.
 """
 
 from __future__ import annotations
@@ -275,19 +276,16 @@ def stream_oracle(seed: int, first_stream: int, n_streams: int, blocks) -> np.nd
     return z
 
 
-def fsum_reduction(per_sample: np.ndarray) -> tuple[float, float]:
-    """(mean_log, std_err) of the samples by math.fsum over Python floats.
+def exact_reduction(per_sample: np.ndarray) -> tuple[float, float]:
+    """(mean_log, std_err) of the samples from exact rationals, each rounded once.
 
-    The mean is the correctly rounded sum over the count; the variance sums each
-    rounded squared deviation from that mean the same way. Equal samples have
-    their common value as the mean and no spread.
+    The mean is the exact sum over the count; std_err is sqrt(var / k) of the
+    exact unbiased variance sum (x - mean)^2 / (k - 1), and 0 at k = 1.
     """
-    x = per_sample.tolist()
-    if all(v == x[0] for v in x):
-        return x[0], 0.0
-    mean = math.fsum(x) / len(x)
-    var = math.fsum([(v - mean) * (v - mean) for v in x]) / (len(x) - 1)
-    return mean, math.sqrt(var / len(x))
+    x = [Fraction(v) for v in per_sample.tolist()]
+    k, mean = len(x), sum(x) / len(x)
+    var = sum((v - mean) ** 2 for v in x) / (k - 1) if k > 1 else Fraction(0)
+    return float(mean), math.sqrt(float(var / k))
 
 
 def exact_det(matrix) -> Fraction:

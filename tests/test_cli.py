@@ -165,6 +165,15 @@ class TestEstimate:
             reports.add(out)
         assert len(reports) == 1
 
+    @pytest.mark.parametrize("extra", [["--eps", "1"], ["--delta", "0.5"],
+                                       ["--eps", "1", "--delta", "0.5"]])
+    def test_samples_with_eps_or_delta_is_usage_error(self, capsys, k2_file, extra):
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--samples", "3", *extra]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: give --samples or --eps with --delta, not both" in captured.err
+
     def test_unbounded_plan_is_usage_error(self, capsys, k2_file):
         argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "1e-160", "--delta", "0.1"]
         assert main(argv) == 2

@@ -42,7 +42,7 @@ from conftest import (
     RANDOM6_EDGES,
     exact_det,
     exact_log,
-    fsum_reduction,
+    exact_reduction,
     gauss_hermite_expect,
     sample_row_bytes,
     sparse_graph,
@@ -296,13 +296,20 @@ class TestEstimate:
         "threads, knob, size", [(1, None, 0), (2, None, 0), (2, "_BATCH", 7), (2, "_SUM_CHUNK", 5)]
     )
     @pytest.mark.parametrize("graph, t", [("random6", 1.0), ("k23", 0.5), ("multi", 1.0)])
-    def test_reduction_is_fsum_bitwise(self, request, monkeypatch, graph, t, threads, knob, size):
+    def test_reduction_is_exact_bitwise(self, request, monkeypatch, graph, t, threads, knob, size):
         if knob:
             monkeypatch.setattr(estimator, knob, size)
         est = estimate_log_phi_tilde(request.getfixturevalue(graph), t, 3000, 8, threads=threads)
-        mean_log, std_err = fsum_reduction(est.per_sample)
+        mean_log, std_err = exact_reduction(est.per_sample)
         assert est.mean_log.hex() == mean_log.hex()
         assert est.std_err.hex() == std_err.hex()
+
+    def test_mean_log_is_rounded_once(self, k23):
+        # here fsum / k rounds twice and misses the exact mean by an ulp
+        est = estimate_log_phi_tilde(k23, 0.5, 3000, 7)
+        mean_log, _ = exact_reduction(est.per_sample)
+        assert est.mean_log.hex() == mean_log.hex()
+        assert math.fsum(est.per_sample.tolist()) / 3000 != mean_log
 
     def test_memory_per_sample_is_bounded(self, random6):
         # the kept per-sample array costs 8 bytes a sample; the reduction adds none
@@ -604,16 +611,30 @@ class TestDeterminantMoments:
         assert np.all(est.per_sample == est.per_sample[0])
         assert est.log_std_err_det == -math.inf
         assert est.log_mean_det == est.mean_log
+        assert est.std_err == 0.0
+        assert est.mean_log == est.per_sample[0]
 
-    def test_exp_sums_are_exact(self):
-        # each e^v is f 2^n with f rounded once; both sums are exact in those f, at any scale
-        v = np.concatenate([np.random.default_rng(8).normal(0, 5, 500), [-2e4, 0.0, 3e4]])
-        n = np.floor(v / estimator._LN2)
-        f = np.exp(v - n * estimator._LN2)
-        terms = [(Fraction(x), int(p)) for x, p in zip(f.tolist(), n.tolist())]
-        s1, s2 = estimator._exp_sums(v)
-        assert s1 == sum(x * Fraction(2) ** p for x, p in terms)
-        assert s2 == sum(x * x * Fraction(2) ** (2 * p) for x, p in terms)
+    def test_one_sample_has_no_spread(self, random6):
+        est = estimate_log_phi_tilde(random6, 1.0, 1, 3)
+        assert est.std_err == 0.0
+        assert est.mean_log == est.per_sample[0]
+        assert est.log_std_err_det == -math.inf
+
+    @pytest.mark.parametrize("case", ["determinants", "doubles"])
+    def test_moments_are_exact(self, case):
+        if case == "determinants":
+            # each e^v is f 2^n with f rounded once; both sums are exact in those f, at any scale
+            v = np.concatenate([np.random.default_rng(8).normal(0, 5, 500), [-2e4, 0.0, 3e4]])
+            e = np.floor(v / estimator._LN2).astype(np.int64)
+            x = np.exp(v - e * estimator._LN2)
+        else:
+            # squares of 5e-324 and 1e300 leave the double range; the sums stay exact
+            x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.5, -2.75])
+            e = np.zeros(len(x), dtype=np.int64)
+        terms = [Fraction(v) * Fraction(2) ** int(p) for v, p in zip(x.tolist(), e.tolist())]
+        s1, s2 = estimator._moments(x, e if case == "determinants" else 0)
+        assert s1 == sum(terms)
+        assert s2 == sum(v * v for v in terms)
 
     def test_exponent_per_term(self):
         rng = np.random.default_rng(6)
