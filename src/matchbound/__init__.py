@@ -14,6 +14,7 @@ from .estimator import (
     RngStream,
     bounds_report,
     estimate_log_phi_tilde,
+    log_gap_bound,
     plan_samples,
     sample_skew,
     tail_bound,
@@ -33,6 +34,7 @@ from .graphs import (
     bipartition,
     complete_bipartite_graph,
     complete_graph,
+    heaviest_weight_sums,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -77,8 +79,10 @@ __all__ = [
     "complete_graph_counts",
     "estimate_log_phi_tilde",
     "gaussian_log_gap",
+    "heaviest_weight_sums",
     "log_det_bipartite",
     "log_det_shifted",
+    "log_gap_bound",
     "matching_counts",
     "optimality_sweep",
     "parse_graph",

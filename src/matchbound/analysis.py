@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimator import RngStream, derive_seed, estimate_log_phi_tilde
+from .estimator import RngStream, derive_seed, estimate_log_phi_tilde, log_gap_bound
 from .exact import complete_bipartite_counts, matching_counts
-from .graphs import WeightedGraph, complete_bipartite_graph
+from .graphs import WeightedGraph, complete_bipartite_graph, heaviest_weight_sums
 
 EULER_GAMMA = 0.5772156649015329
 _PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)  # psi(1/2)
@@ -86,7 +86,7 @@ class GapSweepRow:
     exact_per_vertex: float
     gap_per_vertex: float
     std_err_per_vertex: float
-    gap_bound: float  # min(a^2 / 2t, c1)
+    gap_bound: float  # sum_C min(W_C / 2t, n_C c1) / N (estimator.log_gap_bound)
 
 
 def optimality_sweep(
@@ -149,7 +149,7 @@ def optimality_sweep(
                 exact_per_vertex=exact_pv,
                 gap_per_vertex=exact_pv - estimate_pv,
                 std_err_per_vertex=est.std_err / n_vertices,
-                gap_bound=min(weight_hi / t / 2.0, c1),
+                gap_bound=log_gap_bound(heaviest_weight_sums(g)[1], t, c1) / n_vertices,
             )
         )
     return rows

@@ -30,7 +30,14 @@ from .estimator import (
     plan_samples,
 )
 from .exact import GraphTooLargeError, matching_counts
-from .graphs import GraphFormatError, WeightedGraph, bipartition, parse_graph, skew_adjacency
+from .graphs import (
+    GraphFormatError,
+    WeightedGraph,
+    bipartition,
+    heaviest_weight_sums,
+    parse_graph,
+    skew_adjacency,
+)
 from .linalg import NonPositiveDeterminantError, SingularAtZeroError
 
 EXIT_OK = 0
@@ -39,6 +46,8 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 _SLACK_STD_ERRS = 4.0
+
+Parts = tuple[tuple[float, int], ...]  # (W_C, n_C) per component, see heaviest_weight_sums
 
 
 def _json_scalar(x: Any) -> str:
@@ -108,29 +117,37 @@ def _pick(obj: Any, keys: str) -> dict[str, Any]:
     return {key: getattr(obj, key) for key in keys.split()}
 
 
-def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, float, dict[str, Any]]:
-    """The graph of --graph, its amplitude and its report block, once --t is checked."""
+def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, Parts, dict[str, Any]]:
+    """The graph of --graph, its (W_C, n_C) parts and its report block, once --t is checked."""
     with open(args.graph, "r", encoding="utf-8") as fh:
         g = parse_graph(fh.read())
     if not 0 < args.t < math.inf:
         raise ValueError("--t must be positive and finite")
-    amplitude = skew_adjacency(g).amplitude
-    return g, amplitude, {"n_vertices": g.n_vertices, "n_edges": g.n_edges, "amplitude": amplitude}
+    heaviest, parts = heaviest_weight_sums(g)
+    block = {
+        "n_vertices": g.n_vertices,
+        "n_edges": g.n_edges,
+        "amplitude": skew_adjacency(g).amplitude,
+        "heaviest_weight_sum": heaviest,
+    }
+    return g, parts, block
 
 
 def _bracket(
-    args: argparse.Namespace, g: WeightedGraph, amplitude: float, k: int
+    args: argparse.Namespace, g: WeightedGraph, parts: Parts, graph: dict[str, Any], k: int
 ) -> tuple[EstimateResult, BoundsReport, dict[str, Any]]:
     """Estimate with k samples and bracket the result: both, and their report blocks."""
     est = estimate_log_phi_tilde(g, args.t, k, args.seed, threads=args.threads)
-    bounds = bounds_report(est, amplitude, g.n_vertices, args.t, c1_constant())
+    bounds = bounds_report(
+        est, graph["amplitude"], g.n_vertices, args.t, c1_constant(), parts=parts
+    )
     keys = "failures t seed mean_log std_err mean_det std_err_det log_mean_det max_abs_variate"
     blocks = {"estimate": {"samples": est.k, **_pick(est, keys)}, "bounds": asdict(bounds)}
     return est, bounds, blocks
 
 
 def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    g, amplitude, graph = _graph(args)
+    g, parts, graph = _graph(args)
     graph["bipartite"] = bipartition(g) is not None
 
     plan = None
@@ -140,12 +157,12 @@ def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     if k is None:
         if args.eps is None or args.delta is None:
             raise ValueError("provide --samples or both --eps and --delta")
-        if amplitude == 0.0:
-            k = 1  # edgeless graphs are deterministic; one sample is exact
-        else:
-            plan = plan_samples(args.eps, args.delta, g.n_vertices, amplitude, args.t)
-            k = plan.samples
-    _, _, blocks = _bracket(args, g, amplitude, k)
+        plan = plan_samples(
+            args.eps, args.delta, g.n_vertices, graph["amplitude"], args.t,
+            heaviest_weight_sum=graph["heaviest_weight_sum"],
+        )  # an edgeless graph has W = 0 and one sample, which is exact
+        k = plan.samples
+    _, _, blocks = _bracket(args, g, parts, graph, k)
 
     # thread count is deliberately not echoed: it never affects the numbers,
     # and reports must be byte-identical across worker counts
@@ -159,7 +176,7 @@ def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    g, amplitude, graph = _graph(args)
+    g, parts, graph = _graph(args)
 
     # phi_{cw}(k) = c^k phi_w(k): count on weights scaled to a largest weight
     # of 1, so the float counts cannot overflow, and sum the terms
@@ -174,7 +191,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     lead = max(terms)
     log_value = lead + math.log(math.fsum(math.exp(x - lead) for x in terms))
 
-    est, bounds, blocks = _bracket(args, g, amplitude, args.samples)
+    est, bounds, blocks = _bracket(args, g, parts, graph, args.samples)
 
     # unbiased target: the polynomial value, times sqrt(t) when N is odd;
     # mean, target and standard error are all divided by the larger of the

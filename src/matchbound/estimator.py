@@ -15,6 +15,7 @@ determinants is the unbiased estimator of the polynomial itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,14 +354,29 @@ class BoundsReport:
 
 
 def plan_samples(
-    epsilon: float, delta: float, n_vertices: int, amplitude: float, t: float
+    epsilon: float, delta: float, n_vertices: int, amplitude: float, t: float,
+    *, heaviest_weight_sum: float | None = None,
 ) -> FprasPlan:
-    """Sample count ceil(8 a^2 N log(4/delta) / (t eps^2)), radius eps/(2N).
+    """Sample count ceil(8 W log(4/delta) / (t eps^2)), radius eps/(2N).
 
-    With these choices the tail bound puts the geometric-mean estimate
-    within a multiplicative (1 +- epsilon) of its target with probability
-    at least 1 - delta/2. A count that is not finite, or that an array of
-    one double a sample cannot hold, raises ValueError.
+    W = sum_i max_j w_ij sums each vertex's heaviest edge weight (the graph's
+    heaviest_weight_sum, from graphs.heaviest_weight_sums); without it W is
+    the worst case a^2 N, every vertex paying the amplitude a.
+
+    W/t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
+    where Y_ij = a_ij z_ij = -Y_ji for i < j. Its gradient is df/dz_ij = a_ij K_ij
+    with K = 2Y (tI + Y^T Y)^-1, since M^-1 - M^-T = -2Y (tI - Y^2)^-1 for
+    M = sqrt(t) I + Y; K is skew and its singular values are 2s / (t + s^2) <=
+    1/sqrt(t). Take w_ij K_ij^2 over every ordered pair (each edge from both
+    ends), bound row i's weights by its heaviest, max_j w_ij, and its row norm
+    of K by ||K||_2: |grad f|^2 <= sum_i max_j w_ij / t = W/t. Gaussian
+    concentration for Lipschitz functions (Tsirelson-Ibragimov-Sudakov) then
+    puts the mean of k samples more than N r from its expectation with
+    probability at most 2 exp(-t k N^2 r^2 / (2W)) (tail_bound), which is at most
+    delta/2 at this k and r = eps/(2N): the geometric-mean estimate is within a
+    multiplicative (1 +- epsilon) of its target. An edgeless graph has W = 0 and
+    takes one sample. A count that is not finite, or that an array of one double
+    a sample cannot hold, raises ValueError.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must be in (0, 1]")
@@ -368,11 +384,15 @@ def plan_samples(
         raise ValueError("delta must be in (0, 1)")
     if n_vertices < 1:
         raise ValueError("n_vertices must be at least 1")
-    if not amplitude > 0:
-        raise ValueError("amplitude must be positive")
+    if heaviest_weight_sum is None:
+        if not amplitude > 0:
+            raise ValueError("amplitude must be positive")
+        heaviest_weight_sum = amplitude**2 * n_vertices
+    elif not heaviest_weight_sum >= 0:
+        raise ValueError("heaviest_weight_sum must be nonnegative")
     if not t > 0:
         raise ValueError("t must be positive")
-    k = 8.0 * amplitude**2 * n_vertices * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
+    k = 8.0 * heaviest_weight_sum * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
     if not k < math.inf:  # the count overflows, or t eps^2 underflows to 0
         raise ValueError(f"the planned sample count is not finite at eps {epsilon}, t {t}")
     if k > np.iinfo(np.intp).max // 8:  # per_sample holds 8 bytes a sample
@@ -385,45 +405,64 @@ def plan_samples(
     )
 
 
-def tail_bound(r: float, n_vertices: int, k: int, amplitude: float, t: float) -> float:
-    """Deviation probability bound 2 exp(-t k N r^2 / (2 a^2)).
+def tail_bound(
+    r: float, n_vertices: int, k: int, amplitude: float, t: float,
+    *, heaviest_weight_sum: float | None = None,
+) -> float:
+    """Deviation probability bound 2 exp(-t k N^2 r^2 / (2W)).
 
-    Bounds Pr(|mean of k log-determinants - its expectation| >= N r). The
-    2 a^2 denominator already uses the sharper sub-Gaussian constant
-    available because the randomized matrix is purely imaginary after
-    multiplication by i.
+    Bounds Pr(|mean of k log-determinants - its expectation| >= N r), by
+    Gaussian concentration with the squared Lipschitz constant W/t of
+    plan_samples. W defaults to the worst case a^2 N, where the exponent is
+    t k N r^2 / (2 a^2).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     if not t > 0:
         raise ValueError("t must be positive")
-    if not amplitude > 0:
-        raise ValueError("amplitude must be positive")
     if k < 1 or n_vertices < 1:
         raise ValueError("k and n_vertices must be at least 1")
-    return 2.0 * math.exp(-t * k * n_vertices * r**2 / (2.0 * amplitude**2))
+    if heaviest_weight_sum is None:
+        if not amplitude > 0:
+            raise ValueError("amplitude must be positive")
+        per_vertex = amplitude**2
+    elif heaviest_weight_sum > 0:
+        per_vertex = heaviest_weight_sum / n_vertices
+    else:
+        raise ValueError("heaviest_weight_sum must be positive")
+    return 2.0 * math.exp(-t * k * n_vertices * r**2 / (2.0 * per_vertex))
+
+
+def log_gap_bound(parts: Sequence[tuple[float, int]], t: float, c1: float) -> float:
+    """sum_C min(W_C / 2t, n_C c1) over the (W_C, n_C) parts from graphs.heaviest_weight_sums.
+
+    log E det - E log det adds over components, which draw disjoint normals.
+    A component's gap is at most L_C^2 / 2 = W_C / 2t, by Gaussian concentration
+    with plan_samples' Lipschitz constant, and at most n_C c1 per vertex; at
+    t = 0 only the latter holds. A part without an edge (W_C = 0) is exact.
+    """
+    return math.fsum(min(w / t / 2.0, n * c1) if t > 0 else n * c1 for w, n in parts if w > 0)
 
 
 def bounds_report(
-    est: EstimateResult, amplitude: float, n_vertices: int, t: float, c1: float
+    est: EstimateResult, amplitude: float, n_vertices: int, t: float, c1: float,
+    *, parts: Sequence[tuple[float, int]] | None = None,
 ) -> BoundsReport:
-    """Assemble the additive bracket from an estimate: gap N min(a^2 / 2t, c1).
+    """Assemble the additive bracket from an estimate: gap log_gap_bound(parts, t, c1).
 
-    The finite-sample gap log1p(sqrt(8kN) a exp(a^2 kN / 2t) / sqrt(pi t)) / k
-    is never smaller, so it is not reported. With E = a^2 kN / 2t its log1p
-    argument is 4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1 for E >= 0 (1
-    at E = 0, increasing since e^E > sqrt(pi E) / 2), so the gap is at least
-    log(e^E) / k = a^2 N / 2t >= N min(a^2 / 2t, c1).
+    parts are the graph's (W_C, n_C) (graphs.heaviest_weight_sums). Without
+    them every vertex is its own part of weight a^2, the worst case
+    N min(a^2 / 2t, c1), to the bit. The finite-sample gap
+    log1p(sqrt(8kW / pi t) exp(kW / 2t)) / k, W = sum_C W_C, is never smaller,
+    so it is not reported. With E = kW / 2t its log1p argument is
+    4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1 for E >= 0 (1 at E = 0,
+    increasing since e^E > sqrt(pi E) / 2), so the gap is at least
+    log(e^E) / k = W / 2t >= log_gap_bound(parts, t, c1).
     """
-    n, a = n_vertices, amplitude
+    n = n_vertices
     if n % 2 == 1 and t == 0:
         raise ValueError("odd vertex counts are not defined at t = 0")
-    if a == 0.0:
-        gap = 0.0
-    elif t == 0:
-        gap = n * c1
-    else:
-        gap = n * min(a**2 / t / 2.0, c1)
+    gap = log_gap_bound(((amplitude**2, 1),) * n if parts is None else parts, t, c1)
     # the determinant mean carries a sqrt(t) factor at odd N; shift the
     # bracket so it bounds the polynomial value, not the determinant mean
     parity_shift = 0.5 * math.log(t) if n % 2 == 1 else 0.0

@@ -206,6 +206,28 @@ def components(g: WeightedGraph) -> list[tuple[tuple[int, ...], Bipartition | No
     return out
 
 
+def heaviest_weight_sums(g: WeightedGraph) -> tuple[float, tuple[tuple[float, int], ...]]:
+    """W and the (W_C, n_C) of each component of components(g), in its order.
+
+    n_C is the component's vertex count and W_C = sum_{i in C} max_j w_ij, the
+    sum over its vertices of each one's heaviest edge weight; W = sum_C W_C.
+    Each is taken from the weights themselves and rounded once (math.fsum), or
+    is inf past the largest double. An isolated vertex is in no component and
+    adds 0, so W <= max_weight * N.
+    """
+    heaviest = [max((w for _, w in nbrs), default=0.0) for nbrs in g.adjacency()]
+    parts = tuple((_sum(heaviest[v] for v in verts), len(verts)) for verts, _ in components(g))
+    return _sum(heaviest), parts
+
+
+def _sum(terms) -> float:
+    """The exact sum of nonnegative doubles rounded once, or inf past the largest double."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def bipartition(g: WeightedGraph) -> Bipartition | None:
     """Two-color the graph, or return None when an odd cycle exists.
 

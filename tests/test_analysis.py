@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matchbound.analysis import c1_constant, gaussian_log_gap, optimality_sweep
+from matchbound.estimator import RngStream, derive_seed
 from matchbound.exact import complete_bipartite_counts
 
 from conftest import EULER_GAMMA, gauss_hermite_expect, shifted_log_gap_series
@@ -106,6 +107,18 @@ class TestOptimalitySweep:
         assert row.amplitude_lo == 0.5 and row.amplitude_hi == 2.0
         slack = 4 * row.std_err_per_vertex
         assert -slack <= row.gap_per_vertex <= row.gap_bound + slack
+
+    @pytest.mark.parametrize("side, t", [((2, 3), 4.0), (4, 2.0), ((1, 5), 8.0)])
+    def test_random_weight_gap_bound_is_per_component(self, side, t):
+        # the bracket's own gap, per vertex: sharper than min(w_hi / 2t, c1)
+        row = optimality_sweep([side], t, 0.25, 4.0, 13, 50)[0]
+        u = RngStream(derive_seed(13, 0), 0).uniforms(row.m * row.n)
+        w = 0.25 + 3.75 * u.reshape(row.m, row.n)
+        heaviest = math.fsum(w.max(axis=1)) + math.fsum(w.max(axis=0))
+        n_vertices = row.m + row.n
+        want = min(heaviest / t / 2.0, n_vertices * c1_constant()) / n_vertices
+        assert row.gap_bound == pytest.approx(want, rel=1e-15)
+        assert row.gap_bound < min(4.0 / t / 2.0, c1_constant())
 
     def test_random_weight_mode_large_sides(self):
         # K_{8,8} with random weights is counted exactly by the profile DP

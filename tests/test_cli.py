@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+import matchbound.analysis as analysis
 import matchbound.cli as cli
 import matchbound.estimator as estimator
 import matchbound.exact as exact
+from matchbound.analysis import c1_constant
 from matchbound.cli import main
 from matchbound.graphs import WeightedGraph, complete_graph, path_graph, serialize_graph
 
@@ -71,9 +73,37 @@ class TestEstimate:
         )
         assert code == 0
         report = json.loads(out)
-        assert "plan" not in report
+        # W = 0 plans one sample through the same path as any other graph
+        assert report["graph"]["heaviest_weight_sum"] == 0.0
+        assert report["plan"]["samples"] == 1
         assert report["estimate"]["samples"] == 1
         assert report["estimate"]["std_err"] == 0.0
+
+    @pytest.mark.parametrize("eps, delta", [("5", "2"), ("5", "0.25"), ("0.5", "2")])
+    def test_edgeless_plan_checks_eps_and_delta(self, capsys, tmp_path, eps, delta):
+        path = tmp_path / "edgeless.txt"
+        path.write_text("3 0\n")
+        argv = ["estimate", "--graph", str(path), "--t", "2", "--eps", eps, "--delta", delta]
+        assert main(argv) == 2
+        assert "must be in" in capsys.readouterr().err
+
+    def test_plan_uses_the_heaviest_weight_sum(self, capsys, tmp_path):
+        # P3 with weights 0.5, 2 plus an edge of weight 3 and an isolated vertex:
+        # W = 0.5 + 2 + 2 + 3 + 3 = 10.5 against a^2 N = 3 * 6 = 18
+        path = tmp_path / "mixed.txt"
+        path.write_text("6 3\n1 2 0.5\n2 3 2\n4 5 3\n")
+        code, out = run_json(
+            capsys,
+            ["estimate", "--graph", str(path), "--t", "2", "--eps", "0.5",
+             "--delta", "0.25", "--format", "json"],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["graph"]["heaviest_weight_sum"] == 10.5
+        want = math.ceil(8 * 10.5 * math.log(4 / 0.25) / (2 * 0.5**2))
+        assert report["plan"]["samples"] == want == 466
+        # gap: min(4.5 / 4, 3 c1) + min(6 / 4, 2 c1); the isolated vertex adds 0
+        assert report["bounds"]["gap_asymptotic"] == 1.125 + 1.5
 
     def test_missing_t_is_usage_error(self, k2_file):
         with pytest.raises(SystemExit) as exc:
@@ -388,7 +418,14 @@ class TestBench:
              "--seed", "4", "--format", "json"],
         )
         assert code == 0
-        assert json.loads(out)["rows"][0]["gap_bound"] == pytest.approx(1.0)
+        # K_{2,2} with weights 0.5 + 1.5 u: the per-vertex gap min(W / 2Nt, c1) of
+        # its heaviest weight sum W, below the worst case min(2 / 2t, c1) = 1
+        u = analysis._weight_draws(estimator.derive_seed(4, 0), 4)
+        w = [[0.5 + 1.5 * u[2 * i + j] for j in range(2)] for i in range(2)]
+        heaviest = sum(map(max, w)) + sum(map(max, zip(*w)))
+        gap_bound = json.loads(out)["rows"][0]["gap_bound"]
+        assert gap_bound == pytest.approx(min(heaviest / 8, c1_constant()), rel=1e-15)
+        assert gap_bound < 1.0
 
     def test_invalid_weight_is_usage_error(self, capsys):
         assert main(["bench", "--sides", "2", "--t", "1", "--w", "0"]) == 2
@@ -508,7 +545,7 @@ class TestReportSchema:
         assert self.report(capsys, argv) == {
             "": ["command", "graph", "estimate", "bounds"],
             ".command": ["subcommand", "graph", "t", "eps", "delta", "samples", "seed"],
-            ".graph": ["n_vertices", "n_edges", "amplitude", "bipartite"],
+            ".graph": ["n_vertices", "n_edges", "amplitude", "heaviest_weight_sum", "bipartite"],
             ".estimate": ESTIMATE_KEYS,
             ".bounds": BOUNDS_KEYS,
         }
@@ -518,7 +555,7 @@ class TestReportSchema:
         assert self.report(capsys, argv) == {
             "": ["command", "graph", "plan", "estimate", "bounds"],
             ".command": ["subcommand", "graph", "t", "eps", "delta", "samples", "seed"],
-            ".graph": ["n_vertices", "n_edges", "amplitude", "bipartite"],
+            ".graph": ["n_vertices", "n_edges", "amplitude", "heaviest_weight_sum", "bipartite"],
             ".plan": ["epsilon", "delta", "deviation_radius", "samples"],
             ".estimate": ESTIMATE_KEYS,
             ".bounds": BOUNDS_KEYS,
@@ -529,7 +566,7 @@ class TestReportSchema:
         assert self.report(capsys, argv) == {
             "": ["command", "graph", "estimate", "bounds", "oracle"],
             ".command": ["subcommand", "graph", "t", "samples", "seed"],
-            ".graph": ["n_vertices", "n_edges", "amplitude"],
+            ".graph": ["n_vertices", "n_edges", "amplitude", "heaviest_weight_sum"],
             ".estimate": ESTIMATE_KEYS,
             ".bounds": BOUNDS_KEYS,
             ".oracle": [

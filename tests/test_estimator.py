@@ -17,6 +17,7 @@ from matchbound.estimator import (
     bounds_report,
     derive_seed,
     estimate_log_phi_tilde,
+    log_gap_bound,
     plan_samples,
     sample_skew,
     tail_bound,
@@ -28,6 +29,7 @@ from matchbound.graphs import (
     complete_bipartite_graph,
     complete_graph,
     components,
+    heaviest_weight_sums,
     path_graph,
     skew_adjacency,
 )
@@ -44,6 +46,7 @@ from conftest import (
     exact_log,
     exact_reduction,
     gauss_hermite_expect,
+    random_weighted_graph,
     sample_row_bytes,
     sparse_graph,
     stream_oracle,
@@ -702,6 +705,28 @@ class TestExactTotal:
             float(estimator._exact_total(np.array(x)))
 
 
+def mixed_graph(seed: int) -> WeightedGraph:
+    """2-3 random connected components of 2-5 vertices, weights log-uniform in
+    [0.1, 4], and 1 or 2 isolated vertices so that N is odd, labels shuffled."""
+    rng = np.random.default_rng(seed)
+    edges, n = [], 0
+    for _ in range(int(rng.integers(2, 4))):
+        size = int(rng.integers(2, 6))
+        pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        for u, v in pairs:  # a spanning path keeps the component connected
+            if v == u + 1 or rng.random() < 0.4:
+                edges.append((n + u, n + v, float(np.exp(rng.uniform(np.log(0.1), np.log(4.0))))))
+        n += size
+    n += 1 + n % 2
+    label = rng.permutation(n)
+    return WeightedGraph(n, tuple((int(label[u]), int(label[v]), w) for u, v, w in edges))
+
+
+def worst_case_gap(g: WeightedGraph, t: float, c1: float) -> float:
+    a = math.sqrt(g.max_weight)
+    return g.n_vertices * min(a**2 / t / 2.0, c1)
+
+
 class TestPlanner:
     def test_worked_example(self):
         plan = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, 1.0)
@@ -740,6 +765,54 @@ class TestPlanner:
         with pytest.raises(ValueError):
             plan_samples(0.5, 0.25, 4, 1.0, 0.0)
 
+    @pytest.mark.parametrize("epsilon, delta, n, a, t", [
+        (1.0, 4.0 / math.exp(2.0), 10, 1.0, 1.0), (0.5, 0.25, 2, 1.0, 1.0),
+        (0.5, 0.1, 128, 1.5, 1.0), (0.02, 0.1, 6, math.sqrt(2.2), 1.0),
+        (0.3, 0.01, 7, 1e-3, 1e-5), (0.9, 0.5, 3, 1e10, 1e12),
+    ])
+    def test_worst_case_is_the_default(self, epsilon, delta, n, a, t):
+        # the worst case W = a^2 N keeps its own count: criterion 07's 160 among them
+        worst = plan_samples(epsilon, delta, n, a, t)
+        assert worst == plan_samples(epsilon, delta, n, a, t, heaviest_weight_sum=a**2 * n)
+        k = 8.0 * a**2 * n * math.log(4.0 / delta) / (t * epsilon**2)
+        assert worst.samples == max(1, math.ceil(k))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_heaviest_weight_sum_never_plans_more(self, seed):
+        g = mixed_graph(seed)
+        heaviest, _ = heaviest_weight_sums(g)
+        a = math.sqrt(g.max_weight)
+        for epsilon, delta, t in [(0.5, 0.25, 1.0), (0.1, 0.01, 0.3), (1.0, 0.9, 7.0)]:
+            args = (epsilon, delta, g.n_vertices, a, t)
+            plan = plan_samples(*args, heaviest_weight_sum=heaviest)
+            bound = plan_samples(*args, heaviest_weight_sum=g.max_weight * g.n_vertices)
+            assert plan.samples <= bound.samples
+            assert plan.samples <= plan_samples(*args).samples
+            assert plan.deviation_radius == bound.deviation_radius
+
+    def test_sparse_workload_plan(self):
+        # 16 disjoint K_{2,6}: W = 160 against a^2 N = 256
+        g = sparse_graph()
+        heaviest, _ = heaviest_weight_sums(g)
+        assert heaviest == 160.0
+        a = skew_adjacency(g).amplitude
+        assert plan_samples(1.0, 0.1, 128, a, 1.0).samples == 7555
+        assert plan_samples(1.0, 0.1, 128, a, 1.0, heaviest_weight_sum=heaviest).samples == 4722
+
+    def test_edgeless_graph_plans_one_sample(self):
+        plan = plan_samples(0.5, 0.25, 4, 0.0, 1.0, heaviest_weight_sum=0.0)
+        assert plan.samples == 1
+        assert plan.deviation_radius == 0.0625
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_bad_heaviest_weight_sum(self, bad):
+        with pytest.raises(ValueError, match="heaviest_weight_sum"):
+            plan_samples(0.5, 0.25, 4, 1.0, 1.0, heaviest_weight_sum=bad)
+
+    def test_infinite_heaviest_weight_sum_is_not_finite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            plan_samples(0.5, 0.25, 4, 1.0, 1.0, heaviest_weight_sum=math.inf)
+
 
 class TestTailBound:
     def test_direct_substitution(self):
@@ -759,6 +832,49 @@ class TestTailBound:
             tail_bound(-0.1, 1, 1, 1.0, 1.0)
         with pytest.raises(ValueError):
             tail_bound(0.1, 1, 1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("r, n, k, a, t", [
+        (1.0, 1, 1, 1.0, 2.0), (0.05, 4, 4, 1.0, 1.0), (0.1, 4, 4, 1.0, 1.0),
+        (0.2, 4, 4, 1.0, 1.0), (0.4, 4, 4, 1.0, 1.0), (0.3, 7, 100, 1.3, 0.7),
+        (1e-3, 128, 7555, 1.4142135623730951, 1.0),
+    ])
+    def test_worst_case_bits(self, r, n, k, a, t):
+        want = 2.0 * math.exp(-t * k * n * r**2 / (2.0 * a**2))
+        assert tail_bound(r, n, k, a, t) == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planner_consistency_with_heaviest_weight_sum(self, seed):
+        g = mixed_graph(seed)
+        heaviest, _ = heaviest_weight_sums(g)
+        n, a = g.n_vertices, math.sqrt(g.max_weight)
+        for eps, delta, t in [(0.5, 0.25, 1.0), (0.2, 0.1, 0.4), (1.0, 0.9, 3.0)]:
+            plan = plan_samples(eps, delta, n, a, t, heaviest_weight_sum=heaviest)
+            r, k = plan.deviation_radius, plan.samples
+            bound = tail_bound(r, n, k, a, t, heaviest_weight_sum=heaviest)
+            assert bound <= delta / 2.0 + 1e-12
+            assert bound <= tail_bound(r, n, k, a, t)
+
+    def test_heaviest_weight_sum_validation(self):
+        with pytest.raises(ValueError, match="heaviest_weight_sum"):
+            tail_bound(0.1, 2, 1, 1.0, 1.0, heaviest_weight_sum=0.0)
+
+    def test_tail_frequencies_on_unequal_weights(self):
+        # criterion 06's check against the sharper bound: P3 of weights 0.5, 2, a K2 of
+        # weight 3 with a pendant edge of weight 0.25, and an isolated vertex (N = 7, odd):
+        # W = 10.75 against a^2 N = 21. Consecutive runs of k samples are independent
+        # means of k, since every sample is a function of (seed, index) alone.
+        g = WeightedGraph(7, ((0, 1, 0.5), (1, 2, 2.0), (3, 4, 3.0), (4, 5, 0.25)))
+        heaviest, _ = heaviest_weight_sums(g)
+        assert heaviest == 10.75
+        runs, k, t = 2000, 4, 3.0
+        means = estimate_log_phi_tilde(g, t, runs * k, 616).per_sample.reshape(runs, k).mean(1)
+        reference = estimate_log_phi_tilde(g, t, 200_000, 617).mean_log
+        deviations = np.abs(means - reference)
+        for r in (0.1, 0.2, 0.3, 0.4):
+            freq = float((deviations >= 7 * r).mean())
+            bound = tail_bound(r, 7, k, math.sqrt(3.0), t, heaviest_weight_sum=heaviest)
+            assert bound < tail_bound(r, 7, k, math.sqrt(3.0), t)
+            assert freq <= bound + 0.02, f"tail frequency {freq} exceeds {bound} at r={r}"
 
 
 class TestBoundsReport:
@@ -817,6 +933,58 @@ class TestBoundsReport:
                 log_phi = math.log(matching_counts(g).eval(t))
                 slack = 4 * est.std_err
                 assert rep.lower_log - slack <= log_phi <= rep.upper_log + slack
+
+    @pytest.mark.parametrize("a, n, t", [
+        (1.0, 10, 1.0), (1.0, 10, 0.1), (1.0, 4, 1e9), (math.sqrt(2.2), 6, 1.0),
+        (math.sqrt(2.2), 6, 3.0), (1.0, 4, 0.0), (0.0, 4, 2.0), (0.0, 4, 0.0),
+        (1.0, 3, 1e308), (1.7, 7, 0.3), (1.0, 64, 1.0), (math.sqrt(2.0), 128, 1.0),
+    ])
+    def test_worst_case_bits(self, a, n, t):
+        est = estimate_log_phi_tilde(complete_graph(2), 1.0, 10, 0)
+        c1 = c1_constant()
+        if a == 0.0:
+            want = 0.0
+        elif t == 0:
+            want = n * c1
+        else:
+            want = n * min(a**2 / t / 2.0, c1)
+        rep = bounds_report(est, a, n, t, c1)
+        assert rep.gap_asymptotic == want
+        assert rep.per_vertex_gap == want / n
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gap_never_above_the_worst_case(self, seed):
+        g = mixed_graph(seed) if seed % 2 else random_weighted_graph(
+            np.random.default_rng(seed), 9, 0.3
+        )
+        _, parts = heaviest_weight_sums(g)
+        c1 = c1_constant()
+        for t in (1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3):
+            assert log_gap_bound(parts, t, c1) <= worst_case_gap(g, t, c1)
+
+    def test_isolated_vertices_and_edgeless_parts_add_nothing(self):
+        c1 = c1_constant()
+        assert log_gap_bound((), 1.0, c1) == 0.0
+        assert log_gap_bound(((0.0, 1), (4.0, 2)), 1.0, c1) == 2.0
+        assert log_gap_bound(((4.0, 2), (9.0, 3)), 0.0, c1) == math.fsum([2 * c1, 3 * c1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sandwich_where_the_heaviest_weight_sums_bind(self, seed):
+        g = mixed_graph(seed)
+        _, parts = heaviest_weight_sums(g)
+        c1 = c1_constant()
+        # the smallest t where every W_C / 2t is below n_C c1, times 1.2 to 4
+        t_bind = max(w / (2.0 * n * c1) for w, n in parts)
+        t = t_bind * float(np.random.default_rng(seed).uniform(1.2, 4.0))
+        assert all(w / t / 2.0 < n * c1 for w, n in parts)
+        assert g.n_vertices % 2 == 1 and len(parts) >= 2
+        assert sum(n for _, n in parts) < g.n_vertices  # isolated vertices
+        est = estimate_log_phi_tilde(g, t, 20_000, 90 + seed)
+        rep = bounds_report(est, math.sqrt(g.max_weight), g.n_vertices, t, c1, parts=parts)
+        assert rep.gap_asymptotic < worst_case_gap(g, t, c1)
+        log_phi = matching_counts(g).log_eval(t)
+        slack = 4 * est.std_err
+        assert rep.lower_log - slack <= log_phi <= rep.upper_log + slack
 
     def test_odd_parity_shift(self, triangle):
         # at t = 4 the raw mean_log exceeds log(phi); the report must not

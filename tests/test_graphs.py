@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from matchbound.graphs import (
     complete_bipartite_graph,
     complete_graph,
     components,
+    heaviest_weight_sums,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -112,6 +115,43 @@ class TestSkewAdjacency:
         for u, v, w in g.edges:
             expected[u, v] = expected[v, u] = w
         assert np.allclose(squared, expected, rtol=1e-15, atol=0)
+
+
+class TestHeaviestWeightSums:
+    def test_components_of_interleaved_labels(self, multi):
+        # K_{2,3} on {0, 7 | 4, 9, 11}, a triangle on {1, 5, 10}, K2 on {2, 8}; 3 and 6 isolated
+        heaviest = {0: 2.1, 7: 1.6, 4: 1.3, 9: 1.6, 11: 2.1}  # K_{2,3}
+        heaviest |= {1: 1.9, 5: 1.2, 10: 1.9, 2: 1.4, 8: 1.4}  # the triangle and K2
+        total, parts = heaviest_weight_sums(multi)
+        want = [[heaviest[v] for v in verts] for verts, _ in components(multi)]
+        assert parts == tuple((math.fsum(h), len(h)) for h in want)
+        assert [n for _, n in parts] == [5, 3, 2]
+        assert total == math.fsum(heaviest.values())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_sums_rounded_once(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        g = random_weighted_graph(rng, int(rng.integers(2, 12)), 0.3)
+        nbrs = g.adjacency()
+        heaviest = [Fraction(max((w for _, w in nb), default=0.0)) for nb in nbrs]
+        total, parts = heaviest_weight_sums(g)
+        assert total == float(sum(heaviest))
+        assert [w for w, _ in parts] == [
+            float(sum(heaviest[v] for v in verts)) for verts, _ in components(g)
+        ]
+        assert total <= g.max_weight * g.n_vertices
+
+    def test_regular_unit_weights_meet_the_worst_case(self):
+        g = complete_graph(64)
+        assert heaviest_weight_sums(g) == (64.0, ((64.0, 64),))
+
+    def test_edgeless_graph(self):
+        assert heaviest_weight_sums(WeightedGraph(3, ())) == (0.0, ())
+
+    def test_sum_past_the_largest_double_is_inf(self):
+        total, parts = heaviest_weight_sums(WeightedGraph(4, ((0, 1, 1.7e308), (2, 3, 1.0))))
+        assert total == math.inf
+        assert parts == ((math.inf, 2), (2.0, 2))
 
 
 class TestBipartition:
