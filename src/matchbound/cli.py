@@ -36,7 +36,6 @@ from .graphs import (
     bipartition,
     heaviest_weight_sums,
     parse_graph,
-    skew_adjacency,
 )
 from .linalg import NonPositiveDeterminantError, SingularAtZeroError
 
@@ -119,7 +118,7 @@ def _pick(obj: Any, keys: str) -> dict[str, Any]:
 
 def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, Parts, dict[str, Any]]:
     """The graph of --graph, its (W_C, n_C) parts and its report block, once --t is checked."""
-    with open(args.graph, "r", encoding="utf-8") as fh:
+    with open(args.graph, "r", encoding="utf-8-sig") as fh:  # with or without a BOM
         g = parse_graph(fh.read())
     if not 0 < args.t < math.inf:
         raise ValueError("--t must be positive and finite")
@@ -127,7 +126,7 @@ def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, Parts, dict[str, An
     block = {
         "n_vertices": g.n_vertices,
         "n_edges": g.n_edges,
-        "amplitude": skew_adjacency(g).amplitude,
+        "amplitude": math.sqrt(g.max_weight),
         "heaviest_weight_sum": heaviest,
     }
     return g, parts, block
@@ -277,8 +276,8 @@ def _run_bench(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 def _run_constants(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     if not (math.isfinite(args.grid_step) and args.grid_step > 0):
         raise ValueError("--grid-step must be finite and positive")
-    if not (math.isfinite(args.grid_max) and (args.grid_max + 1e-12) / args.grid_step < 1e4):
-        raise ValueError("--grid-max must be finite, and --grid-max / --grid-step below 10^4")
+    if not (0 <= args.grid_max < math.inf and (args.grid_max + 1e-12) / args.grid_step < 1e4):
+        raise ValueError("--grid-max must be finite, >= 0, and --grid-max / --grid-step < 10^4")
     c1 = c1_constant()
     table = []
     i = 0
@@ -375,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, ok = _HANDLERS[args.subcommand](args)
         seconds = time.monotonic() - started
         _write_output(_render(payload, args.format, args.subcommand, seconds), args.out)
-    except (GraphFormatError, GraphTooLargeError, ValueError, OSError) as exc:
+    except (GraphFormatError, GraphTooLargeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonPositiveDeterminantError, SingularAtZeroError, EstimatorError) as exc:

@@ -37,7 +37,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _BATCH = 4096  # most rows a batch takes; the partition never depends on the thread count
 _BATCH_BYTES = 24 << 20  # a batch's variates and matrices stay within this, whatever N
 _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
-_SUM_CHUNK = 1 << 16  # values per exact sum: each binade's partial sums stay below 2^44
 _LN2 = math.log(2.0)
 
 
@@ -165,7 +164,8 @@ def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
     must be finite on the Gram route too.
     """
     adj, n = skew_adjacency(g), g.n_vertices
-    i, j = np.nonzero(np.triu(adj.matrix))
+    i, j = np.nonzero(adj.matrix > 0)  # each edge's +sqrt(w) sits above the diagonal
+    row_max = adj.matrix.max(axis=1)  # so the row of its lower end holds it
     pair = i * n - i * (i + 1) // 2 + (j - i - 1)
     blocks = np.unique(pair // 2)
     col = np.zeros((n, n), dtype=np.intp)  # an entry off every edge reads column 0, times 0
@@ -173,7 +173,7 @@ def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
     groups: dict[tuple[bool, int, int], list] = {}
     for verts, bip in (comps := components(g)):
         if bip is not None and t > 0:
-            n_c, max_w = len(verts), float(np.square(adj.matrix[np.ix_(verts, verts)]).max())
+            n_c, max_w = len(verts), float(np.square(row_max[list(verts)].max()))
             keeps_t = n_c * np.finfo(float).eps * (max_w / t) <= 1e-12
             bip = bip if keeps_t and t + n_c * 75.0 * max_w < math.inf else None
         rows, cols = (verts, verts) if bip is None else (bip.left, bip.right)
@@ -231,24 +231,22 @@ def _exact_total(x: np.ndarray, e=0) -> Fraction:
     """sum(x 2^e) exactly, for finite doubles x and integers e, by integer sums per binade.
 
     np.frexp gives x = m 2^p, |m| in [1/2, 1), and m 2^27 = h + l 2^-26 with integers
-    |h| < 2^27, |l| < 2^26. bincount sums the h and l per binade of p + e: below 2^44 for
-    _SUM_CHUNK terms, so exact in a double; 16 adjacent binades combine exactly in an
-    int64. The total does not depend on the order of the terms; float() rounds it once.
+    |h| < 2^27, |l| < 2^26. bincount sums the h and l per binade of p + e, exactly in a
+    double; 16 adjacent binades combine in an int64, to which a term adds below 2^42, so
+    the sum is exact up to 2^20 terms (a batch passes at most 2 _BATCH). The total does
+    not depend on the order of the terms; float() rounds it once.
     """
-    total = Fraction(0)
-    for lo in range(0, len(x), _SUM_CHUNK):
-        mant, exp = np.frexp(x[lo : lo + _SUM_CHUNK])
-        exp = exp + (e[lo : lo + _SUM_CHUNK] if np.ndim(e) else e)
-        base = int(exp.min())
-        exp -= base
-        low, high = np.modf(mant * 2.0**27)  # l 2^-26 and h, whose sums both stay exact
-        width = (int(exp.max()) + 42) // 16 * 16  # an h counts 26 binades above its own
-        sums = np.bincount(exp, low, width) * 2.0**26
-        sums[26:] += np.bincount(exp, high, width)[:-26]
-        blocks = (sums.astype(np.int64).reshape(-1, 16) @ (1 << np.arange(16))).tolist()
-        chunk, shift = sum(v << 16 * i for i, v in enumerate(blocks)), base - 53
-        total += Fraction(chunk << max(shift, 0), 1 << max(-shift, 0))
-    return total
+    mant, exp = np.frexp(x)
+    exp = exp + e
+    base = int(exp.min()) if exp.size else 0  # an empty batch (every draw singular) sums to 0
+    exp -= base
+    low, high = np.modf(mant * 2.0**27)  # l 2^-26 and h, whose sums both stay exact
+    width = (int(exp.max(initial=0)) + 42) // 16 * 16  # an h counts 26 binades above its own
+    sums = np.bincount(exp, low, width) * 2.0**26
+    sums[26:] += np.bincount(exp, high, width)[:-26]
+    blocks = (sums.astype(np.int64).reshape(-1, 16) @ (1 << np.arange(16))).tolist()
+    total, shift = sum(v << 16 * i for i, v in enumerate(blocks)), base - 53
+    return Fraction(total << max(shift, 0), 1 << max(-shift, 0))
 
 
 def _moments(x: np.ndarray, e=0) -> tuple[Fraction, Fraction]:
@@ -535,17 +533,17 @@ def estimate_log_phi_tilde(
         n = np.floor(kept / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
         f = np.exp(kept - n * _LN2)
         moments = [_moments(values)] + [_moments(fc, nc) for fc, nc in zip(f.T, n.T)]
-        return values, len(singular) - len(kept), np.array(moments, dtype=object).T, peak
+        return values, np.array(moments, dtype=object).T, peak
 
-    per_sample, count, failures, sums, max_abs = np.empty(k), 0, 0, 0, 0.0
+    per_sample, count, sums, max_abs = np.empty(k), 0, 0, 0.0
     starts = range(0, k, rows)
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+        # one thread runs here: np.errstate is per thread, and a caller's reaches no worker
         batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
         # every sum is exact, so neither the batch order nor the batch size can change it
-        for values, n_singular, batch_sums, peak in batches:
+        for values, batch_sums, peak in batches:
             per_sample[count : count + len(values)] = values
             count += len(values)
-            failures += n_singular
             sums = sums + batch_sums
             max_abs = max(max_abs, peak)
 
@@ -564,7 +562,7 @@ def estimate_log_phi_tilde(
         per_sample=per_sample[:count],
         mean_log=float(s1[0] / count),
         std_err=math.sqrt(float(var[0] / count)),
-        failures=failures,
+        failures=k - count,
         max_abs_variate=max_abs,
         log_mean_det=log_mean_det,
         log_std_err_det=log_mean_det + 0.5 * _log(rel2) if rel2 > 0 else -math.inf,

@@ -243,6 +243,29 @@ class TestEstimate:
         exact_log = exact.matching_counts(WeightedGraph(2, ((0, 1, 1e308),))).log_eval(float(t))
         assert bounds["lower_log"] <= exact_log <= bounds["upper_log"]
 
+    def test_byte_order_mark_is_read(self, capsys, tmp_path, k2_file):
+        path = tmp_path / "k2-bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf2 1\n1 2 1.0\n")
+        reports = []
+        for graph in (k2_file, str(path)):
+            code, out = run_json(
+                capsys, ["estimate", "--graph", graph, "--t", "1", "--samples", "100",
+                         "--format", "json"],
+            )
+            assert code == 0
+            reports.append(json.loads(out))
+        for block in ("estimate", "bounds"):
+            assert reports[0][block] == reports[1][block]
+
+    def test_unallocatable_sample_count_is_usage_error(self, capsys, k2_file, monkeypatch):
+        def explode(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+        monkeypatch.setattr(cli, "estimate_log_phi_tilde", explode)
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--samples", "10000000000"]
+        assert main(argv) == 2
+        assert "error: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+
     def test_byte_identical_repeat_invocation(self, capsys, k2_file):
         argv = ["estimate", "--graph", k2_file, "--t", "0.5", "--samples",
                 "5000", "--seed", "11", "--format", "json"]
@@ -481,12 +504,18 @@ class TestConstants:
         "flag, value",
         [("--grid-step", "0"), ("--grid-step", "-0.25"), ("--grid-step", "nan"),
          ("--grid-step", "inf"), ("--grid-max", "nan"), ("--grid-max", "inf"),
+         ("--grid-max", "-1"),
          # more than 10^4 rows: 8e300 of them, and 10^8 + 1
          ("--grid-step", "1e-300"), ("--grid-max", "1e5 --grid-step 1e-3")],
     )
     def test_bad_grid_is_usage_error(self, capsys, flag, value):
         assert main(["constants", flag, *value.split()]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_zero_grid_max_is_one_row(self, capsys):
+        code, out = run_json(capsys, ["constants", "--format", "json", "--grid-max", "0"])
+        assert code == 0
+        assert [row["a"] for row in json.loads(out)["gap_table"]] == [0.0]
 
     def test_largest_grid(self, capsys):
         # 10^4 rows is the most a grid may hold

@@ -296,7 +296,8 @@ class TestEstimate:
                 estimate_log_phi_tilde(g, 0.0, 10**6, 0)
 
     @pytest.mark.parametrize(
-        "threads, knob, size", [(1, None, 0), (2, None, 0), (2, "_BATCH", 7), (2, "_SUM_CHUNK", 5)]
+        "threads, knob, size",
+        [(1, None, 0), (2, None, 0), (2, "_BATCH", 7), (2, "_BATCH_BYTES", 1)],
     )
     @pytest.mark.parametrize("graph, t", [("random6", 1.0), ("k23", 0.5), ("multi", 1.0)])
     def test_reduction_is_exact_bitwise(self, request, monkeypatch, graph, t, threads, knob, size):
@@ -452,6 +453,19 @@ class TestComponents:
         assert sorted((s.dense, s.coef.shape) for s in plan.stacks) == [
             (False, (1, 1, 1)), (False, (1, 2, 3)), (True, (1, 3, 3))
         ]
+
+    def test_plan_peak_memory(self):
+        # the template and the column map take 8 N^2 bytes each; the edges and each
+        # component's largest weight are read without another N x N array of doubles
+        n = 2000
+        g = path_graph(n)
+        tracemalloc.start()
+        try:
+            estimator._sample_plan(g, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * 8 * n * n
 
     @pytest.mark.parametrize(
         "graph, t, atol", [("multi", 1.0, 1e-11), ("even_multi", 1.0, 1e-11),
@@ -668,23 +682,33 @@ EXACT_SUM_CASES = {
     "negative-zero": [-0.0],
     "empty": [],
     "one": [-2.75],
-    "chunk-minus-one": _rng.normal(0, 1, estimator._SUM_CHUNK - 1),
-    "chunk-plus-one": _rng.normal(0, 1, estimator._SUM_CHUNK + 1),
-    # every mantissa at its largest: the widest partial sums a chunk can make
-    "full-mantissas": np.repeat([1 - 2.0**-53, -(1 - 2.0**-53)], [estimator._SUM_CHUNK + 1, 5]),
+    "chunk-minus-one": _rng.normal(0, 1, 2**16 - 1),
+    "chunk-plus-one": _rng.normal(0, 1, 2**16 + 1),
+    # every mantissa at its largest: the widest partial sums a binade can make
+    "full-mantissas": np.repeat([1 - 2.0**-53, -(1 - 2.0**-53)], [2**16 + 1, 5]),
 }
 
 
 class TestExactTotal:
-    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("split", [None, 3])
     @pytest.mark.parametrize("case", sorted(EXACT_SUM_CASES))
-    def test_exact_and_fsum_bitwise(self, monkeypatch, case, chunk):
+    def test_exact_and_fsum_bitwise(self, case, split):
+        # split: the total of split-term slices, as the estimator adds its batches
         x = np.asarray(EXACT_SUM_CASES[case], dtype=np.float64)
-        if chunk:
-            monkeypatch.setattr(estimator, "_SUM_CHUNK", chunk)
-        total = estimator._exact_total(x)
+        slices = [x] if split is None else [x[lo : lo + split] for lo in range(0, len(x), split)]
+        total = sum((estimator._exact_total(part) for part in slices), Fraction(0))
         assert total * 2**1126 == exact_scaled_sum(x)
         assert float(total).hex() == math.fsum(x.tolist()).hex()
+
+    def test_largest_sum_is_exact_at_every_alignment(self):
+        # 2^20 largest mantissas, each adding 2^15 (2^27 - 1) to one int64 block, beside
+        # one anchor term that sets the base binade: at 2^21 terms a block would wrap
+        top = 1 - 2.0**-53
+        for shift in range(16):
+            x = np.append(np.full(2**20, top * 2.0**shift), top)
+            assert estimator._exact_total(x) == Fraction(top) * (2**20 * 2**shift + 1), shift
+        # _moments passes _exact_total two terms a sample of one batch
+        assert 2 * estimator._BATCH <= 2**20
 
     def test_million_normals_mean_three(self):
         x = np.random.default_rng(3).normal(3.0, 1.0, 10**6)
