@@ -64,11 +64,18 @@ def c1_constant() -> float:
 def gaussian_log_gap(a: float) -> float:
     """log(1 + a^2) - E log((X+a)^2): the log-moment gap of a shifted normal.
 
-    Decreasing in a >= 0, from c1_constant() at a = 0 toward 0; for large a
-    it expands as 2/a^2 + 1/a^4 + O(a^-6).
+    Decreasing in a >= 0, from c1_constant() at a = 0 toward 0. With u = 1/a^2
+    it expands as 2u + u^2 + (16/3) u^3 + 26 u^4 + 189.2 u^5 + ... (log(1 + u)
+    less the even moments E X^2m = (2m - 1)!! of 2 E log(1 + X/a)). From a = 100
+    on it is that expansion to u^4, whose next term is below 1e-14 of the value;
+    the series, whose cost grows as a^2 and whose terms cancel to a relative
+    error near 1e-15 a^2, serves below.
     """
     if not 0.0 <= a < math.inf:
         raise ValueError("a must be finite and nonnegative")
+    if a >= 100.0:
+        u = (1.0 / a) ** 2  # 1/a first: a^2 overflows past 1.3e154
+        return u * (2.0 + u * (1.0 + u * (16.0 / 3.0 + 26.0 * u)))
     return math.log1p(a * a) - math.log(2.0) - _mean_psi_poisson(0.5 * a * a)
 
 

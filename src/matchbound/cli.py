@@ -133,13 +133,11 @@ def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, Parts, dict[str, An
 
 
 def _bracket(
-    args: argparse.Namespace, g: WeightedGraph, parts: Parts, graph: dict[str, Any], k: int
+    args: argparse.Namespace, g: WeightedGraph, parts: Parts, k: int
 ) -> tuple[EstimateResult, BoundsReport, dict[str, Any]]:
     """Estimate with k samples and bracket the result: both, and their report blocks."""
     est = estimate_log_phi_tilde(g, args.t, k, args.seed, threads=args.threads)
-    bounds = bounds_report(
-        est, graph["amplitude"], g.n_vertices, args.t, c1_constant(), parts=parts
-    )
+    bounds = bounds_report(est, g.n_vertices, args.t, c1_constant(), parts=parts)
     keys = "failures t seed mean_log std_err mean_det std_err_det log_mean_det max_abs_variate"
     blocks = {"estimate": {"samples": est.k, **_pick(est, keys)}, "bounds": asdict(bounds)}
     return est, bounds, blocks
@@ -157,11 +155,11 @@ def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         if args.eps is None or args.delta is None:
             raise ValueError("provide --samples or both --eps and --delta")
         plan = plan_samples(
-            args.eps, args.delta, g.n_vertices, graph["amplitude"], args.t,
+            args.eps, args.delta, g.n_vertices, args.t,
             heaviest_weight_sum=graph["heaviest_weight_sum"],
         )  # an edgeless graph has W = 0 and one sample, which is exact
         k = plan.samples
-    _, _, blocks = _bracket(args, g, parts, graph, k)
+    _, _, blocks = _bracket(args, g, parts, k)
 
     # thread count is deliberately not echoed: it never affects the numbers,
     # and reports must be byte-identical across worker counts
@@ -190,7 +188,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     lead = max(terms)
     log_value = lead + math.log(math.fsum(math.exp(x - lead) for x in terms))
 
-    est, bounds, blocks = _bracket(args, g, parts, graph, args.samples)
+    est, bounds, blocks = _bracket(args, g, parts, args.samples)
 
     # unbiased target: the polynomial value, times sqrt(t) when N is odd;
     # mean, target and standard error are all divided by the larger of the

@@ -352,14 +352,13 @@ class BoundsReport:
 
 
 def plan_samples(
-    epsilon: float, delta: float, n_vertices: int, amplitude: float, t: float,
-    *, heaviest_weight_sum: float | None = None,
+    epsilon: float, delta: float, n_vertices: int, t: float, *, heaviest_weight_sum: float
 ) -> FprasPlan:
     """Sample count ceil(8 W log(4/delta) / (t eps^2)), radius eps/(2N).
 
     W = sum_i max_j w_ij sums each vertex's heaviest edge weight (the graph's
-    heaviest_weight_sum, from graphs.heaviest_weight_sums); without it W is
-    the worst case a^2 N, every vertex paying the amplitude a.
+    heaviest_weight_sum, from graphs.heaviest_weight_sums); the worst case,
+    every vertex paying the largest weight a^2, is W = a^2 N.
 
     W/t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
     where Y_ij = a_ij z_ij = -Y_ji for i < j. Its gradient is df/dz_ij = a_ij K_ij
@@ -382,11 +381,7 @@ def plan_samples(
         raise ValueError("delta must be in (0, 1)")
     if n_vertices < 1:
         raise ValueError("n_vertices must be at least 1")
-    if heaviest_weight_sum is None:
-        if not amplitude > 0:
-            raise ValueError("amplitude must be positive")
-        heaviest_weight_sum = amplitude**2 * n_vertices
-    elif not heaviest_weight_sum >= 0:
+    if not heaviest_weight_sum >= 0:
         raise ValueError("heaviest_weight_sum must be nonnegative")
     if not t > 0:
         raise ValueError("t must be positive")
@@ -403,16 +398,12 @@ def plan_samples(
     )
 
 
-def tail_bound(
-    r: float, n_vertices: int, k: int, amplitude: float, t: float,
-    *, heaviest_weight_sum: float | None = None,
-) -> float:
+def tail_bound(r: float, n_vertices: int, k: int, t: float, *, heaviest_weight_sum: float) -> float:
     """Deviation probability bound 2 exp(-t k N^2 r^2 / (2W)).
 
     Bounds Pr(|mean of k log-determinants - its expectation| >= N r), by
     Gaussian concentration with the squared Lipschitz constant W/t of
-    plan_samples. W defaults to the worst case a^2 N, where the exponent is
-    t k N r^2 / (2 a^2).
+    plan_samples.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -420,14 +411,9 @@ def tail_bound(
         raise ValueError("t must be positive")
     if k < 1 or n_vertices < 1:
         raise ValueError("k and n_vertices must be at least 1")
-    if heaviest_weight_sum is None:
-        if not amplitude > 0:
-            raise ValueError("amplitude must be positive")
-        per_vertex = amplitude**2
-    elif heaviest_weight_sum > 0:
-        per_vertex = heaviest_weight_sum / n_vertices
-    else:
+    if not heaviest_weight_sum > 0:
         raise ValueError("heaviest_weight_sum must be positive")
+    per_vertex = heaviest_weight_sum / n_vertices
     return 2.0 * math.exp(-t * k * n_vertices * r**2 / (2.0 * per_vertex))
 
 
@@ -443,24 +429,22 @@ def log_gap_bound(parts: Sequence[tuple[float, int]], t: float, c1: float) -> fl
 
 
 def bounds_report(
-    est: EstimateResult, amplitude: float, n_vertices: int, t: float, c1: float,
-    *, parts: Sequence[tuple[float, int]] | None = None,
+    est: EstimateResult, n_vertices: int, t: float, c1: float, *, parts: Sequence[tuple[float, int]]
 ) -> BoundsReport:
     """Assemble the additive bracket from an estimate: gap log_gap_bound(parts, t, c1).
 
-    parts are the graph's (W_C, n_C) (graphs.heaviest_weight_sums). Without
-    them every vertex is its own part of weight a^2, the worst case
-    N min(a^2 / 2t, c1), to the bit. The finite-sample gap
-    log1p(sqrt(8kW / pi t) exp(kW / 2t)) / k, W = sum_C W_C, is never smaller,
-    so it is not reported. With E = kW / 2t its log1p argument is
-    4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1 for E >= 0 (1 at E = 0,
-    increasing since e^E > sqrt(pi E) / 2), so the gap is at least
-    log(e^E) / k = W / 2t >= log_gap_bound(parts, t, c1).
+    parts are the graph's (W_C, n_C) (graphs.heaviest_weight_sums); the worst
+    case, every vertex its own part of weight a^2, is ((a^2, 1),) * N. The
+    finite-sample gap log1p(sqrt(8kW / pi t) exp(kW / 2t)) / k, W = sum_C W_C,
+    is never smaller, so it is not reported. With E = kW / 2t its log1p
+    argument is 4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1 for E >= 0
+    (1 at E = 0, increasing since e^E > sqrt(pi E) / 2), so the gap is at
+    least log(e^E) / k = W / 2t >= log_gap_bound(parts, t, c1).
     """
     n = n_vertices
     if n % 2 == 1 and t == 0:
         raise ValueError("odd vertex counts are not defined at t = 0")
-    gap = log_gap_bound(((amplitude**2, 1),) * n if parts is None else parts, t, c1)
+    gap = log_gap_bound(parts, t, c1)
     # the determinant mean carries a sqrt(t) factor at odd N; shift the
     # bracket so it bounds the polynomial value, not the determinant mean
     parity_shift = 0.5 * math.log(t) if n % 2 == 1 else 0.0

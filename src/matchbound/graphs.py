@@ -73,7 +73,6 @@ class SkewAdjacency:
 
     dimension: int
     matrix: np.ndarray
-    amplitude: float  # max |entry|; 0 for an edgeless graph
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -177,8 +176,7 @@ def skew_adjacency(g: WeightedGraph) -> SkewAdjacency:
         root = np.sqrt(w)
         a[i, j] = root
         a[j, i] = -root
-    amplitude = float(np.sqrt(g.max_weight)) if g.edges else 0.0
-    return SkewAdjacency(g.n_vertices, a, amplitude)
+    return SkewAdjacency(g.n_vertices, a)
 
 
 def components(g: WeightedGraph) -> list[tuple[tuple[int, ...], Bipartition | None]]:

@@ -187,17 +187,17 @@ def test_criterion_06_concentration(k4_reference):
     details = []
     for r in (0.05, 0.1, 0.2, 0.4):
         freq = float((deviations >= 4.0 * r).mean())
-        bound = tail_bound(r, 4, k, 1.0, 1.0) + 0.02
+        bound = tail_bound(r, 4, k, 1.0, heaviest_weight_sum=4.0) + 0.02
         details.append(f"r={r}: {freq:.4f}<={bound:.3f}")
         assert freq <= bound, f"tail frequency {freq} exceeds {bound} at r={r}"
     _report(6, "concentration", True, "; ".join(details))
 
 
 def test_criterion_07_fpras_planner(k4_reference):
-    worked = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, 1.0)
+    worked = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
     assert worked.samples == 160
 
-    plan = plan_samples(0.5, 0.25, 4, 1.0, 1.0)
+    plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=4.0)
     hits = 0
     runs = 400
     for i in range(runs):

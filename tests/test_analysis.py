@@ -63,6 +63,25 @@ class TestGaussianLogGap:
         for a in (8.0, 10.0, 16.0):
             assert gaussian_log_gap(a) == pytest.approx(2 / a**2 + 1 / a**4, rel=0.02)
 
+    @pytest.mark.parametrize("a", [300.0, 1e3, 6e3, 1e5])
+    def test_large_shift_inside_the_rate_bracket(self, a):
+        # the series cancels to a relative error near 1e-15 a^2, outside this bracket by 6e3
+        assert 2 / a**2 < gaussian_log_gap(a) < 2 / a**2 + 2 / a**4
+
+    def test_expansion_meets_the_series_at_the_switch(self):
+        below = gaussian_log_gap(math.nextafter(100.0, 0.0))
+        assert gaussian_log_gap(100.0) == pytest.approx(below, rel=1e-10)
+        assert gaussian_log_gap(100.0) == pytest.approx(shifted_log_gap_series(100.0), rel=1e-10)
+
+    @pytest.mark.parametrize("a", [1e10, 1e150])
+    def test_huge_shift_is_the_leading_term(self, a):
+        assert gaussian_log_gap(a) == pytest.approx(2 / a**2, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [1e200, 1e308])
+    def test_shift_whose_square_overflows(self, a):
+        gap = gaussian_log_gap(a)
+        assert math.isfinite(gap) and gap >= 0.0
+
     def test_nonnegative_and_bounded_by_c1(self):
         c1 = c1_constant()
         for a in (0.0, 0.5, 1.5, 3.0, 6.0):

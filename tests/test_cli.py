@@ -517,6 +517,14 @@ class TestConstants:
         assert code == 0
         assert [row["a"] for row in json.loads(out)["gap_table"]] == [0.0]
 
+    def test_grid_past_the_square_of_a_double(self, capsys):
+        # a^2 overflows past a = 1.3e154, and the Poisson mode with it
+        argv = ["constants", "--format", "json", "--grid-max", "1e200", "--grid-step", "1e197"]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        gaps = [row["gap"] for row in json.loads(out)["gap_table"]]
+        assert len(gaps) >= 1000 and all(g is not None and g >= 0 for g in gaps)
+
     def test_largest_grid(self, capsys):
         # 10^4 rows is the most a grid may hold
         code, out = run_json(

@@ -746,6 +746,11 @@ def mixed_graph(seed: int) -> WeightedGraph:
     return WeightedGraph(n, tuple((int(label[u]), int(label[v]), w) for u, v, w in edges))
 
 
+def worst_case_parts(g: WeightedGraph) -> tuple[tuple[float, int], ...]:
+    """Every vertex its own part of the largest weight a^2: the worst-case bracket."""
+    return ((g.max_weight, 1),) * g.n_vertices
+
+
 def worst_case_gap(g: WeightedGraph, t: float, c1: float) -> float:
     a = math.sqrt(g.max_weight)
     return g.n_vertices * min(a**2 / t / 2.0, c1)
@@ -753,41 +758,44 @@ def worst_case_gap(g: WeightedGraph, t: float, c1: float) -> float:
 
 class TestPlanner:
     def test_worked_example(self):
-        plan = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, 1.0)
+        plan = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
         assert plan.samples == 160
         assert plan.deviation_radius == pytest.approx(0.05)
 
     def test_cli_example(self):
-        plan = plan_samples(0.5, 0.25, 2, 1.0, 1.0)
+        plan = plan_samples(0.5, 0.25, 2, 1.0, heaviest_weight_sum=2.0)
         assert plan.samples == 178
 
     def test_amplitude_scaling(self):
-        base = plan_samples(0.5, 0.25, 6, 1.0, 1.0)
-        doubled = plan_samples(0.5, 0.25, 6, 2.0, 1.0)
+        base = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
+        doubled = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=2.0**2 * 6)
         assert doubled.samples == pytest.approx(4 * base.samples, abs=4)
 
     def test_epsilon_scaling(self):
-        base = plan_samples(0.5, 0.25, 6, 1.0, 1.0)
-        halved = plan_samples(0.25, 0.25, 6, 1.0, 1.0)
+        base = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
+        halved = plan_samples(0.25, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
         assert halved.samples == pytest.approx(4 * base.samples, abs=4)
 
     @pytest.mark.parametrize("epsilon, t", [(1e-160, 1.0), (1e-170, 1.0), (0.5, 5e-324)])
     def test_unbounded_count_is_value_error(self, epsilon, t):
         # the count overflows, or t eps^2 underflows to zero
         with pytest.raises(ValueError, match="not finite"):
-            plan_samples(epsilon, 0.1, 2, 1.0, t)
+            plan_samples(epsilon, 0.1, 2, t, heaviest_weight_sum=2.0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            plan_samples(0.0, 0.25, 4, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            plan_samples(1.5, 0.25, 4, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            plan_samples(0.5, 1.0, 4, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            plan_samples(0.5, 0.25, 4, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            plan_samples(0.5, 0.25, 4, 1.0, 0.0)
+        for args in [(0.0, 0.25, 4, 1.0), (1.5, 0.25, 4, 1.0), (0.5, 1.0, 4, 1.0),
+                     (0.5, 0.25, 0, 1.0), (0.5, 0.25, 4, 0.0)]:
+            with pytest.raises(ValueError):
+                plan_samples(*args, heaviest_weight_sum=4.0)
+
+    def test_old_positional_call_is_type_error(self):
+        # the amplitude argument is gone: a fifth positional value is never read as W
+        with pytest.raises(TypeError):
+            plan_samples(0.5, 0.25, 4, 1.0, 1.0)
+        with pytest.raises(TypeError):
+            tail_bound(0.1, 4, 4, 1.0, 1.0)
+        with pytest.raises(TypeError):
+            bounds_report(estimate_log_phi_tilde(complete_graph(2), 1.0, 1, 0), 1.0, 2, 1.0, 1.0)
 
     @pytest.mark.parametrize("epsilon, delta, n, a, t", [
         (1.0, 4.0 / math.exp(2.0), 10, 1.0, 1.0), (0.5, 0.25, 2, 1.0, 1.0),
@@ -795,9 +803,8 @@ class TestPlanner:
         (0.3, 0.01, 7, 1e-3, 1e-5), (0.9, 0.5, 3, 1e10, 1e12),
     ])
     def test_worst_case_is_the_default(self, epsilon, delta, n, a, t):
-        # the worst case W = a^2 N keeps its own count: criterion 07's 160 among them
-        worst = plan_samples(epsilon, delta, n, a, t)
-        assert worst == plan_samples(epsilon, delta, n, a, t, heaviest_weight_sum=a**2 * n)
+        # the worst case, passed in as W = a^2 N, keeps its count: criterion 07's 160 among them
+        worst = plan_samples(epsilon, delta, n, t, heaviest_weight_sum=a**2 * n)
         k = 8.0 * a**2 * n * math.log(4.0 / delta) / (t * epsilon**2)
         assert worst.samples == max(1, math.ceil(k))
 
@@ -805,13 +812,11 @@ class TestPlanner:
     def test_heaviest_weight_sum_never_plans_more(self, seed):
         g = mixed_graph(seed)
         heaviest, _ = heaviest_weight_sums(g)
-        a = math.sqrt(g.max_weight)
         for epsilon, delta, t in [(0.5, 0.25, 1.0), (0.1, 0.01, 0.3), (1.0, 0.9, 7.0)]:
-            args = (epsilon, delta, g.n_vertices, a, t)
+            args = (epsilon, delta, g.n_vertices, t)
             plan = plan_samples(*args, heaviest_weight_sum=heaviest)
             bound = plan_samples(*args, heaviest_weight_sum=g.max_weight * g.n_vertices)
             assert plan.samples <= bound.samples
-            assert plan.samples <= plan_samples(*args).samples
             assert plan.deviation_radius == bound.deviation_radius
 
     def test_sparse_workload_plan(self):
@@ -819,43 +824,45 @@ class TestPlanner:
         g = sparse_graph()
         heaviest, _ = heaviest_weight_sums(g)
         assert heaviest == 160.0
-        a = skew_adjacency(g).amplitude
-        assert plan_samples(1.0, 0.1, 128, a, 1.0).samples == 7555
-        assert plan_samples(1.0, 0.1, 128, a, 1.0, heaviest_weight_sum=heaviest).samples == 4722
+        worst = g.max_weight * g.n_vertices
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 7555
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=heaviest).samples == 4722
 
     def test_edgeless_graph_plans_one_sample(self):
-        plan = plan_samples(0.5, 0.25, 4, 0.0, 1.0, heaviest_weight_sum=0.0)
+        plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=0.0)
         assert plan.samples == 1
         assert plan.deviation_radius == 0.0625
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_bad_heaviest_weight_sum(self, bad):
         with pytest.raises(ValueError, match="heaviest_weight_sum"):
-            plan_samples(0.5, 0.25, 4, 1.0, 1.0, heaviest_weight_sum=bad)
+            plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=bad)
 
     def test_infinite_heaviest_weight_sum_is_not_finite(self):
         with pytest.raises(ValueError, match="not finite"):
-            plan_samples(0.5, 0.25, 4, 1.0, 1.0, heaviest_weight_sum=math.inf)
+            plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=math.inf)
 
 
 class TestTailBound:
     def test_direct_substitution(self):
-        assert tail_bound(1.0, 1, 1, 1.0, 2.0) == pytest.approx(2.0 / math.e, rel=1e-15)
+        bound = tail_bound(1.0, 1, 1, 2.0, heaviest_weight_sum=1.0)
+        assert bound == pytest.approx(2.0 / math.e, rel=1e-15)
 
     def test_vacuous_at_zero_radius(self):
-        assert tail_bound(0.0, 4, 10, 1.0, 1.0) == 2.0
+        assert tail_bound(0.0, 4, 10, 1.0, heaviest_weight_sum=4.0) == 2.0
 
     def test_planner_consistency(self):
         for eps, delta in [(0.5, 0.25), (0.2, 0.1), (1.0, 0.9)]:
-            plan = plan_samples(eps, delta, 6, 1.3, 0.7)
-            bound = tail_bound(plan.deviation_radius, 6, plan.samples, 1.3, 0.7)
+            plan = plan_samples(eps, delta, 6, 0.7, heaviest_weight_sum=1.3**2 * 6)
+            r, k = plan.deviation_radius, plan.samples
+            bound = tail_bound(r, 6, k, 0.7, heaviest_weight_sum=1.3**2 * 6)
             assert bound <= delta / 2.0 + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tail_bound(-0.1, 1, 1, 1.0, 1.0)
+            tail_bound(-0.1, 1, 1, 1.0, heaviest_weight_sum=1.0)
         with pytest.raises(ValueError):
-            tail_bound(0.1, 1, 1, 1.0, 0.0)
+            tail_bound(0.1, 1, 1, 0.0, heaviest_weight_sum=1.0)
 
     @pytest.mark.parametrize("r, n, k, a, t", [
         (1.0, 1, 1, 1.0, 2.0), (0.05, 4, 4, 1.0, 1.0), (0.1, 4, 4, 1.0, 1.0),
@@ -864,23 +871,23 @@ class TestTailBound:
     ])
     def test_worst_case_bits(self, r, n, k, a, t):
         want = 2.0 * math.exp(-t * k * n * r**2 / (2.0 * a**2))
-        assert tail_bound(r, n, k, a, t) == want
+        assert tail_bound(r, n, k, t, heaviest_weight_sum=a**2 * n) == want
 
     @pytest.mark.parametrize("seed", range(8))
     def test_planner_consistency_with_heaviest_weight_sum(self, seed):
         g = mixed_graph(seed)
         heaviest, _ = heaviest_weight_sums(g)
-        n, a = g.n_vertices, math.sqrt(g.max_weight)
+        n, worst = g.n_vertices, g.max_weight * g.n_vertices
         for eps, delta, t in [(0.5, 0.25, 1.0), (0.2, 0.1, 0.4), (1.0, 0.9, 3.0)]:
-            plan = plan_samples(eps, delta, n, a, t, heaviest_weight_sum=heaviest)
+            plan = plan_samples(eps, delta, n, t, heaviest_weight_sum=heaviest)
             r, k = plan.deviation_radius, plan.samples
-            bound = tail_bound(r, n, k, a, t, heaviest_weight_sum=heaviest)
+            bound = tail_bound(r, n, k, t, heaviest_weight_sum=heaviest)
             assert bound <= delta / 2.0 + 1e-12
-            assert bound <= tail_bound(r, n, k, a, t)
+            assert bound <= tail_bound(r, n, k, t, heaviest_weight_sum=worst)
 
     def test_heaviest_weight_sum_validation(self):
         with pytest.raises(ValueError, match="heaviest_weight_sum"):
-            tail_bound(0.1, 2, 1, 1.0, 1.0, heaviest_weight_sum=0.0)
+            tail_bound(0.1, 2, 1, 1.0, heaviest_weight_sum=0.0)
 
     def test_tail_frequencies_on_unequal_weights(self):
         # criterion 06's check against the sharper bound: P3 of weights 0.5, 2, a K2 of
@@ -896,8 +903,8 @@ class TestTailBound:
         deviations = np.abs(means - reference)
         for r in (0.1, 0.2, 0.3, 0.4):
             freq = float((deviations >= 7 * r).mean())
-            bound = tail_bound(r, 7, k, math.sqrt(3.0), t, heaviest_weight_sum=heaviest)
-            assert bound < tail_bound(r, 7, k, math.sqrt(3.0), t)
+            bound = tail_bound(r, 7, k, t, heaviest_weight_sum=heaviest)
+            assert bound < tail_bound(r, 7, k, t, heaviest_weight_sum=3.0 * 7)
             assert freq <= bound + 0.02, f"tail frequency {freq} exceeds {bound} at r={r}"
 
 
@@ -907,26 +914,25 @@ class TestBoundsReport:
 
     def test_small_shift_regime(self, k4):
         est = self._est(complete_graph(10), 1.0)
-        rep = bounds_report(est, 1.0, 10, 1.0, c1_constant())
+        rep = bounds_report(est, 10, 1.0, c1_constant(), parts=((10.0, 10),))
         assert rep.gap_asymptotic == pytest.approx(5.0, rel=1e-12)
         assert rep.per_vertex_gap == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_regime(self):
         est = self._est(complete_graph(10), 0.1)
-        rep = bounds_report(est, 1.0, 10, 0.1, c1_constant())
+        rep = bounds_report(est, 10, 0.1, c1_constant(), parts=((10.0, 10),))
         assert rep.gap_asymptotic == pytest.approx(12.70362845, abs=1e-6)
 
     def test_gap_vanishes_for_large_t(self, k4):
         est = self._est(k4, 1e9)
-        rep = bounds_report(est, 1.0, 4, 1e9, c1_constant())
+        rep = bounds_report(est, 4, 1e9, c1_constant(), parts=((4.0, 4),))
         assert rep.gap_asymptotic < 1e-8
         assert rep.upper_log - rep.lower_log < 1e-8
 
     def test_upper_never_below_lower(self, k4, random6):
         for g, t in [(k4, 0.5), (random6, 1.0), (random6, 3.0)]:
             est = self._est(g, t)
-            a = math.sqrt(g.max_weight)
-            rep = bounds_report(est, a, g.n_vertices, t, c1_constant())
+            rep = bounds_report(est, g.n_vertices, t, c1_constant(), parts=worst_case_parts(g))
             assert rep.upper_log >= rep.lower_log
             assert rep.gap_asymptotic >= 0
             assert rep.upper_log == rep.lower_log + rep.gap_asymptotic
@@ -936,7 +942,7 @@ class TestBoundsReport:
         # pi * t overflows a double past ~5.7e307
         for g in (k4, triangle):
             est = self._est(g, t, k=50)
-            rep = bounds_report(est, 1.0, g.n_vertices, t, c1_constant())
+            rep = bounds_report(est, g.n_vertices, t, c1_constant(), parts=worst_case_parts(g))
             assert all(math.isfinite(x) for x in astuple(rep))
             assert rep.gap_asymptotic >= 0
             assert rep.upper_log >= rep.lower_log
@@ -944,7 +950,7 @@ class TestBoundsReport:
     def test_edgeless_gap_zero(self):
         g = WeightedGraph(4, ())
         est = self._est(g, 2.0)
-        rep = bounds_report(est, 0.0, 4, 2.0, c1_constant())
+        rep = bounds_report(est, 4, 2.0, c1_constant(), parts=heaviest_weight_sums(g)[1])
         assert rep.gap_asymptotic == 0.0
         assert rep.upper_log == rep.lower_log
 
@@ -952,8 +958,7 @@ class TestBoundsReport:
         for g in (k4, triangle, random6):
             for t in (0.5, 1.0, 2.0):
                 est = estimate_log_phi_tilde(g, t, 50_000, 3)
-                a = math.sqrt(g.max_weight)
-                rep = bounds_report(est, a, g.n_vertices, t, c1_constant())
+                rep = bounds_report(est, g.n_vertices, t, c1_constant(), parts=worst_case_parts(g))
                 log_phi = math.log(matching_counts(g).eval(t))
                 slack = 4 * est.std_err
                 assert rep.lower_log - slack <= log_phi <= rep.upper_log + slack
@@ -972,7 +977,7 @@ class TestBoundsReport:
             want = n * c1
         else:
             want = n * min(a**2 / t / 2.0, c1)
-        rep = bounds_report(est, a, n, t, c1)
+        rep = bounds_report(est, n, t, c1, parts=((a**2, 1),) * n)
         assert rep.gap_asymptotic == want
         assert rep.per_vertex_gap == want / n
 
@@ -1004,7 +1009,7 @@ class TestBoundsReport:
         assert g.n_vertices % 2 == 1 and len(parts) >= 2
         assert sum(n for _, n in parts) < g.n_vertices  # isolated vertices
         est = estimate_log_phi_tilde(g, t, 20_000, 90 + seed)
-        rep = bounds_report(est, math.sqrt(g.max_weight), g.n_vertices, t, c1, parts=parts)
+        rep = bounds_report(est, g.n_vertices, t, c1, parts=parts)
         assert rep.gap_asymptotic < worst_case_gap(g, t, c1)
         log_phi = matching_counts(g).log_eval(t)
         slack = 4 * est.std_err
@@ -1013,7 +1018,7 @@ class TestBoundsReport:
     def test_odd_parity_shift(self, triangle):
         # at t = 4 the raw mean_log exceeds log(phi); the report must not
         est = estimate_log_phi_tilde(triangle, 4.0, 50_000, 3)
-        rep = bounds_report(est, 1.0, 3, 4.0, c1_constant())
+        rep = bounds_report(est, 3, 4.0, c1_constant(), parts=worst_case_parts(triangle))
         assert rep.lower_log == est.mean_log - 0.5 * math.log(4.0)
         log_phi = math.log(matching_counts(triangle).eval(4.0))
         assert rep.lower_log - 4 * est.std_err <= log_phi <= rep.upper_log + 4 * est.std_err

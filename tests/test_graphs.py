@@ -92,17 +92,14 @@ class TestSkewAdjacency:
     def test_k2_weight_four(self, k2_w4):
         adj = skew_adjacency(k2_w4)
         assert np.array_equal(adj.matrix, [[0.0, 2.0], [-2.0, 0.0]])
-        assert adj.amplitude == 2.0
 
     def test_edgeless_graph(self):
         adj = skew_adjacency(WeightedGraph(3, ()))
         assert np.array_equal(adj.matrix, np.zeros((3, 3)))
-        assert adj.amplitude == 0.0
 
     def test_triangle_upper_entries(self, triangle):
         adj = skew_adjacency(triangle)
         assert adj.matrix[0, 1] == adj.matrix[0, 2] == adj.matrix[1, 2] == 1.0
-        assert adj.amplitude == 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_squared_entries_reproduce_weights(self, seed):
