@@ -131,10 +131,10 @@ def optimality_sweep(
             g = complete_bipartite_graph(m, n, weight_hi)
             exact_log = complete_bipartite_counts(m, n, weight_hi).log_eval(t)
         else:
-            span = weight_hi - weight_lo
-            picks = _weight_draws(row_seed, m * n)
+            # the last stream, 2**64 - 1, holds no sample's normals short of 2**64 samples
+            picks = RngStream(row_seed, 2**64 - 1).uniforms(m * n).tolist()
             edges = tuple(
-                (i, m + j, weight_lo + span * picks[i * n + j])
+                (i, m + j, weight_lo + (weight_hi - weight_lo) * picks[i * n + j])
                 for i in range(m)
                 for j in range(n)
             )
@@ -160,7 +160,3 @@ def optimality_sweep(
             )
         )
     return rows
-
-
-def _weight_draws(seed: int, count: int) -> list[float]:
-    return [float(u) for u in RngStream(seed, 0).uniforms(count)]

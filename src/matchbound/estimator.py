@@ -273,32 +273,29 @@ def _log(r: Fraction) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EstimateResult:
-    """Per-sample log-determinants and their mean.
+    """The mean log-determinant of k samples, and the mean determinant.
 
-    per_sample holds the non-singular draws in sample-index order; failures
-    counts singular draws (possible only at t = 0, where matchbound.linalg
-    calls a draw singular when s_min <= N * eps * s_max). mean_log estimates
-    E log det(sqrt(t) I + Y); exp(mean_log) is the certified lower-bound
-    quantity, while mean_det estimates the polynomial value itself (times
-    sqrt(t) at odd N), as the product over components of their mean
-    determinants, unbiased as components draw disjoint normals; std_err_det
-    is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both are kept
-    as logs, and are inf where they exceed the largest double.
+    failures counts singular draws (possible only at t = 0, where matchbound.linalg calls
+    a draw singular when s_min <= N * eps * s_max). mean_log estimates the expectation
+    E log det(sqrt(t) I + Y); exp(mean_log) is the certified lower-bound quantity, while
+    mean_det estimates the polynomial value itself (times sqrt(t) at odd N), as the product
+    over components of their mean determinants, unbiased as components draw disjoint
+    normals; std_err_det is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both
+    are kept as logs, and are inf where they exceed the largest double.
 
     Every statistic comes from the exact moments S1 = sum x and S2 = sum x^2
     (_moments) of the log-determinants and of each component's determinants:
     mean_log is S1 / k rounded once, and std_err is sqrt(var / k) of the exact
     var = (k S2 - S1^2) / (k (k - 1)), which is 0 at k = 1 and for equal
     samples. So neither the thread count nor the batch size moves a bit of
-    any field. per_sample, 8 bytes a sample, is written and never read back;
-    it is the only storage that grows with k. Each batch's variates and
-    matrices stay within _BATCH_BYTES per thread, whatever N (see _batch_rows).
+    any field. No storage grows with k: each thread adds up its own batches'
+    moments as it goes, and a batch's variates and matrices stay within
+    _BATCH_BYTES, whatever N (see _batch_rows).
     """
 
     k: int
     t: float
     seed: int
-    per_sample: np.ndarray
     mean_log: float
     std_err: float
     failures: int
@@ -372,8 +369,8 @@ def plan_samples(
     probability at most 2 exp(-t k N^2 r^2 / (2W)) (tail_bound), which is at most
     delta/2 at this k and r = eps/(2N): the geometric-mean estimate is within a
     multiplicative (1 +- epsilon) of its target. An edgeless graph has W = 0 and
-    takes one sample. A count that is not finite, or that an array of one double
-    a sample cannot hold, raises ValueError.
+    takes one sample. A count that is not finite, or past 2**64, one sample per
+    uint64 index, raises ValueError.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must be in (0, 1]")
@@ -388,8 +385,9 @@ def plan_samples(
     k = 8.0 * heaviest_weight_sum * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
     if not k < math.inf:  # the count overflows, or t eps^2 underflows to 0
         raise ValueError(f"the planned sample count is not finite at eps {epsilon}, t {t}")
-    if k > np.iinfo(np.intp).max // 8:  # per_sample holds 8 bytes a sample
-        raise ValueError(f"the planned sample count {k:.3g} is too large at eps {epsilon}, t {t}")
+    if k > 2**64:
+        msg = f"the planned sample count {k:.3g} is too large at eps {epsilon}, t {t}"
+        raise ValueError(f"{msg}: it must be at most 2**64, one per uint64 index")
     return FprasPlan(
         epsilon=epsilon,
         delta=delta,
@@ -457,6 +455,36 @@ def bounds_report(
     )
 
 
+def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
+    """Samples start to start + count - 1: (non-singular log-determinants in index order,
+    their exact moments and each component's determinants', largest |normal| used). The
+    kernels are module attributes, looked up at each call, so a wrapper of one is used.
+    """
+    z = _normal_block(seed, start, count, plan.blocks)
+    z[:, plan.idle] = 0.0  # they enter no matrix, so they leave the peak alone
+    parts = [np.zeros((count, 0))]
+    for s in plan.stacks:
+        kernel = skew_logdet_batch if s.dense else gram_logdet_batch
+        try:
+            values = kernel(_matrices(s, z, t), t)
+        except NonPositiveDeterminantError as exc:  # name the sample drawn, not the row
+            members, i = len(s.coef), exc.index
+            row, member = (i % count, i // count) if s.small else (i // members, i % members)
+            msg = f"sample {start + row}, component {member} of {members} alike: {exc}"
+            raise NonPositiveDeterminantError(msg) from None
+        parts.append(values.reshape(-1, count).T if s.small else values.reshape(count, -1))
+    per_comp = np.concatenate(parts, axis=1)
+    shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0
+    total = sum(per_comp.T, np.full(count, shift))  # component by component, in plan order
+    singular = total == -np.inf  # a singular component's value is -inf
+    peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
+    kept, values = per_comp[~singular], total[~singular]
+    n = np.floor(kept / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
+    f = np.exp(kept - n * _LN2)
+    moments = [_moments(values)] + [_moments(fc, nc) for fc, nc in zip(f.T, n.T)]
+    return values, np.array(moments, dtype=object).T, peak
+
+
 def estimate_log_phi_tilde(
     g: WeightedGraph,
     t: float,
@@ -470,11 +498,11 @@ def estimate_log_phi_tilde(
     Each connected component takes its own route: the Gram-matrix route when
     it is bipartite and U U^T keeps t (see _sample_plan), the dense
     antisymmetric factorization otherwise; a sample's value is the sum over
-    components, in a fixed order. Results are bitwise independent of the
-    thread count and the batch size.
+    components, in a fixed order. Thread i of n sums batches i, i + n, ... exactly, so no
+    thread count or batch size moves a result, nor which failing batch's error is raised.
     """
-    if k < 1:
-        raise ValueError("sample count must be at least 1")
+    if not 1 <= k <= 2**64:
+        raise ValueError("the sample count must be from 1 to 2**64, one per uint64 index")
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     if threads is not None and threads < 1:
@@ -492,62 +520,38 @@ def estimate_log_phi_tilde(
         raise EstimatorError(f"all {k} samples were singular at t = 0: {msg}")
     shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0  # isolated vertices
 
-    rows = _batch_rows(plan)  # fixed per call: the partition depends on the plan alone
+    rows, n = _batch_rows(plan), threads or 1  # rows depend on the plan alone
+    failed = []  # (start, error) of each failing batch; a stale read runs one more batch
 
-    def run(start: int):
-        b = min(rows, k - start)
-        z = _normal_block(seed, start, b, plan.blocks)
-        z[:, plan.idle] = 0.0  # they enter no matrix, so they leave max_abs_variate alone
-        parts = [np.zeros((b, 0))]
-        for s in plan.stacks:
-            kernel = skew_logdet_batch if s.dense else gram_logdet_batch
+    def share(first: int):
+        count, sums, peak = 0, 0, 0.0
+        for start in range(first, k, n * rows):
+            if failed and min(failed)[0] < start:  # a lower batch failed: stop here
+                break
             try:
-                values = kernel(_matrices(s, z, t), t)
-            except NonPositiveDeterminantError as exc:  # name the sample drawn, not the row
-                members, i = len(s.coef), exc.index
-                row, member = (i % b, i // b) if s.small else (i // members, i % members)
-                msg = f"sample {start + row}, component {member} of {members} alike: {exc}"
-                raise NonPositiveDeterminantError(msg) from None
-            parts.append(values.reshape(-1, b).T if s.small else values.reshape(b, -1))
-        per_comp = np.concatenate(parts, axis=1)
-        total = sum(per_comp.T, np.full(b, shift))  # component by component, in plan order
-        singular = total == -np.inf  # a singular component's value is -inf
-        peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
-        kept, values = per_comp[~singular], total[~singular]
-        n = np.floor(kept / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
-        f = np.exp(kept - n * _LN2)
-        moments = [_moments(values)] + [_moments(fc, nc) for fc, nc in zip(f.T, n.T)]
-        return values, np.array(moments, dtype=object).T, peak
+                values, batch_sums, batch_peak = _batch(plan, t, seed, start, min(rows, k - start))
+                count, sums, peak = count + len(values), sums + batch_sums, max(peak, batch_peak)
+            except BaseException as exc:  # a Ctrl-C too: the other shares stop
+                failed.append((start, exc))
+        return count, sums, peak
 
-    per_sample, count, sums, max_abs = np.empty(k), 0, 0, 0.0
-    starts = range(0, k, rows)
-    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-        # one thread runs here: np.errstate is per thread, and a caller's reaches no worker
-        batches = pool.map(run, starts) if threads and threads > 1 else map(run, starts)
-        # every sum is exact, so neither the batch order nor the batch size can change it
-        for values, batch_sums, peak in batches:
-            per_sample[count : count + len(values)] = values
-            count += len(values)
-            sums = sums + batch_sums
-            max_abs = max(max_abs, peak)
-
-    if count == 0:
-        raise EstimatorError(f"all {k} samples were singular at t = {t}")
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        # one share runs here: np.errstate is per thread, and a caller's reaches no worker
+        others = pool.map(share, range(rows, n * rows, rows))
+        counts, sums, peaks = zip(share(0), *others)
+    if failed:
+        raise min(failed)[1]
     # column 0 sums the log-determinants, column C + 1 component C's determinants; each
     # unbiased variance is exact, and 0 at k = 1, where k S2 = S1^2
-    s1, s2 = sums
+    count, (s1, s2) = sum(counts), sum(sums)
+    if count == 0:
+        raise EstimatorError(f"all {k} samples were singular at t = {t}")
     var = (count * s2 - s1 * s1) / (count * max(count - 1, 1))
     log_mean_det = math.fsum(_log(m) for m in s1[1:] / count) + shift
     rel2 = (var[1:] * count / (s1[1:] * s1[1:])).sum()  # sum_C var_C / (k mean_C^2)
     return EstimateResult(
-        k=k,
-        t=t,
-        seed=seed,
-        per_sample=per_sample[:count],
-        mean_log=float(s1[0] / count),
-        std_err=math.sqrt(float(var[0] / count)),
-        failures=k - count,
-        max_abs_variate=max_abs,
+        k=k, t=t, seed=seed, failures=k - count, max_abs_variate=max(peaks),
+        mean_log=float(s1[0] / count), std_err=math.sqrt(float(var[0] / count)),
         log_mean_det=log_mean_det,
         log_std_err_det=log_mean_det + 0.5 * _log(rel2) if rel2 > 0 else -math.inf,
     )

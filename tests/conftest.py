@@ -276,6 +276,24 @@ def stream_oracle(seed: int, first_stream: int, n_streams: int, blocks) -> np.nd
     return z
 
 
+def estimate_with_samples(g: WeightedGraph, t: float, k: int, seed: int, **kwargs):
+    """(est, per_sample): one real estimate_log_phi_tilde call, at any thread count, and
+    its non-singular log-determinants in sample order, recorded by wrapping
+    estimator._batch for that call. The estimator keeps no samples of its own."""
+    batch, seen = estimator._batch, {}
+
+    def record(plan, t, seed, start, count):
+        seen[start] = (out := batch(plan, t, seed, start, count))[0]
+        return out
+
+    estimator._batch = record
+    try:
+        est = estimator.estimate_log_phi_tilde(g, t, k, seed, **kwargs)
+    finally:
+        estimator._batch = batch
+    return est, np.concatenate([seen[start] for start in sorted(seen)])
+
+
 def exact_reduction(per_sample: np.ndarray) -> tuple[float, float]:
     """(mean_log, std_err) of the samples from exact rationals, each rounded once.
 

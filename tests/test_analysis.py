@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from matchbound import analysis
 from matchbound.analysis import c1_constant, gaussian_log_gap, optimality_sweep
-from matchbound.estimator import RngStream, derive_seed
+from matchbound.estimator import RngStream, derive_seed, estimate_log_phi_tilde
 from matchbound.exact import complete_bipartite_counts
 
 from conftest import EULER_GAMMA, gauss_hermite_expect, shifted_log_gap_series
@@ -131,13 +132,29 @@ class TestOptimalitySweep:
     def test_random_weight_gap_bound_is_per_component(self, side, t):
         # the bracket's own gap, per vertex: sharper than min(w_hi / 2t, c1)
         row = optimality_sweep([side], t, 0.25, 4.0, 13, 50)[0]
-        u = RngStream(derive_seed(13, 0), 0).uniforms(row.m * row.n)
+        u = RngStream(derive_seed(13, 0), 2**64 - 1).uniforms(row.m * row.n)
         w = 0.25 + 3.75 * u.reshape(row.m, row.n)
         heaviest = math.fsum(w.max(axis=1)) + math.fsum(w.max(axis=0))
         n_vertices = row.m + row.n
         want = min(heaviest / t / 2.0, n_vertices * c1_constant()) / n_vertices
         assert row.gap_bound == pytest.approx(want, rel=1e-15)
         assert row.gap_bound < min(4.0 / t / 2.0, c1_constant())
+
+    def test_random_weights_share_no_uniform_with_the_samples(self, monkeypatch):
+        # each weight is lo + span u for a uniform u of its own; none may be a uniform
+        # that a sample of the same row turns into a normal
+        calls = []
+
+        def record(g, t, k, seed, **kwargs):
+            calls.append((g, k, seed))
+            return estimate_log_phi_tilde(g, t, k, seed, **kwargs)
+
+        monkeypatch.setattr(analysis, "estimate_log_phi_tilde", record)
+        optimality_sweep([(2, 3)], 1.0, 0.25, 4.0, 7, 50)
+        (g, k, seed), = calls
+        pairs = g.n_vertices * (g.n_vertices - 1) // 2  # positions 1 to 2 pairs hold every block
+        drawn = {0.25 + 3.75 * u for i in range(k) for u in RngStream(seed, i).uniforms(2 * pairs)}
+        assert not drawn & {w for _, _, w in g.edges}
 
     def test_random_weight_mode_large_sides(self):
         # K_{8,8} with random weights is counted exactly by the profile DP

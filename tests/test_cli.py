@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-import matchbound.analysis as analysis
 import matchbound.cli as cli
 import matchbound.estimator as estimator
 import matchbound.exact as exact
@@ -210,12 +209,20 @@ class TestEstimate:
         assert "error: the planned sample count is not finite" in capsys.readouterr().err
 
     def test_plan_past_any_array_is_usage_error(self, capsys, k2_file):
-        # 5.9e21 samples: finite, but past what an array of one double a sample can hold
+        # 5.9e21 samples: finite, but past 2**64, the count of uint64 sample indices
         argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "1e-10", "--delta", "0.1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error: the planned sample count 5.9e+21 is too large" in err
         assert "eps 1e-10, t 1.0" in err
+
+    def test_samples_past_the_indices_is_usage_error(self, capsys, k2_file):
+        # 10**30 samples have no uint64 index: the count is refused before any is drawn
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--samples", str(10**30)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the sample count must be from 1 to 2**64" in captured.err
 
     def test_ill_scaled_bipartite_path_takes_the_dense_route(self, capsys, tmp_path):
         # the path 3-1-4-2: forming U U^T would lose t; the dense route keeps it
@@ -443,7 +450,7 @@ class TestBench:
         assert code == 0
         # K_{2,2} with weights 0.5 + 1.5 u: the per-vertex gap min(W / 2Nt, c1) of
         # its heaviest weight sum W, below the worst case min(2 / 2t, c1) = 1
-        u = analysis._weight_draws(estimator.derive_seed(4, 0), 4)
+        u = estimator.RngStream(estimator.derive_seed(4, 0), 2**64 - 1).uniforms(4).tolist()
         w = [[0.5 + 1.5 * u[2 * i + j] for j in range(2)] for i in range(2)]
         heaviest = sum(map(max, w)) + sum(map(max, zip(*w)))
         gap_bound = json.loads(out)["rows"][0]["gap_bound"]

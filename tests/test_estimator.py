@@ -42,6 +42,7 @@ from matchbound.linalg import (
 
 from conftest import (
     RANDOM6_EDGES,
+    estimate_with_samples,
     exact_det,
     exact_log,
     exact_reduction,
@@ -197,15 +198,15 @@ class TestEstimate:
                 assert math.exp(est.mean_log) <= est.mean_det * (1 + 1e-12)
 
     def test_bitwise_determinism(self, k23):
-        a = estimate_log_phi_tilde(k23, 0.5, 9000, 42)
-        b = estimate_log_phi_tilde(k23, 0.5, 9000, 42)
-        assert np.array_equal(a.per_sample, b.per_sample)
+        a, a_samples = estimate_with_samples(k23, 0.5, 9000, 42)
+        b, b_samples = estimate_with_samples(k23, 0.5, 9000, 42)
+        assert np.array_equal(a_samples, b_samples)
         assert a.mean_log == b.mean_log and a.std_err == b.std_err
 
     def test_thread_count_invariance(self, k23):
-        one = estimate_log_phi_tilde(k23, 1.0, 9000, 5, threads=1)
-        many = estimate_log_phi_tilde(k23, 1.0, 9000, 5, threads=8)
-        assert np.array_equal(one.per_sample, many.per_sample)
+        one, one_samples = estimate_with_samples(k23, 1.0, 9000, 5, threads=1)
+        many, many_samples = estimate_with_samples(k23, 1.0, 9000, 5, threads=8)
+        assert np.array_equal(one_samples, many_samples)
         assert one.mean_log == many.mean_log
 
     def test_fast_path_agrees_with_dense(self, k23, p6):
@@ -217,7 +218,7 @@ class TestEstimate:
         c4 = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
         cases = ((k23, 1.0, 1e-11), (p6, 0.0, 1e-10), (c4, 0.0, 1e-10), (c4, 1.0, 1e-11))
         for g, t, atol in cases:
-            fast = estimate_log_phi_tilde(g, t, 3000, 9)
+            fast, fast_samples = estimate_with_samples(g, t, 3000, 9)
             adj = skew_adjacency(g)
             dense, failures = [], 0
             for i in range(3000):
@@ -226,7 +227,7 @@ class TestEstimate:
                 except SingularAtZeroError:
                     failures += 1
             assert fast.failures == failures
-            assert np.allclose(fast.per_sample, dense, rtol=0, atol=atol)
+            assert np.allclose(fast_samples, dense, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("graph, t", [("k4", 0.0), ("random6", 0.0), ("random6", 1.0)])
     def test_dense_route_is_the_oracle_bitwise(self, request, graph, t):
@@ -234,9 +235,9 @@ class TestEstimate:
         # off-edge zeros included: the SVD at t = 0 sees the sign of a zero
         g = request.getfixturevalue(graph)
         want, failures = dense_oracle(g, t, 1000, 5)
-        est = estimate_log_phi_tilde(g, t, 1000, 5)
+        est, per_sample = estimate_with_samples(g, t, 1000, 5)
         assert failures == est.failures == 0
-        assert np.array_equal(est.per_sample, want)
+        assert np.array_equal(per_sample, want)
 
     @pytest.mark.parametrize(
         "graph, t, knob, size",
@@ -251,10 +252,10 @@ class TestEstimate:
     )
     def test_batch_size_never_changes_a_sample(self, request, monkeypatch, graph, t, knob, size):
         g = request.getfixturevalue(graph)
-        default = estimate_log_phi_tilde(g, t, 100, 3)
+        default, default_samples = estimate_with_samples(g, t, 100, 3)
         monkeypatch.setattr(estimator, knob, size)
-        small = estimate_log_phi_tilde(g, t, 100, 3)
-        assert np.array_equal(default.per_sample, small.per_sample)
+        small, small_samples = estimate_with_samples(g, t, 100, 3)
+        assert np.array_equal(default_samples, small_samples)
         assert default.failures == small.failures
         for field in ("mean_log", "std_err", "log_mean_det", "log_std_err_det"):
             assert getattr(default, field) == getattr(small, field), field
@@ -262,6 +263,20 @@ class TestEstimate:
     def test_bad_sample_count(self, k4):
         with pytest.raises(ValueError):
             estimate_log_phi_tilde(k4, 1.0, 0, 0)
+
+    def test_sample_count_past_the_indices_rejected(self, k4):
+        # sample indices are uint64: 2**64 samples at most, refused before any is drawn
+        with pytest.raises(ValueError, match=r"from 1 to 2\*\*64, one per uint64 index"):
+            estimate_log_phi_tilde(k4, 1.0, 2**64 + 1, 0)
+
+    def test_last_sample_indices_are_drawn(self, random6):
+        # the last batch of k = 2**64 samples: its streams are the top uint64 indices
+        plan = estimator._sample_plan(random6, 1.0)
+        values, _, _ = estimator._batch(plan, 1.0, 3, 2**64 - 3, 3)
+        adj = skew_adjacency(random6)
+        want = [log_det_shifted(sample_skew(adj, RngStream(3), 2**64 - 3 + i), 1.0)
+                for i in range(3)]
+        assert np.allclose(values, want, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_nonfinite_t_rejected(self, k4, t):
@@ -303,20 +318,23 @@ class TestEstimate:
     def test_reduction_is_exact_bitwise(self, request, monkeypatch, graph, t, threads, knob, size):
         if knob:
             monkeypatch.setattr(estimator, knob, size)
-        est = estimate_log_phi_tilde(request.getfixturevalue(graph), t, 3000, 8, threads=threads)
-        mean_log, std_err = exact_reduction(est.per_sample)
+        est, per_sample = estimate_with_samples(
+            request.getfixturevalue(graph), t, 3000, 8, threads=threads
+        )
+        mean_log, std_err = exact_reduction(per_sample)
         assert est.mean_log.hex() == mean_log.hex()
         assert est.std_err.hex() == std_err.hex()
 
     def test_mean_log_is_rounded_once(self, k23):
         # here fsum / k rounds twice and misses the exact mean by an ulp
-        est = estimate_log_phi_tilde(k23, 0.5, 3000, 7)
-        mean_log, _ = exact_reduction(est.per_sample)
+        est, per_sample = estimate_with_samples(k23, 0.5, 3000, 7)
+        mean_log, _ = exact_reduction(per_sample)
         assert est.mean_log.hex() == mean_log.hex()
-        assert math.fsum(est.per_sample.tolist()) / 3000 != mean_log
+        assert math.fsum(per_sample.tolist()) / 3000 != mean_log
 
     def test_memory_per_sample_is_bounded(self, random6):
-        # the kept per-sample array costs 8 bytes a sample; the reduction adds none
+        # no storage grows with k: each of the two threads keeps a running sum, and no
+        # batch leaves a future or a kept value behind
         def peak(k):
             tracemalloc.start()
             try:
@@ -326,8 +344,11 @@ class TestEstimate:
                 tracemalloc.stop()
 
         peak(1 << 12)  # one-time allocations out of the way
-        small, large = peak(1 << 16), peak(1 << 18)
-        assert (large - small) / ((1 << 18) - (1 << 16)) < 16
+        # the peak also holds whatever the two threads' batches hold at one time; 2^20
+        # samples (256 batches) nearly always see both at their largest, and the most of
+        # five runs of 2^16 (16 batches) does too
+        small = max(peak(1 << 16) for _ in range(5))
+        assert peak(1 << 20) - small < 64 << 10
 
     def test_t_zero_no_perfect_matching_all_singular(self):
         star = WeightedGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
@@ -375,7 +396,7 @@ class TestBatchRows:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_peak_memory_is_bounded_by_the_budget(self, n):
-        # K128 peaked at 187 MiB with 4096-row batches; per_sample adds 8 bytes a sample
+        # K128 peaked at 187 MiB with 4096-row batches; nothing is kept per sample
         g, k = complete_graph(n), 1000
         tracemalloc.start()
         try:
@@ -383,7 +404,7 @@ class TestBatchRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * estimator._BATCH_BYTES + 8 * k
+        assert peak < 1.5 * estimator._BATCH_BYTES
 
 
 def sixteen_k26() -> WeightedGraph:
@@ -473,10 +494,10 @@ class TestComponents:
     )
     def test_each_sample_is_the_whole_matrix_log_det(self, request, graph, t, atol):
         g = request.getfixturevalue(graph)
-        est = estimate_log_phi_tilde(g, t, 600, 9)
+        est, per_sample = estimate_with_samples(g, t, 600, 9)
         want, failures = dense_oracle(g, t, 600, 9)
         assert est.failures == failures
-        assert np.allclose(est.per_sample, want, rtol=0, atol=atol)
+        assert np.allclose(per_sample, want, rtol=0, atol=atol)
 
     def test_odd_component_is_all_singular_at_t_zero(self, multi, triangle):
         # the whole matrix agrees: every draw is singular
@@ -492,10 +513,10 @@ class TestComponents:
         # the star's pairs all hold vertex 0, so their stream positions do not
         # depend on the vertex count
         star = ((0, 1, 1.5), (0, 2, 0.5), (0, 3, 2.0))
-        alone = estimate_log_phi_tilde(WeightedGraph(4, star), 0.7, 300, 2)
-        padded = estimate_log_phi_tilde(WeightedGraph(6, star), 0.7, 300, 2)
+        alone, alone_samples = estimate_with_samples(WeightedGraph(4, star), 0.7, 300, 2)
+        padded, padded_samples = estimate_with_samples(WeightedGraph(6, star), 0.7, 300, 2)
         shift = 2 * (0.5 * math.log(0.7))
-        assert np.array_equal(padded.per_sample, alone.per_sample + shift)
+        assert np.array_equal(padded_samples, alone_samples + shift)
         assert padded.log_mean_det == alone.log_mean_det + shift
         assert padded.log_std_err_det == pytest.approx(alone.log_std_err_det + shift, rel=1e-14)
         assert padded.max_abs_variate == alone.max_abs_variate
@@ -511,9 +532,9 @@ class TestComponents:
     def test_single_component_mean_det_is_the_whole_sample_mean(self, random6, k23):
         # one component: the exact sums give the plain sample mean
         for g in (random6, k23):
-            est = estimate_log_phi_tilde(g, 0.8, 9000, 13)
-            top = est.per_sample.max()
-            scaled = np.exp(est.per_sample - top)
+            est, per_sample = estimate_with_samples(g, 0.8, 9000, 13)
+            top = per_sample.max()
+            scaled = np.exp(per_sample - top)
             assert est.log_mean_det == pytest.approx(top + math.log(scaled.mean()), rel=1e-12)
             log_se = top + math.log(scaled.std(ddof=1) / math.sqrt(len(scaled)))
             assert est.log_std_err_det == pytest.approx(log_se, rel=1e-12)
@@ -549,9 +570,9 @@ class TestComponents:
         assert routes(path, 1e300) == [False]
         assert routes(path, 0.0) == [False]  # at t = 0 the Gram route factors U itself
         assert routes(sixteen_k26(), 1.0) == [False]  # every perfbench component keeps its route
-        est = estimate_log_phi_tilde(path, 2.65, 40, 1)
+        _, per_sample = estimate_with_samples(path, 2.65, 40, 1)
         adj = skew_adjacency(path)
-        for i, value in enumerate(est.per_sample):
+        for i, value in enumerate(per_sample):
             y = sample_skew(adj, RngStream(1), i).matrix + math.sqrt(2.65) * np.eye(4)
             exact = exact_log(exact_det(y))
             assert abs(value - exact) <= 1e-14 * abs(exact)
@@ -586,6 +607,47 @@ class TestComponents:
             with pytest.raises(NonPositiveDeterminantError, match="^sample 7, component 1 of 2 "):
                 estimate_log_phi_tilde(g, 1.0, 10, 0)
 
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_lowest_failing_batch_is_raised(self, monkeypatch, random6, threads, error):
+        # batches 1 and 2 fail, in two threads' shares from 2 threads on: batch 1's error
+        # is raised at every thread count, and the shares stop short of the 998 others;
+        # a Ctrl-C stops them as well
+        monkeypatch.setattr(estimator, "_BATCH", 7)
+        batch, starts = estimator._batch, []
+
+        def failing(plan, t, seed, start, count):
+            starts.append(start)
+            if start in (7, 14):
+                raise error(f"batch at {start}")
+            return batch(plan, t, seed, start, count)
+
+        monkeypatch.setattr(estimator, "_batch", failing)
+        with pytest.raises(error, match="^batch at 7$"):
+            estimate_log_phi_tilde(random6, 1.0, 7 * 1000, 0, threads=threads)
+        assert 7 in starts and len(starts) < 500
+
+    def test_lowest_failing_batch_under_thread_switching(self, monkeypatch, random6):
+        # 8 threads on fewer cores, switching every microsecond, share the failure list:
+        # of the batches that fail (every third from batch 6 on), batch 6's error is raised
+        monkeypatch.setattr(estimator, "_BATCH", 7)
+        batch = estimator._batch
+
+        def failing(plan, t, seed, start, count):
+            if start >= 42 and start % 21 == 0:
+                raise RuntimeError(f"batch at {start}")
+            return batch(plan, t, seed, start, count)
+
+        monkeypatch.setattr(estimator, "_batch", failing)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                with pytest.raises(RuntimeError, match="^batch at 42$"):
+                    estimate_log_phi_tilde(random6, 1.0, 7 * 1000, 0, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_product_mean_det_is_calibrated(self, seed):
         g = four_k23()
@@ -616,25 +678,25 @@ class TestDeterminantMoments:
         ids=["p6", "random6", "k4", "k88"],
     )
     def test_single_component_against_decimal(self, graph, t):
-        est = estimate_log_phi_tilde(graph, t, 2000, 17)
+        est, per_sample = estimate_with_samples(graph, t, 2000, 17)
         assert est.failures == 0
-        log_mean, log_se = decimal_det_moments(est.per_sample)
+        log_mean, log_se = decimal_det_moments(per_sample)
         assert abs(est.log_mean_det - log_mean) <= 1e-15 * (1 + abs(log_mean))
         assert abs(est.log_std_err_det - log_se) <= 1e-15 * (1 + abs(log_se))
 
     def test_equal_samples_have_no_spread(self, k2_unit):
         # t + x^2 rounds to t at t = 1e300: every determinant is the same double
-        est = estimate_log_phi_tilde(k2_unit, 1e300, 5000, 3)
-        assert np.all(est.per_sample == est.per_sample[0])
+        est, per_sample = estimate_with_samples(k2_unit, 1e300, 5000, 3)
+        assert np.all(per_sample == per_sample[0])
         assert est.log_std_err_det == -math.inf
         assert est.log_mean_det == est.mean_log
         assert est.std_err == 0.0
-        assert est.mean_log == est.per_sample[0]
+        assert est.mean_log == per_sample[0]
 
     def test_one_sample_has_no_spread(self, random6):
-        est = estimate_log_phi_tilde(random6, 1.0, 1, 3)
+        est, per_sample = estimate_with_samples(random6, 1.0, 1, 3)
         assert est.std_err == 0.0
-        assert est.mean_log == est.per_sample[0]
+        assert est.mean_log == per_sample[0]
         assert est.log_std_err_det == -math.inf
 
     @pytest.mark.parametrize("case", ["determinants", "doubles"])
@@ -788,6 +850,13 @@ class TestPlanner:
             with pytest.raises(ValueError):
                 plan_samples(*args, heaviest_weight_sum=4.0)
 
+    def test_count_past_the_indices_is_value_error(self):
+        # k = 8 W log(4/delta) / (t eps^2) at eps 1, delta 1/2: 2**64 is the largest allowed
+        heaviest = 2.0**61 / math.log(8.0)
+        assert plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=0.99 * heaviest).samples < 2**64
+        with pytest.raises(ValueError, match=r"it must be at most 2\*\*64, one per uint64 index"):
+            plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=1.01 * heaviest)
+
     def test_old_positional_call_is_type_error(self):
         # the amplitude argument is gone: a fifth positional value is never read as W
         with pytest.raises(TypeError):
@@ -898,7 +967,7 @@ class TestTailBound:
         heaviest, _ = heaviest_weight_sums(g)
         assert heaviest == 10.75
         runs, k, t = 2000, 4, 3.0
-        means = estimate_log_phi_tilde(g, t, runs * k, 616).per_sample.reshape(runs, k).mean(1)
+        means = estimate_with_samples(g, t, runs * k, 616)[1].reshape(runs, k).mean(1)
         reference = estimate_log_phi_tilde(g, t, 200_000, 617).mean_log
         deviations = np.abs(means - reference)
         for r in (0.1, 0.2, 0.3, 0.4):
