@@ -9,7 +9,6 @@ from .analysis import GapSweepRow, c1_constant, gaussian_log_gap, optimality_swe
 from .estimator import (
     BoundsReport,
     EstimateResult,
-    EstimatorError,
     FprasPlan,
     RngStream,
     bounds_report,
@@ -43,7 +42,6 @@ from .graphs import (
 from .linalg import (
     BipartiteSample,
     NonPositiveDeterminantError,
-    SingularAtZeroError,
     SkewSample,
     bipartite_block,
     log_det_bipartite,
@@ -57,7 +55,6 @@ __all__ = [
     "Bipartition",
     "BoundsReport",
     "EstimateResult",
-    "EstimatorError",
     "FprasPlan",
     "GapSweepRow",
     "GraphFormatError",
@@ -65,7 +62,6 @@ __all__ = [
     "MatchingCounts",
     "NonPositiveDeterminantError",
     "RngStream",
-    "SingularAtZeroError",
     "SkewAdjacency",
     "SkewSample",
     "WeightedGraph",

@@ -23,7 +23,6 @@ from .analysis import c1_constant, gaussian_log_gap, optimality_sweep
 from .estimator import (
     BoundsReport,
     EstimateResult,
-    EstimatorError,
     _exp,
     bounds_report,
     estimate_log_phi_tilde,
@@ -37,7 +36,7 @@ from .graphs import (
     heaviest_weight_sums,
     parse_graph,
 )
-from .linalg import NonPositiveDeterminantError, SingularAtZeroError
+from .linalg import NonPositiveDeterminantError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,7 +137,7 @@ def _bracket(
     """Estimate with k samples and bracket the result: both, and their report blocks."""
     est = estimate_log_phi_tilde(g, args.t, k, args.seed, threads=args.threads)
     bounds = bounds_report(est, g.n_vertices, args.t, c1_constant(), parts=parts)
-    keys = "failures t seed mean_log std_err mean_det std_err_det log_mean_det max_abs_variate"
+    keys = "t seed mean_log std_err mean_det std_err_det log_mean_det max_abs_variate"
     blocks = {"estimate": {"samples": est.k, **_pick(est, keys)}, "bounds": asdict(bounds)}
     return est, bounds, blocks
 
@@ -375,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, GraphTooLargeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonPositiveDeterminantError, SingularAtZeroError, EstimatorError) as exc:
+    except NonPositiveDeterminantError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if not ok:

@@ -40,10 +40,6 @@ _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cach
 _LN2 = math.log(2.0)
 
 
-class EstimatorError(RuntimeError):
-    """Estimation could not produce a value (for example, all samples singular)."""
-
-
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, in place on z; tmp is a work buffer of z's shape."""
     for shift, mult in ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2)):
@@ -153,15 +149,14 @@ class _SamplePlan:
     isolated: int
 
 
-def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
-    """The plan of g at t, which picks each bipartite component's route.
+def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
+    """The plan of g at t > 0, which picks each bipartite component's route.
 
     Forming U U^T rounds each eigenvalue t + s^2 >= t by about n_C eps max_w, for a
     component of n_C vertices and largest weight max_w, so the Gram route is taken
-    only where n_C eps max_w / t <= 1e-12, and at t = 0, where it factors U itself;
-    elsewhere a bipartite component takes the dense route. Every variate has
-    z^2 <= 108 ln 2 < 75, so no entry of t I + U U^T exceeds t + n_C 75 max_w, which
-    must be finite on the Gram route too.
+    only where n_C eps max_w / t <= 1e-12; elsewhere a bipartite component takes the
+    dense route. Every variate has z^2 <= 108 ln 2 < 75, so no entry of t I + U U^T
+    exceeds t + n_C 75 max_w, which must be finite on the Gram route too.
     """
     adj, n = skew_adjacency(g), g.n_vertices
     i, j = np.nonzero(adj.matrix > 0)  # each edge's +sqrt(w) sits above the diagonal
@@ -172,7 +167,7 @@ def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
     col[i, j] = col[j, i] = edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2
     groups: dict[tuple[bool, int, int], list] = {}
     for verts, bip in (comps := components(g)):
-        if bip is not None and t > 0:
+        if bip is not None:
             n_c, max_w = len(verts), float(np.square(row_max[list(verts)].max()))
             keeps_t = n_c * np.finfo(float).eps * (max_w / t) <= 1e-12
             bip = bip if keeps_t and t + n_c * 75.0 * max_w < math.inf else None
@@ -186,7 +181,7 @@ def _sample_plan(g: WeightedGraph, t: float = 0.0) -> _SamplePlan:
     return _SamplePlan(blocks, idle, stacks, n - sum(len(v) for v, _ in comps))
 
 
-def _matrices(stack: _Stack, z: np.ndarray, t: float) -> np.ndarray:
+def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
     """The matrices coef * z[index] of every member and sample, as one (rows, cols) stack.
 
     A small stack is gathered batch-innermost: z.T indexed by the plan's index,
@@ -199,14 +194,10 @@ def _matrices(stack: _Stack, z: np.ndarray, t: float) -> np.ndarray:
     if stack.small:
         mats = z.T[stack.index.transpose(1, 2, 0)]
         mats *= stack.coef.transpose(1, 2, 0)[..., None]
-        mats = mats.reshape(*mats.shape[:2], -1).transpose(2, 0, 1)
-    else:
-        mats = np.take(z, stack.index, axis=1) if stack.dense else z[:, stack.index]
-        mats *= stack.coef
-        mats = mats.reshape(-1, *mats.shape[2:])
-    if t == 0:  # the SVD sees the sign of 0 * z; -0.0 + 0.0 is +0.0
-        mats += 0.0
-    return mats
+        return mats.reshape(*mats.shape[:2], -1).transpose(2, 0, 1)
+    mats = np.take(z, stack.index, axis=1) if stack.dense else z[:, stack.index]
+    mats *= stack.coef
+    return mats.reshape(-1, *mats.shape[2:])
 
 
 def _batch_rows(plan: _SamplePlan) -> int:
@@ -238,7 +229,7 @@ def _exact_total(x: np.ndarray, e=0) -> Fraction:
     """
     mant, exp = np.frexp(x)
     exp = exp + e
-    base = int(exp.min()) if exp.size else 0  # an empty batch (every draw singular) sums to 0
+    base = int(exp.min()) if exp.size else 0  # an empty x (a direct call only) sums to 0
     exp -= base
     low, high = np.modf(mant * 2.0**27)  # l 2^-26 and h, whose sums both stay exact
     width = (int(exp.max(initial=0)) + 42) // 16 * 16  # an h counts 26 binades above its own
@@ -273,15 +264,14 @@ def _log(r: Fraction) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EstimateResult:
-    """The mean log-determinant of k samples, and the mean determinant.
+    """The mean log-determinant of k samples, and the mean determinant, at t > 0.
 
-    failures counts singular draws (possible only at t = 0, where matchbound.linalg calls
-    a draw singular when s_min <= N * eps * s_max). mean_log estimates the expectation
-    E log det(sqrt(t) I + Y); exp(mean_log) is the certified lower-bound quantity, while
-    mean_det estimates the polynomial value itself (times sqrt(t) at odd N), as the product
-    over components of their mean determinants, unbiased as components draw disjoint
-    normals; std_err_det is the delta method's, rel^2 = sum_C var_C / (k mean_C^2). Both
-    are kept as logs, and are inf where they exceed the largest double.
+    mean_log estimates the expectation E log det(sqrt(t) I + Y); exp(mean_log) is the
+    certified lower-bound quantity, while mean_det estimates the polynomial value itself
+    (times sqrt(t) at odd N), as the product over components of their mean determinants,
+    unbiased as components draw disjoint normals; std_err_det is the delta method's,
+    rel^2 = sum_C var_C / (k mean_C^2). Both are kept as logs, and are inf where they
+    exceed the largest double.
 
     Every statistic comes from the exact moments S1 = sum x and S2 = sum x^2
     (_moments) of the log-determinants and of each component's determinants:
@@ -298,7 +288,6 @@ class EstimateResult:
     seed: int
     mean_log: float
     std_err: float
-    failures: int
     max_abs_variate: float  # diagnostic: largest |normal| that enters a matrix
     log_mean_det: float
     log_std_err_det: float  # -inf when there is no spread
@@ -420,10 +409,12 @@ def log_gap_bound(parts: Sequence[tuple[float, int]], t: float, c1: float) -> fl
 
     log E det - E log det adds over components, which draw disjoint normals.
     A component's gap is at most L_C^2 / 2 = W_C / 2t, by Gaussian concentration
-    with plan_samples' Lipschitz constant, and at most n_C c1 per vertex; at
-    t = 0 only the latter holds. A part without an edge (W_C = 0) is exact.
+    with plan_samples' Lipschitz constant, and at most n_C c1 per vertex. A part
+    without an edge (W_C = 0) is exact. t must be positive.
     """
-    return math.fsum(min(w / t / 2.0, n * c1) if t > 0 else n * c1 for w, n in parts if w > 0)
+    if not t > 0:
+        raise ValueError("t must be positive")
+    return math.fsum(min(w / t / 2.0, n * c1) for w, n in parts if w > 0)
 
 
 def bounds_report(
@@ -440,8 +431,6 @@ def bounds_report(
     least log(e^E) / k = W / 2t >= log_gap_bound(parts, t, c1).
     """
     n = n_vertices
-    if n % 2 == 1 and t == 0:
-        raise ValueError("odd vertex counts are not defined at t = 0")
     gap = log_gap_bound(parts, t, c1)
     # the determinant mean carries a sqrt(t) factor at odd N; shift the
     # bracket so it bounds the polynomial value, not the determinant mean
@@ -456,9 +445,9 @@ def bounds_report(
 
 
 def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
-    """Samples start to start + count - 1: (non-singular log-determinants in index order,
-    their exact moments and each component's determinants', largest |normal| used). The
-    kernels are module attributes, looked up at each call, so a wrapper of one is used.
+    """Samples start to start + count - 1: (log-determinants in index order, their exact
+    moments and each component's determinants', largest |normal| used). The kernels are
+    module attributes, looked up at each call, so a wrapper of one is used.
     """
     z = _normal_block(seed, start, count, plan.blocks)
     z[:, plan.idle] = 0.0  # they enter no matrix, so they leave the peak alone
@@ -466,7 +455,7 @@ def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
     for s in plan.stacks:
         kernel = skew_logdet_batch if s.dense else gram_logdet_batch
         try:
-            values = kernel(_matrices(s, z, t), t)
+            values = kernel(_matrices(s, z), t)
         except NonPositiveDeterminantError as exc:  # name the sample drawn, not the row
             members, i = len(s.coef), exc.index
             row, member = (i % count, i // count) if s.small else (i // members, i % members)
@@ -476,13 +465,11 @@ def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
     per_comp = np.concatenate(parts, axis=1)
     shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0
     total = sum(per_comp.T, np.full(count, shift))  # component by component, in plan order
-    singular = total == -np.inf  # a singular component's value is -inf
     peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
-    kept, values = per_comp[~singular], total[~singular]
-    n = np.floor(kept / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
-    f = np.exp(kept - n * _LN2)
-    moments = [_moments(values)] + [_moments(fc, nc) for fc, nc in zip(f.T, n.T)]
-    return values, np.array(moments, dtype=object).T, peak
+    n = np.floor(per_comp / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
+    f = np.exp(per_comp - n * _LN2)
+    moments = [_moments(total)] + [_moments(fc, nc) for fc, nc in zip(f.T, n.T)]
+    return total, np.array(moments, dtype=object).T, peak
 
 
 def estimate_log_phi_tilde(
@@ -493,7 +480,7 @@ def estimate_log_phi_tilde(
     *,
     threads: int | None = None,
 ) -> EstimateResult:
-    """Average log det(sqrt(t) I + Y) over k independent samples.
+    """Average log det(sqrt(t) I + Y) over k independent samples, for 0 < t < inf.
 
     Each connected component takes its own route: the Gram-matrix route when
     it is bipartite and U U^T keeps t (see _sample_plan), the dense
@@ -503,55 +490,47 @@ def estimate_log_phi_tilde(
     """
     if not 1 <= k <= 2**64:
         raise ValueError("the sample count must be from 1 to 2**64, one per uint64 index")
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
-    if t == 0 and g.n_vertices % 2 == 1:
-        raise ValueError("t = 0 requires an even vertex count")
 
     plan = _sample_plan(g, t)
-    unmatchable = plan.isolated or any(  # a component that has no perfect matching
-        s.coef.shape[1] != s.coef.shape[2] or (s.dense and s.coef.shape[2] % 2)
-        for s in plan.stacks
-    )
-    if t == 0 and unmatchable:
-        msg = "a component is odd or has unequal sides"
-        raise EstimatorError(f"all {k} samples were singular at t = 0: {msg}")
     shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0  # isolated vertices
-
     rows, n = _batch_rows(plan), threads or 1  # rows depend on the plan alone
     failed = []  # (start, error) of each failing batch; a stale read runs one more batch
 
     def share(first: int):
-        count, sums, peak = 0, 0, 0.0
+        sums, peak = 0, 0.0
         for start in range(first, k, n * rows):
             if failed and min(failed)[0] < start:  # a lower batch failed: stop here
                 break
             try:
-                values, batch_sums, batch_peak = _batch(plan, t, seed, start, min(rows, k - start))
-                count, sums, peak = count + len(values), sums + batch_sums, max(peak, batch_peak)
+                _, batch_sums, batch_peak = _batch(plan, t, seed, start, min(rows, k - start))
+                sums, peak = sums + batch_sums, max(peak, batch_peak)
             except BaseException as exc:  # a Ctrl-C too: the other shares stop
                 failed.append((start, exc))
-        return count, sums, peak
+        return sums, peak
 
     with ThreadPoolExecutor(max_workers=n) as pool:
         # one share runs here: np.errstate is per thread, and a caller's reaches no worker
         others = pool.map(share, range(rows, n * rows, rows))
-        counts, sums, peaks = zip(share(0), *others)
+        try:
+            sums, peaks = zip(share(0), *others)
+        except BaseException as exc:  # a Ctrl-C while the others run: they stop as well
+            failed.append((-1, exc))
+            raise
     if failed:
         raise min(failed)[1]
     # column 0 sums the log-determinants, column C + 1 component C's determinants; each
     # unbiased variance is exact, and 0 at k = 1, where k S2 = S1^2
-    count, (s1, s2) = sum(counts), sum(sums)
-    if count == 0:
-        raise EstimatorError(f"all {k} samples were singular at t = {t}")
-    var = (count * s2 - s1 * s1) / (count * max(count - 1, 1))
-    log_mean_det = math.fsum(_log(m) for m in s1[1:] / count) + shift
-    rel2 = (var[1:] * count / (s1[1:] * s1[1:])).sum()  # sum_C var_C / (k mean_C^2)
+    s1, s2 = sum(sums)
+    var = (k * s2 - s1 * s1) / (k * max(k - 1, 1))
+    log_mean_det = math.fsum(_log(m) for m in s1[1:] / k) + shift
+    rel2 = (var[1:] * k / (s1[1:] * s1[1:])).sum()  # sum_C var_C / (k mean_C^2)
     return EstimateResult(
-        k=k, t=t, seed=seed, failures=k - count, max_abs_variate=max(peaks),
-        mean_log=float(s1[0] / count), std_err=math.sqrt(float(var[0] / count)),
+        k=k, t=t, seed=seed, max_abs_variate=max(peaks),
+        mean_log=float(s1[0] / k), std_err=math.sqrt(float(var[0] / k)),
         log_mean_det=log_mean_det,
         log_std_err_det=log_mean_det + 0.5 * _log(rel2) if rel2 > 0 else -math.inf,
     )

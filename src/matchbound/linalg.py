@@ -10,13 +10,10 @@ of ||Y|| / sqrt(t) (Golub and Van Loan, "Unsymmetric positive definite
 linear systems", LAA 1979; Higham, Accuracy and Stability of Numerical
 Algorithms, 10.4). A matrix past GROWTH_CAP, and every larger order, goes
 to np.linalg.slogdet instead. A pivot or a sign that is not positive, or a
-value that is not finite, is the numerical health check. At t = 0 the
-determinant is the product of the singular values themselves, computed by
-np.linalg.svd, and a sample whose smallest singular value is at most
-N * eps times its largest counts as singular. The bipartite block form
-[[0, U], [-U^T, 0]] reduces to the m-by-m Gram matrix U U^T at t > 0,
-which is symmetric positive definite once shifted by t I, and to the
-singular values of U at t = 0.
+value that is not finite, is the numerical health check. The bipartite
+block form [[0, U], [-U^T, 0]] reduces to the m-by-m Gram matrix U U^T,
+which is symmetric positive definite once shifted by t I. Every kernel
+takes t > 0, where each determinant is positive; the scalar helpers check it.
 
 The batch kernels take a leading batch axis so Monte Carlo callers factor
 thousands of samples per numpy call; the scalar helpers wrap them. Every
@@ -31,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_EPS = float(np.finfo(np.float64).eps)
 SMALL_ORDER = 12  # at most this order (N on the dense route, m on the Gram route): elimination
 GROWTH_CAP = 1e3  # dense elimination only where ||Y||_F^2 <= GROWTH_CAP * t
 
@@ -43,10 +39,6 @@ class NonPositiveDeterminantError(ArithmeticError):
     """
 
     index: int | None = None
-
-
-class SingularAtZeroError(ArithmeticError):
-    """A t = 0 sample is (numerically) singular."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,33 +150,16 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a) ** 2, a.shape[2])[:: len(a) + 1]
 
 
-def _logabsdet_at_zero(mats: np.ndarray, order: int) -> np.ndarray:
-    """log|det| over a (B, k, k) stack from its singular values.
-
-    order is the dimension N of the antisymmetric matrix the stack stands
-    for: a sample is singular (value -inf) when s_min <= N * eps * s_max.
-    """
-    s = np.linalg.svd(mats, compute_uv=False)
-    # min/max with an initial value also cover k = 0 (empty product, never singular)
-    singular = s.min(axis=-1, initial=np.inf) <= order * _EPS * s.max(axis=-1, initial=0.0)
-    with np.errstate(divide="ignore"):
-        return np.where(singular, -np.inf, np.log(s).sum(axis=-1))
-
-
 def skew_logdet_batch(y_batch: np.ndarray, t: float) -> np.ndarray:
-    """Batched log det(sqrt(t) I + Y) over a (B, N, N) stack of antisymmetric Y.
+    """Batched log det(sqrt(t) I + Y) over a (B, N, N) stack of antisymmetric Y, at t > 0.
 
-    At t = 0 a singular sample has the value -inf instead of raising; at
-    t > 0 none is, and a determinant that is not positive and finite
-    raises NonPositiveDeterminantError. At t > 0 y_batch may be
-    overwritten. Up to order SMALL_ORDER a matrix with
-    ||Y||_F^2 <= GROWTH_CAP * t is eliminated without pivoting, fastest
-    when y_batch is a view of an (N, N, B) C-contiguous array; any other
-    goes to slogdet.
+    A determinant that is not positive and finite raises
+    NonPositiveDeterminantError; y_batch may be overwritten. Up to order
+    SMALL_ORDER a matrix with ||Y||_F^2 <= GROWTH_CAP * t is eliminated
+    without pivoting, fastest when y_batch is a view of an (N, N, B)
+    C-contiguous array; any other goes to slogdet.
     """
     b, n = y_batch.shape[:2]
-    if t == 0:
-        return _logabsdet_at_zero(y_batch, n)
     if n > SMALL_ORDER:
         y_batch[:, np.arange(n), np.arange(n)] = math.sqrt(t)
         return _positive_logdet(y_batch)
@@ -207,20 +182,15 @@ def skew_logdet_batch(y_batch: np.ndarray, t: float) -> np.ndarray:
 
 
 def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
-    """Batched log det of the embedded block samples of a (B, m, n) stack, m <= n.
+    """Batched log det of the embedded block samples of a (B, m, n) stack, m <= n, at t > 0.
 
-    At t > 0 this is log det(t I_m + U U^T) plus ((n - m)/2) log t; at
-    t = 0 it is 2 log|det U|, taken from the singular values of U rather
-    than of U U^T, whose condition number is squared. Singular samples
-    are -inf as in skew_logdet_batch; at t = 0 every rectangular sample is.
-    Up to m = SMALL_ORDER, U U^T is summed over the n columns in order and
-    eliminated without pivoting (it is positive definite), fastest when
-    u_batch is a view of an (m, n, B) C-contiguous array. u_batch is not
-    changed.
+    This is log det(t I_m + U U^T) plus ((n - m)/2) log t, checked as in
+    skew_logdet_batch. Up to m = SMALL_ORDER, U U^T is summed over the n
+    columns in order and eliminated without pivoting (it is positive
+    definite), fastest when u_batch is a view of an (m, n, B) C-contiguous
+    array. u_batch is not changed.
     """
     b, m, n = u_batch.shape
-    if t == 0:  # at m < n the t^((n-m)/2) factor is identically zero
-        return 2.0 * _logabsdet_at_zero(u_batch, m + n) if m == n else np.full(b, -np.inf)
     if m > SMALL_ORDER:
         gram = u_batch @ u_batch.transpose(0, 2, 1)
         gram[:, np.arange(m), np.arange(m)] += t
@@ -235,34 +205,18 @@ def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
 
 
 def log_det_shifted(y: SkewSample, t: float) -> float:
-    """log det(sqrt(t) I + Y) for an antisymmetric sample Y.
-
-    The value is bounded below by (N/2) log t for t > 0. t = 0 is legal
-    only for even N; there a singular sample (s_min <= N * eps * s_max)
-    raises SingularAtZeroError.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0 and y.dimension % 2 == 1:
-        raise ValueError("t = 0 requires an even dimension (determinant is identically 0)")
-    value = float(skew_logdet_batch(y.matrix[None, :, :].copy(), t)[0])
-    if value == -math.inf:
-        raise SingularAtZeroError("singular sample at t = 0")
-    return value
+    """log det(sqrt(t) I + Y) for an antisymmetric sample Y and t > 0, at least (N/2) log t."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    return float(skew_logdet_batch(y.matrix[None, :, :].copy(), t)[0])
 
 
 def log_det_bipartite(u: BipartiteSample, t: float) -> float:
     """log det of the embedded block sample by the Gram route.
 
     Equals ((n - m)/2) log t plus sum_i log(t + s_i^2) over the singular
-    values s_i of U. t = 0 requires m = n and a nonsingular U (else
-    SingularAtZeroError).
+    values s_i of U, for t > 0.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0 and u.m != u.n:
-        raise ValueError("t = 0 requires m = n (determinant is identically 0)")
-    value = float(gram_logdet_batch(u.matrix[None, :, :], t)[0])
-    if value == -math.inf:
-        raise SingularAtZeroError("singular bipartite sample at t = 0")
-    return value
+    if not t > 0:
+        raise ValueError("t must be positive")
+    return float(gram_logdet_batch(u.matrix[None, :, :], t)[0])

@@ -162,7 +162,7 @@ def sample_row_bytes(g: WeightedGraph, t: float = 1.0) -> int:
     nbytes of its drawn normals and of its gathered matrices on the plan of g at t."""
     plan = estimator._sample_plan(g, t)
     z = estimator._normal_block(0, 0, 1, plan.blocks)
-    return z.nbytes + sum(estimator._matrices(s, z, t).nbytes for s in plan.stacks)
+    return z.nbytes + sum(estimator._matrices(s, z).nbytes for s in plan.stacks)
 
 
 def relabel(g: WeightedGraph, rng: np.random.Generator) -> WeightedGraph:
@@ -278,7 +278,7 @@ def stream_oracle(seed: int, first_stream: int, n_streams: int, blocks) -> np.nd
 
 def estimate_with_samples(g: WeightedGraph, t: float, k: int, seed: int, **kwargs):
     """(est, per_sample): one real estimate_log_phi_tilde call, at any thread count, and
-    its non-singular log-determinants in sample order, recorded by wrapping
+    its log-determinants in sample order, recorded by wrapping
     estimator._batch for that call. The estimator keeps no samples of its own."""
     batch, seen = estimator._batch, {}
 

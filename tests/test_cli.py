@@ -394,10 +394,10 @@ class TestVerify:
         assert json.loads(out)["oracle"]["sandwich_ok"] is True
 
     def test_numerical_failure_exit_code(self, capsys, triangle_file, monkeypatch):
-        from matchbound.estimator import EstimatorError
+        from matchbound.linalg import NonPositiveDeterminantError
 
         def explode(*args, **kwargs):
-            raise EstimatorError("all 10 samples were singular at t = 0")
+            raise NonPositiveDeterminantError("sample 3 of the batch: determinant sign -1")
 
         monkeypatch.setattr(cli, "estimate_log_phi_tilde", explode)
         code = main(["verify", "--graph", triangle_file, "--t", "1", "--samples", "10"])
@@ -570,7 +570,7 @@ def block_keys(report):
 
 
 ESTIMATE_KEYS = [
-    "samples", "failures", "t", "seed", "mean_log", "std_err", "mean_det",
+    "samples", "t", "seed", "mean_log", "std_err", "mean_det",
     "std_err_det", "log_mean_det", "max_abs_variate",
 ]
 BOUNDS_KEYS = ["lower_log", "gap_asymptotic", "upper_log", "per_vertex_gap"]

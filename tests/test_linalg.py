@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from matchbound.estimator import RngStream, sample_skew
-from matchbound.graphs import WeightedGraph, complete_graph, skew_adjacency
+from matchbound.graphs import complete_graph, skew_adjacency
 from matchbound.linalg import (
     GROWTH_CAP,
     SMALL_ORDER,
     BipartiteSample,
     NonPositiveDeterminantError,
-    SingularAtZeroError,
     SkewSample,
     bipartite_block,
     gram_logdet_batch,
@@ -58,19 +57,12 @@ class TestLuKernel:
         a = rng.standard_normal((8, 6, 6))
         ys = np.triu(a, 1) - np.triu(a, 1).transpose(0, 2, 1)
         us = rng.standard_normal((8, 3, 3))
-        for t in (0.0, 0.8):
+        for t in (1e-2, 0.8):  # at 1e-2 most of the dense stack is past GROWTH_CAP
             dense = skew_logdet_batch(ys.copy(), t)
             gram = gram_logdet_batch(us, t)
             for i in range(8):
                 assert dense[i] == skew_logdet_batch(ys[i : i + 1].copy(), t)[0]
                 assert gram[i] == gram_logdet_batch(us[i : i + 1], t)[0]
-
-    def test_singular_floor(self):
-        mats = np.zeros((2, 4, 4))
-        mats[1] = np.eye(4)
-        for kernel in (skew_logdet_batch, gram_logdet_batch):
-            values = kernel(mats.copy(), 0.0)
-            assert values.tolist() == [-np.inf, 0.0]
 
     def test_non_finite_determinant_raises(self):
         mats = np.zeros((3, 2, 2))
@@ -121,32 +113,10 @@ class TestLogDetShifted:
         rhs = n * math.log(c) + log_det_shifted(y, t)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_even_dim_t_to_zero_limit(self):
-        rng = np.random.default_rng(9)
-        y = random_skew(rng, 6)
-        at_zero = log_det_shifted(y, 0.0)
-        near_zero = log_det_shifted(y, 1e-12)
-        assert near_zero == pytest.approx(at_zero, rel=1e-6)
-
-    def test_t_zero_odd_dim_rejected(self):
-        y = SkewSample(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="even"):
-            log_det_shifted(y, 0.0)
-
-    def test_t_zero_structural_singularity(self):
-        # a star K_{1,3} sample has rank 2, so its determinant vanishes
-        star = WeightedGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
-        y = sample_skew(skew_adjacency(star), RngStream(5), 0)
-        with pytest.raises(SingularAtZeroError):
-            log_det_shifted(y, 0.0)
-
-    def test_t_zero_perfect_matching_ok(self):
-        y = SkewSample(np.array([[0.0, 2.0], [-2.0, 0.0]]))
-        assert log_det_shifted(y, 0.0) == pytest.approx(math.log(4.0), rel=1e-14)
-
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            log_det_shifted(SkewSample(np.zeros((2, 2))), -1.0)
+        for t in (-1.0, 0.0, -0.0, math.nan):  # t = 0 too: the determinant may vanish
+            with pytest.raises(ValueError, match="positive"):
+                log_det_shifted(SkewSample(np.zeros((2, 2))), t)
 
     def test_skew_validation(self):
         with pytest.raises(ValueError):
@@ -176,21 +146,10 @@ class TestLogDetBipartite:
         want = log_det_shifted(bipartite_block(u), t)
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
-    def test_t_zero_square_nonsingular(self):
-        rng = np.random.default_rng(12)
-        u = BipartiteSample(rng.standard_normal((4, 4)))
-        want = log_det_shifted(bipartite_block(u), 0.0)
-        assert log_det_bipartite(u, 0.0) == pytest.approx(want, rel=1e-9)
-
-    def test_t_zero_singular_gram(self):
-        u = BipartiteSample(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(SingularAtZeroError):
-            log_det_bipartite(u, 0.0)
-
-    def test_t_zero_rectangular_rejected(self):
-        u = BipartiteSample(np.array([[1.0, 0.0, 1.0]]))
-        with pytest.raises(ValueError, match="m = n"):
-            log_det_bipartite(u, 0.0)
+    def test_nonpositive_t_rejected(self):
+        for t in (-1.0, 0.0, -0.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                log_det_bipartite(BipartiteSample(np.eye(2)), t)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="m <= n"):
@@ -206,11 +165,6 @@ class TestGramBatch:
         for i in range(30):
             want = log_det_shifted(bipartite_block(BipartiteSample(u[i])), 0.8)
             assert values[i] == pytest.approx(want, rel=1e-11)
-
-    def test_t_zero_rectangular_all_singular(self):
-        u = np.ones((4, 2, 3))
-        values = gram_logdet_batch(u, 0.0)
-        assert (values == -np.inf).all()
 
 
 def test_bipartite_block_shape():
