@@ -93,7 +93,7 @@ class GapSweepRow:
     exact_per_vertex: float
     gap_per_vertex: float
     std_err_per_vertex: float
-    gap_bound: float  # sum_C min(W_C / 2t, n_C c1) / N (estimator.log_gap_bound)
+    gap_bound: float  # sum_C min(W_C / 4t, n_C c1) / N (estimator.log_gap_bound)
 
 
 def optimality_sweep(

@@ -340,22 +340,23 @@ class BoundsReport:
 def plan_samples(
     epsilon: float, delta: float, n_vertices: int, t: float, *, heaviest_weight_sum: float
 ) -> FprasPlan:
-    """Sample count ceil(8 W log(4/delta) / (t eps^2)), radius eps/(2N).
+    """Sample count ceil(4 W log(4/delta) / (t eps^2)), radius eps/(2N).
 
     W = sum_i max_j w_ij sums each vertex's heaviest edge weight (the graph's
     heaviest_weight_sum, from graphs.heaviest_weight_sums); the worst case,
     every vertex paying the largest weight a^2, is W = a^2 N.
 
-    W/t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
+    W/2t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
     where Y_ij = a_ij z_ij = -Y_ji for i < j. Its gradient is df/dz_ij = a_ij K_ij
     with K = 2Y (tI + Y^T Y)^-1, since M^-1 - M^-T = -2Y (tI - Y^2)^-1 for
     M = sqrt(t) I + Y; K is skew and its singular values are 2s / (t + s^2) <=
-    1/sqrt(t). Take w_ij K_ij^2 over every ordered pair (each edge from both
-    ends), bound row i's weights by its heaviest, max_j w_ij, and its row norm
-    of K by ||K||_2: |grad f|^2 <= sum_i max_j w_ij / t = W/t. Gaussian
-    concentration for Lipschitz functions (Tsirelson-Ibragimov-Sudakov) then
-    puts the mean of k samples more than N r from its expectation with
-    probability at most 2 exp(-t k N^2 r^2 / (2W)) (tail_bound), which is at most
+    1/sqrt(t). The gradient has one entry per unordered pair, so, K being skew,
+    |grad f|^2 = sum_{i<j} w_ij K_ij^2 = (1/2) sum_{i!=j} w_ij K_ij^2. Bound row
+    i's weights by its heaviest, max_j w_ij, and its row norm of K by ||K||_2:
+    |grad f|^2 <= sum_i max_j w_ij / 2t = W/2t, which K2 attains at y = sqrt(t).
+    Gaussian concentration for Lipschitz functions (Tsirelson-Ibragimov-Sudakov)
+    then puts the mean of k samples more than N r from its expectation with
+    probability at most 2 exp(-t k N^2 r^2 / W) (tail_bound), which is at most
     delta/2 at this k and r = eps/(2N): the geometric-mean estimate is within a
     multiplicative (1 +- epsilon) of its target. An edgeless graph has W = 0 and
     takes one sample. A count that is not finite, or past 2**64, one sample per
@@ -371,7 +372,7 @@ def plan_samples(
         raise ValueError("heaviest_weight_sum must be nonnegative")
     if not t > 0:
         raise ValueError("t must be positive")
-    k = 8.0 * heaviest_weight_sum * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
+    k = 4.0 * heaviest_weight_sum * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
     if not k < math.inf:  # the count overflows, or t eps^2 underflows to 0
         raise ValueError(f"the planned sample count is not finite at eps {epsilon}, t {t}")
     if k > 2**64:
@@ -386,11 +387,10 @@ def plan_samples(
 
 
 def tail_bound(r: float, n_vertices: int, k: int, t: float, *, heaviest_weight_sum: float) -> float:
-    """Deviation probability bound 2 exp(-t k N^2 r^2 / (2W)).
+    """Deviation probability bound 2 exp(-t k N^2 r^2 / W).
 
-    Bounds Pr(|mean of k log-determinants - its expectation| >= N r), by
-    Gaussian concentration with the squared Lipschitz constant W/t of
-    plan_samples.
+    Bounds Pr(|mean of k log-determinants - its expectation| >= N r) by Gaussian
+    concentration, 2 exp(-k (N r)^2 / 2L^2) with plan_samples' L^2 = W/2t.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -400,21 +400,20 @@ def tail_bound(r: float, n_vertices: int, k: int, t: float, *, heaviest_weight_s
         raise ValueError("k and n_vertices must be at least 1")
     if not heaviest_weight_sum > 0:
         raise ValueError("heaviest_weight_sum must be positive")
-    per_vertex = heaviest_weight_sum / n_vertices
-    return 2.0 * math.exp(-t * k * n_vertices * r**2 / (2.0 * per_vertex))
+    return 2.0 * math.exp(-t * k * n_vertices**2 * r**2 / heaviest_weight_sum)
 
 
 def log_gap_bound(parts: Sequence[tuple[float, int]], t: float, c1: float) -> float:
-    """sum_C min(W_C / 2t, n_C c1) over the (W_C, n_C) parts from graphs.heaviest_weight_sums.
+    """sum_C min(W_C / 4t, n_C c1) over the (W_C, n_C) parts from graphs.heaviest_weight_sums.
 
     log E det - E log det adds over components, which draw disjoint normals.
-    A component's gap is at most L_C^2 / 2 = W_C / 2t, by Gaussian concentration
-    with plan_samples' Lipschitz constant, and at most n_C c1 per vertex. A part
+    A component's gap is at most L_C^2 / 2 = W_C / 4t, by Gaussian concentration with
+    plan_samples' L_C^2 = W_C / 2t (each edge counted once), and at most n_C c1 per vertex. A part
     without an edge (W_C = 0) is exact. t must be positive.
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    return math.fsum(min(w / t / 2.0, n * c1) for w, n in parts if w > 0)
+    return math.fsum(min(w / t / 4.0, n * c1) for w, n in parts if w > 0)
 
 
 def bounds_report(
@@ -424,11 +423,11 @@ def bounds_report(
 
     parts are the graph's (W_C, n_C) (graphs.heaviest_weight_sums); the worst
     case, every vertex its own part of weight a^2, is ((a^2, 1),) * N. The
-    finite-sample gap log1p(sqrt(8kW / pi t) exp(kW / 2t)) / k, W = sum_C W_C,
-    is never smaller, so it is not reported. With E = kW / 2t its log1p
-    argument is 4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1 for E >= 0
-    (1 at E = 0, increasing since e^E > sqrt(pi E) / 2), so the gap is at
-    least log(e^E) / k = W / 2t >= log_gap_bound(parts, t, c1).
+    finite-sample gap log1p(sqrt(4kW / pi t) exp(kW / 4t)) / k, W = sum_C W_C,
+    is never smaller, so it is not reported. With E = k L^2 / 2 = kW / 4t (L^2 = W/2t,
+    plan_samples) its log1p argument is 4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1
+    for E >= 0 (1 at E = 0, increasing since e^E > sqrt(pi E) / 2), so the gap is at
+    least log(e^E) / k = W / 4t >= log_gap_bound(parts, t, c1).
     """
     n = n_vertices
     gap = log_gap_bound(parts, t, c1)

@@ -195,7 +195,7 @@ def test_criterion_06_concentration(k4_reference):
 
 def test_criterion_07_fpras_planner(k4_reference):
     worked = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
-    assert worked.samples == 160
+    assert worked.samples == 80
 
     plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=4.0)
     hits = 0

@@ -109,7 +109,7 @@ class TestOptimalitySweep:
             slack = 4 * row.std_err_per_vertex
             assert row.gap_per_vertex >= -slack
             assert row.gap_per_vertex <= row.gap_bound + slack
-            assert row.gap_bound == pytest.approx(0.5)
+            assert row.gap_bound == pytest.approx(0.25)
 
     def test_gap_trends_down(self):
         rows = optimality_sweep([2, 16], 1.0, 1.0, 1.0, 11, 8_000)
@@ -130,15 +130,15 @@ class TestOptimalitySweep:
 
     @pytest.mark.parametrize("side, t", [((2, 3), 4.0), (4, 2.0), ((1, 5), 8.0)])
     def test_random_weight_gap_bound_is_per_component(self, side, t):
-        # the bracket's own gap, per vertex: sharper than min(w_hi / 2t, c1)
+        # the bracket's own gap, per vertex: sharper than min(w_hi / 4t, c1)
         row = optimality_sweep([side], t, 0.25, 4.0, 13, 50)[0]
         u = RngStream(derive_seed(13, 0), 2**64 - 1).uniforms(row.m * row.n)
         w = 0.25 + 3.75 * u.reshape(row.m, row.n)
         heaviest = math.fsum(w.max(axis=1)) + math.fsum(w.max(axis=0))
         n_vertices = row.m + row.n
-        want = min(heaviest / t / 2.0, n_vertices * c1_constant()) / n_vertices
+        want = min(heaviest / t / 4.0, n_vertices * c1_constant()) / n_vertices
         assert row.gap_bound == pytest.approx(want, rel=1e-15)
-        assert row.gap_bound < min(4.0 / t / 2.0, c1_constant())
+        assert row.gap_bound < min(4.0 / t / 4.0, c1_constant())
 
     def test_random_weights_share_no_uniform_with_the_samples(self, monkeypatch):
         # each weight is lo + span u for a uniform u of its own; none may be a uniform

@@ -59,8 +59,8 @@ class TestEstimate:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["plan"]["samples"] == 178
-        assert report["estimate"]["samples"] == 178
+        assert report["plan"]["samples"] == 89
+        assert report["estimate"]["samples"] == 89
 
     def test_edgeless_plan_degenerates_to_one_sample(self, capsys, tmp_path):
         path = tmp_path / "edgeless.txt"
@@ -99,10 +99,10 @@ class TestEstimate:
         assert code == 0
         report = json.loads(out)
         assert report["graph"]["heaviest_weight_sum"] == 10.5
-        want = math.ceil(8 * 10.5 * math.log(4 / 0.25) / (2 * 0.5**2))
-        assert report["plan"]["samples"] == want == 466
-        # gap: min(4.5 / 4, 3 c1) + min(6 / 4, 2 c1); the isolated vertex adds 0
-        assert report["bounds"]["gap_asymptotic"] == 1.125 + 1.5
+        want = math.ceil(4 * 10.5 * math.log(4 / 0.25) / (2 * 0.5**2))
+        assert report["plan"]["samples"] == want == 233
+        # gap: min(4.5 / 8, 3 c1) + min(6 / 8, 2 c1); the isolated vertex adds 0
+        assert report["bounds"]["gap_asymptotic"] == 0.5625 + 0.75
 
     def test_missing_t_is_usage_error(self, k2_file):
         with pytest.raises(SystemExit) as exc:
@@ -209,11 +209,11 @@ class TestEstimate:
         assert "error: the planned sample count is not finite" in capsys.readouterr().err
 
     def test_plan_past_any_array_is_usage_error(self, capsys, k2_file):
-        # 5.9e21 samples: finite, but past 2**64, the count of uint64 sample indices
+        # 2.95e21 samples: finite, but past 2**64, the count of uint64 sample indices
         argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "1e-10", "--delta", "0.1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "error: the planned sample count 5.9e+21 is too large" in err
+        assert "error: the planned sample count 2.95e+21 is too large" in err
         assert "eps 1e-10, t 1.0" in err
 
     def test_samples_past_the_indices_is_usage_error(self, capsys, k2_file):
@@ -448,14 +448,14 @@ class TestBench:
              "--seed", "4", "--format", "json"],
         )
         assert code == 0
-        # K_{2,2} with weights 0.5 + 1.5 u: the per-vertex gap min(W / 2Nt, c1) of
-        # its heaviest weight sum W, below the worst case min(2 / 2t, c1) = 1
+        # K_{2,2} with weights 0.5 + 1.5 u: the per-vertex gap min(W / 4Nt, c1) of
+        # its heaviest weight sum W, below the worst case min(2 / 4t, c1) = 0.5
         u = estimator.RngStream(estimator.derive_seed(4, 0), 2**64 - 1).uniforms(4).tolist()
         w = [[0.5 + 1.5 * u[2 * i + j] for j in range(2)] for i in range(2)]
         heaviest = sum(map(max, w)) + sum(map(max, zip(*w)))
         gap_bound = json.loads(out)["rows"][0]["gap_bound"]
-        assert gap_bound == pytest.approx(min(heaviest / 8, c1_constant()), rel=1e-15)
-        assert gap_bound < 1.0
+        assert gap_bound == pytest.approx(min(heaviest / 16, c1_constant()), rel=1e-15)
+        assert gap_bound < 0.5
 
     def test_invalid_weight_is_usage_error(self, capsys):
         assert main(["bench", "--sides", "2", "--t", "1", "--w", "0"]) == 2

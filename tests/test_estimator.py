@@ -789,18 +789,18 @@ def worst_case_parts(g: WeightedGraph) -> tuple[tuple[float, int], ...]:
 
 def worst_case_gap(g: WeightedGraph, t: float, c1: float) -> float:
     a = math.sqrt(g.max_weight)
-    return g.n_vertices * min(a**2 / t / 2.0, c1)
+    return g.n_vertices * min(a**2 / t / 4.0, c1)
 
 
 class TestPlanner:
     def test_worked_example(self):
         plan = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
-        assert plan.samples == 160
+        assert plan.samples == 80
         assert plan.deviation_radius == pytest.approx(0.05)
 
     def test_cli_example(self):
         plan = plan_samples(0.5, 0.25, 2, 1.0, heaviest_weight_sum=2.0)
-        assert plan.samples == 178
+        assert plan.samples == 89
 
     def test_amplitude_scaling(self):
         base = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
@@ -825,8 +825,8 @@ class TestPlanner:
                 plan_samples(*args, heaviest_weight_sum=4.0)
 
     def test_count_past_the_indices_is_value_error(self):
-        # k = 8 W log(4/delta) / (t eps^2) at eps 1, delta 1/2: 2**64 is the largest allowed
-        heaviest = 2.0**61 / math.log(8.0)
+        # k = 4 W log(4/delta) / (t eps^2) at eps 1, delta 1/2: 2**64 is the largest allowed
+        heaviest = 2.0**62 / math.log(8.0)
         assert plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=0.99 * heaviest).samples < 2**64
         with pytest.raises(ValueError, match=r"it must be at most 2\*\*64, one per uint64 index"):
             plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=1.01 * heaviest)
@@ -846,9 +846,9 @@ class TestPlanner:
         (0.3, 0.01, 7, 1e-3, 1e-5), (0.9, 0.5, 3, 1e10, 1e12),
     ])
     def test_worst_case_is_the_default(self, epsilon, delta, n, a, t):
-        # the worst case, passed in as W = a^2 N, keeps its count: criterion 07's 160 among them
+        # the worst case, passed in as W = a^2 N, keeps its count: criterion 07's 80 among them
         worst = plan_samples(epsilon, delta, n, t, heaviest_weight_sum=a**2 * n)
-        k = 8.0 * a**2 * n * math.log(4.0 / delta) / (t * epsilon**2)
+        k = 4.0 * a**2 * n * math.log(4.0 / delta) / (t * epsilon**2)
         assert worst.samples == max(1, math.ceil(k))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -868,8 +868,8 @@ class TestPlanner:
         heaviest, _ = heaviest_weight_sums(g)
         assert heaviest == 160.0
         worst = g.max_weight * g.n_vertices
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 7555
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=heaviest).samples == 4722
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 3778
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=heaviest).samples == 2361
 
     def test_edgeless_graph_plans_one_sample(self):
         plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=0.0)
@@ -889,7 +889,7 @@ class TestPlanner:
 class TestTailBound:
     def test_direct_substitution(self):
         bound = tail_bound(1.0, 1, 1, 2.0, heaviest_weight_sum=1.0)
-        assert bound == pytest.approx(2.0 / math.e, rel=1e-15)
+        assert bound == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15)
 
     def test_vacuous_at_zero_radius(self):
         assert tail_bound(0.0, 4, 10, 1.0, heaviest_weight_sum=4.0) == 2.0
@@ -913,7 +913,7 @@ class TestTailBound:
         (1e-3, 128, 7555, 1.4142135623730951, 1.0),
     ])
     def test_worst_case_bits(self, r, n, k, a, t):
-        want = 2.0 * math.exp(-t * k * n * r**2 / (2.0 * a**2))
+        want = 2.0 * math.exp(-t * k * n**2 * r**2 / (a**2 * n))
         assert tail_bound(r, n, k, t, heaviest_weight_sum=a**2 * n) == want
 
     @pytest.mark.parametrize("seed", range(8))
@@ -951,6 +951,74 @@ class TestTailBound:
             assert freq <= bound + 0.02, f"tail frequency {freq} exceeds {bound} at r={r}"
 
 
+def skew_and_k(w: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Y(z) and K = 2Y (tI + Y^T Y)^-1, for the symmetric weights w (0 off the edges) and
+    the normals z of the upper triangle: the gradient of f(z) = log det(sqrt(t) I + Y(z))
+    is df/dz_ij = sqrt(w_ij) K_ij."""
+    upper = np.triu(np.sqrt(w) * z, 1)
+    y = upper - upper.T
+    return y, 2.0 * y @ np.linalg.inv(t * np.eye(len(w)) + y.T @ y)
+
+
+def lipschitz_sq(w: np.ndarray, z: np.ndarray, t: float) -> float:
+    """|grad f|^2 = sum_{i<j} w_ij K_ij^2: one entry per unordered pair."""
+    i, j = np.triu_indices(len(w), 1)
+    return float((w[i, j] * skew_and_k(w, z, t)[1][i, j] ** 2).sum())
+
+
+class TestLipschitzConstant:
+    """The squared Lipschitz constant W/2t behind plan_samples, tail_bound and log_gap_bound."""
+
+    @staticmethod
+    def _case(rng: np.random.Generator):
+        n = int(rng.integers(2, 9))
+        w = np.triu(np.exp(rng.uniform(np.log(0.1), np.log(10.0), (n, n))), 1)
+        w *= np.triu(rng.random((n, n)) < rng.uniform(0.3, 1.0), 1)
+        w += w.T
+        g = WeightedGraph(n, tuple((i, j, float(w[i, j])) for i, j in zip(*np.nonzero(np.triu(w)))))
+        t = float(10.0 ** rng.uniform(-3.0, 3.0))
+        # scaled draws reach |y| near sqrt(t), where an entry of K peaks, at every t
+        z = rng.standard_normal((n, n)) * math.sqrt(t) * 10.0 ** rng.uniform(-1.0, 1.0)
+        return w, g, t, z
+
+    def test_gradient_is_k(self):
+        # df/dz_ij = sqrt(w_ij) K_ij, against central differences of slogdet
+        rng = np.random.default_rng(2701)
+        for _ in range(20):
+            w, _, t, z = self._case(rng)
+            (n, h), (y, k) = (len(w), 1e-6), skew_and_k(w, z, t)
+            m = math.sqrt(t) * np.eye(n) + y
+            for i, j in zip(*np.nonzero(np.triu(w))):
+                a, step = math.sqrt(w[i, j]), np.zeros((n, n))
+                step[i, j], step[j, i] = a * h, -a * h
+                up, down = (np.linalg.slogdet(m + s * step)[1] for s in (1, -1))
+                want = a * k[i, j]
+                assert (up - down) / (2.0 * h) == pytest.approx(want, rel=1e-5, abs=1e-7 / math.sqrt(t))
+
+    def test_unordered_pairs_bound(self):
+        # sum_{i<j} w_ij K_ij^2 <= W/2t on random graphs, weights, draws and t in 1e-3..1e3
+        rng = np.random.default_rng(2702)
+        worst = 0.0
+        for _ in range(1500):
+            w, g, t, z = self._case(rng)
+            heaviest, _ = heaviest_weight_sums(g)
+            if heaviest == 0:
+                continue
+            ratio = lipschitz_sq(w, z, t) / (heaviest / (2.0 * t))
+            assert ratio <= 1.0 + 1e-12
+            worst = max(worst, ratio)
+        assert worst > 0.5  # the draws come near the bound, so the check has teeth
+
+    @pytest.mark.parametrize("weight, t", [(1.0, 1.0), (0.3, 1e-2), (7.0, 50.0), (2.0, 1e3)])
+    def test_k2_attains_the_bound(self, weight, t):
+        # at y = sqrt(t), K_12 = 1/sqrt(t): w K_12^2 = w/t = W/2t with W = 2w, so no
+        # further factor is available from this argument
+        w = np.array([[0.0, weight], [weight, 0.0]])
+        z = np.array([[0.0, math.sqrt(t / weight)], [0.0, 0.0]])
+        heaviest, _ = heaviest_weight_sums(WeightedGraph(2, ((0, 1, weight),)))
+        assert lipschitz_sq(w, z, t) == pytest.approx(heaviest / (2.0 * t), rel=1e-12)
+
+
 class TestBoundsReport:
     def _est(self, g, t, k=500, seed=0):
         return estimate_log_phi_tilde(g, t, k, seed)
@@ -958,8 +1026,8 @@ class TestBoundsReport:
     def test_small_shift_regime(self, k4):
         est = self._est(complete_graph(10), 1.0)
         rep = bounds_report(est, 10, 1.0, c1_constant(), parts=((10.0, 10),))
-        assert rep.gap_asymptotic == pytest.approx(5.0, rel=1e-12)
-        assert rep.per_vertex_gap == pytest.approx(0.5, rel=1e-12)
+        assert rep.gap_asymptotic == pytest.approx(2.5, rel=1e-12)
+        assert rep.per_vertex_gap == pytest.approx(0.25, rel=1e-12)
 
     def test_constant_regime(self):
         est = self._est(complete_graph(10), 0.1)
@@ -1014,7 +1082,7 @@ class TestBoundsReport:
     def test_worst_case_bits(self, a, n, t):
         est = estimate_log_phi_tilde(complete_graph(2), 1.0, 10, 0)
         c1 = c1_constant()
-        want = n * min(a**2 / t / 2.0, c1) if a else 0.0
+        want = n * min(a**2 / t / 4.0, c1) if a else 0.0
         rep = bounds_report(est, n, t, c1, parts=((a**2, 1),) * n)
         assert rep.gap_asymptotic == want
         assert rep.per_vertex_gap == want / n
@@ -1032,7 +1100,7 @@ class TestBoundsReport:
     def test_isolated_vertices_and_edgeless_parts_add_nothing(self):
         c1 = c1_constant()
         assert log_gap_bound((), 1.0, c1) == 0.0
-        assert log_gap_bound(((0.0, 1), (4.0, 2)), 1.0, c1) == 2.0
+        assert log_gap_bound(((0.0, 1), (4.0, 2)), 1.0, c1) == 1.0
         for t in (0.0, -1.0):  # no bound holds without t > 0
             with pytest.raises(ValueError, match="t must be positive"):
                 log_gap_bound(((4.0, 2), (9.0, 3)), t, c1)
@@ -1042,10 +1110,10 @@ class TestBoundsReport:
         g = mixed_graph(seed)
         _, parts = heaviest_weight_sums(g)
         c1 = c1_constant()
-        # the smallest t where every W_C / 2t is below n_C c1, times 1.2 to 4
-        t_bind = max(w / (2.0 * n * c1) for w, n in parts)
+        # the smallest t where every W_C / 4t is below n_C c1, times 1.2 to 4
+        t_bind = max(w / (4.0 * n * c1) for w, n in parts)
         t = t_bind * float(np.random.default_rng(seed).uniform(1.2, 4.0))
-        assert all(w / t / 2.0 < n * c1 for w, n in parts)
+        assert all(w / t / 4.0 < n * c1 for w, n in parts)
         assert g.n_vertices % 2 == 1 and len(parts) >= 2
         assert sum(n for _, n in parts) < g.n_vertices  # isolated vertices
         est = estimate_log_phi_tilde(g, t, 20_000, 90 + seed)
