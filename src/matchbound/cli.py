@@ -285,6 +285,13 @@ def _run_constants(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     return {"command": _pick(args, "subcommand"), "c1": c1, "gap_table": table}, True
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the OS has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchbound",
@@ -306,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--threads",
                 type=int,
-                default=os.cpu_count(),
-                help="worker threads (default: all cores)",
+                default=_usable_cpus(),
+                help="worker threads (default: the CPUs in this process's affinity set)",
             )
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report to this path")

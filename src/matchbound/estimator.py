@@ -34,7 +34,7 @@ from .linalg import (
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_BATCH = 4096  # most rows a batch takes; the partition never depends on the thread count
+_BATCH = 3 << 12  # most rows a batch takes; the partition never depends on the thread count
 _BATCH_BYTES = 24 << 20  # a batch's variates and matrices stay within this, whatever N
 _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
 _LN2 = math.log(2.0)
@@ -73,7 +73,8 @@ def _normal_block(seed: int, first_stream: int, n_streams: int, blocks: np.ndarr
     """(n_streams, 2 len(blocks)) standard normals, by Box-Muller on each block's uniforms.
 
     Normal p of a stream lies in block p // 2; its bits do not depend on the other blocks,
-    so the rows are made a chunk at a time in a few reused buffers.
+    so the rows are made a chunk at a time in three reused buffers. The angle is written
+    over tmp, and its cos and sin over bits, once _mix64 is done with each.
     """
     blocks = np.asarray(blocks, dtype=np.uint64)
     radius_at, angle_at = ((2 * blocks + np.uint64(j)) * _GOLDEN for j in (1, 2))
@@ -81,7 +82,7 @@ def _normal_block(seed: int, first_stream: int, n_streams: int, blocks: np.ndarr
     z = np.empty((n_streams, 2 * len(blocks)))
     rows = max(1, _CHUNK // max(1, len(blocks)))
     bits, tmp = np.empty((2, min(rows, n_streams), len(blocks)), dtype=np.uint64)
-    radius, angle, trig = np.empty((3, min(rows, n_streams), len(blocks)))
+    radius, angle, trig = np.empty(bits.shape), tmp.view(np.float64), bits.view(np.float64)
     for lo in range(0, n_streams, rows):
         chunk, n = keys[lo : lo + rows], min(rows, n_streams - lo)
         r = _uniforms(chunk, radius_at, radius[:n], bits[:n], tmp[:n])

@@ -164,12 +164,10 @@ def skew_logdet_batch(y_batch: np.ndarray, t: float) -> np.ndarray:
         y_batch[:, np.arange(n), np.arange(n)] = math.sqrt(t)
         return _positive_logdet(y_batch)
     a = np.ascontiguousarray(y_batch.transpose(1, 2, 0))  # (N, N, B): a view when it already is
-    upper = a[np.triu_indices(n, 1)]
+    norm2, square = np.zeros(b), np.empty(b)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the matrix goes to slogdet
-        upper *= upper
-        norm2 = np.zeros(b)
-        for row in upper:  # in a fixed order, so a norm depends on no other sample
-            norm2 += row
+        for i, j in zip(*np.triu_indices(n, 1)):  # row-major, so a norm depends on no other sample
+            norm2 += np.multiply(a[i, j], a[i, j], out=square)
         fits = 2.0 * norm2 <= GROWTH_CAP * t  # ||Y||_F^2 is twice the upper triangle's
     _diagonal(a)[:] = math.sqrt(t)
     if fits.all():

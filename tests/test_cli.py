@@ -135,6 +135,14 @@ class TestEstimate:
         assert main(argv + ["--threads", threads]) == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_default_threads_are_the_usable_cpus(self, monkeypatch):
+        argv = ["estimate", "--graph", "g.txt", "--t", "1"]
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+        assert cli.build_parser().parse_args(argv).threads == 2
+        monkeypatch.delattr(cli.os, "sched_getaffinity")  # as on macOS and Windows
+        assert cli.build_parser().parse_args(argv).threads == 16
+
     def test_bad_graph_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1\n1 1 1.0\n")

@@ -339,9 +339,12 @@ class TestBatchRows:
 
     @pytest.mark.parametrize("graph", ["random6", "sparse"])
     def test_small_samples_keep_the_row_cap(self, request, graph):
+        # random6 takes the whole cap; sparse, at 3,568 bytes a row, fills the budget first
         g = sparse_graph() if graph == "sparse" else request.getfixturevalue(graph)
-        assert 4096 * sample_row_bytes(g) <= estimator._BATCH_BYTES
-        assert estimator._batch_rows(estimator._sample_plan(g, 1.0)) == estimator._BATCH == 4096
+        rows, row_bytes = estimator._batch_rows(estimator._sample_plan(g, 1.0)), sample_row_bytes(g)
+        assert estimator._BATCH == 12288
+        assert rows == {"random6": estimator._BATCH, "sparse": 7053}[graph]
+        assert rows * row_bytes <= estimator._BATCH_BYTES
 
     def test_edgeless_plan_takes_at_least_one_row(self):
         g = WeightedGraph(4, ())

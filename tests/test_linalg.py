@@ -262,6 +262,46 @@ class TestSmallOrderKernels:
             exact = exact_log(exact_det(mats[i]))
             assert within_slogdet_error(got[i], slogdet(mats[i])[1], exact)
 
+    @pytest.mark.parametrize("t", [1.0, 0.37, 1e-4])
+    def test_cap_sees_the_copied_norm(self, monkeypatch, t):
+        # the reference ||Y||_F^2: the upper triangle copied out, squared, and its rows
+        # added in row-major order
+        def copied_norm2(y):
+            a = np.ascontiguousarray(y.transpose(1, 2, 0))
+            upper = a[np.triu_indices(len(a), 1)]
+            upper *= upper
+            norm2 = np.zeros(a.shape[2])
+            for row in upper:
+                norm2 += row
+            return 2.0 * norm2
+
+        factored = []
+
+        def spy(a):
+            factored.append(a.copy())
+            return slogdet(a)
+
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
+        rng, cap, ulp = np.random.default_rng(47), GROWTH_CAP * t, np.spacing(GROWTH_CAP * t)
+        near = []
+        for n in range(2, SMALL_ORDER + 1):
+            # entries over three decades, scaled onto the cap, then nudged by a few ulps
+            y = np.triu(rng.standard_normal((40, n, n)) * 10.0 ** rng.uniform(-1.5, 1.5, (n, n)), 1)
+            y -= y.transpose(0, 2, 1)
+            y *= np.sqrt(cap / copied_norm2(y))[:, None, None]
+            y *= (1.0 + rng.integers(-3, 4, 40) * 2.0**-52)[:, None, None]
+            y[:4] *= np.array([0.5, 0.999, 1.001, 2.0])[:, None, None]
+            norm2 = copied_norm2(y)
+            far = norm2 > cap
+            near.append(far[np.abs(norm2 - cap) <= 4 * ulp])
+            factored.clear()
+            skew_logdet_batch(y.copy(), t)
+            assert np.array_equal(np.concatenate(factored or [np.empty((0, n, n))]),
+                                  y[far] + math.sqrt(t) * np.eye(n)), n
+        near = np.concatenate(near)
+        assert near.sum() > 20 and (~near).sum() > 20  # within 4 ulps, on both sides
+
     @pytest.mark.parametrize("entry", [3.0, 1.0])
     def test_non_positive_pivot_raises(self, entry):
         # a symmetric entry pair makes the second pivot 1 - entry^2: negative, or zero
