@@ -141,13 +141,13 @@ class _SamplePlan:
     The stream holds one normal per vertex pair, row-major, two per block;
     only the blocks that hold an edge are drawn, and idle are the drawn
     columns that no edge uses. det of the block-diagonal sample is the
-    product over components; each isolated vertex adds exactly (1/2) log t.
+    product over components; shift adds exactly (1/2) log t per isolated vertex.
     """
 
     blocks: np.ndarray
     idle: np.ndarray
     stacks: tuple[_Stack, ...]
-    isolated: int
+    shift: float
 
 
 def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
@@ -179,7 +179,8 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
         for (dense, _, _), cells in groups.items()
     )
     idle = np.setdiff1d(np.arange(2 * len(blocks)), edges)
-    return _SamplePlan(blocks, idle, stacks, n - sum(len(v) for v, _ in comps))
+    isolated = n - sum(len(v) for v, _ in comps)
+    return _SamplePlan(blocks, idle, stacks, isolated * (0.5 * math.log(t)) if isolated else 0.0)
 
 
 def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
@@ -188,15 +189,14 @@ def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
     A small stack is gathered batch-innermost: z.T indexed by the plan's index,
     transposed to (rows, cols, members), gives (rows, cols, members, count) in one
     gather, and its view as (members * count, rows, cols) is member-major. A larger
-    one is (count * members, rows, cols), sample-major: the dense stack is gathered by np.take, in C order, and the
-    Gram stack by advanced indexing, which leaves the batch axis innermost for the
-    summation order of U U^T (np.take would change its last bits).
+    one is gathered by np.take, in C order, as (count * members, rows, cols):
+    sample-major.
     """
     if stack.small:
         mats = z.T[stack.index.transpose(1, 2, 0)]
         mats *= stack.coef.transpose(1, 2, 0)[..., None]
         return mats.reshape(*mats.shape[:2], -1).transpose(2, 0, 1)
-    mats = np.take(z, stack.index, axis=1) if stack.dense else z[:, stack.index]
+    mats = np.take(z, stack.index, axis=1)
     mats *= stack.coef
     return mats.reshape(-1, *mats.shape[2:])
 
@@ -459,12 +459,11 @@ def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
         except NonPositiveDeterminantError as exc:  # name the sample drawn, not the row
             members, i = len(s.coef), exc.index
             row, member = (i % count, i // count) if s.small else (i // members, i % members)
-            msg = f"sample {start + row}, component {member} of {members} alike: {exc}"
+            msg = f"sample {start + row}, component {member} of {members} alike: {exc.detail}"
             raise NonPositiveDeterminantError(msg) from None
         parts.append(values.reshape(-1, count).T if s.small else values.reshape(count, -1))
     per_comp = np.concatenate(parts, axis=1)
-    shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0
-    total = sum(per_comp.T, np.full(count, shift))  # component by component, in plan order
+    total = sum(per_comp.T, np.full(count, plan.shift))  # component by component, in plan order
     peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
     n = np.floor(per_comp / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
     f = np.exp(per_comp - n * _LN2)
@@ -496,8 +495,8 @@ def estimate_log_phi_tilde(
         raise ValueError("threads must be at least 1")
 
     plan = _sample_plan(g, t)
-    shift = plan.isolated * (0.5 * math.log(t)) if plan.isolated else 0.0  # isolated vertices
-    rows, n = _batch_rows(plan), threads or 1  # rows depend on the plan alone
+    rows = _batch_rows(plan)  # rows depend on the plan alone
+    n = min(threads or 1, -(-k // rows))  # no share without a batch
     failed = []  # (start, error) of each failing batch; a stale read runs one more batch
 
     def share(first: int):
@@ -526,7 +525,7 @@ def estimate_log_phi_tilde(
     # unbiased variance is exact, and 0 at k = 1, where k S2 = S1^2
     s1, s2 = sum(sums)
     var = (k * s2 - s1 * s1) / (k * max(k - 1, 1))
-    log_mean_det = math.fsum(_log(m) for m in s1[1:] / k) + shift
+    log_mean_det = math.fsum(_log(m) for m in s1[1:] / k) + plan.shift
     rel2 = (var[1:] * k / (s1[1:] * s1[1:])).sum()  # sum_C var_C / (k mean_C^2)
     return EstimateResult(
         k=k, t=t, seed=seed, max_abs_variate=max(peaks),

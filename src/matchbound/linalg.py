@@ -35,10 +35,12 @@ GROWTH_CAP = 1e3  # dense elimination only where ||Y||_F^2 <= GROWTH_CAP * t
 class NonPositiveDeterminantError(ArithmeticError):
     """A determinant that is positive in exact arithmetic came out non-positive or non-finite.
 
-    index is the position in its batch of the sample named, where a batch kernel raised it.
+    Where a batch kernel raised it, index is the position in its batch of the sample
+    named, and detail the message past that position.
     """
 
     index: int | None = None
+    detail: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +100,9 @@ def _require_positive(bad: np.ndarray, detail, rows: np.ndarray | None = None) -
     if hit.size:
         i = int(hit[0])
         index = i if rows is None else int(rows[i])
-        err = NonPositiveDeterminantError(
-            f"sample {index} of the batch: {detail(i)} where a positive finite determinant"
-            " is guaranteed"
-        )
-        err.index = index
+        text = f"{detail(i)} where a positive finite determinant is guaranteed"
+        err = NonPositiveDeterminantError(f"sample {index} of the batch: {text}")
+        err.index, err.detail = index, text
         raise err
 
 
@@ -190,7 +190,8 @@ def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
     """
     b, m, n = u_batch.shape
     if m > SMALL_ORDER:
-        gram = u_batch @ u_batch.transpose(0, 2, 1)
+        u = np.ascontiguousarray(u_batch)  # matmul's summation order depends on the layout
+        gram = u @ u.transpose(0, 2, 1)
         gram[:, np.arange(m), np.arange(m)] += t
         return _positive_logdet(gram) + 0.5 * (n - m) * math.log(t)
     u = u_batch.transpose(1, 2, 0)  # (m, n, B)

@@ -115,6 +115,24 @@ def even_multi() -> WeightedGraph:
     return WeightedGraph(12, EVEN_MULTI_EDGES)
 
 
+# past SMALL_ORDER: K13 on the dense route, and K13,13 (m = 13) on the Gram route
+# alone and as a two-member stack
+@pytest.fixture(scope="session")
+def k13() -> WeightedGraph:
+    return complete_graph(13)
+
+
+@pytest.fixture(scope="session")
+def k13_13() -> WeightedGraph:
+    return complete_bipartite_graph(13, 13)
+
+
+@pytest.fixture(scope="session")
+def two_k13_13(k13_13) -> WeightedGraph:
+    edges = k13_13.edges  # the second copy on vertices 26 to 51
+    return WeightedGraph(52, edges + tuple((u + 26, v + 26, w) for u, v, w in edges))
+
+
 def brute_matching_counts(g: WeightedGraph) -> list[float]:
     """phi(0..floor(N/2)) by enumerating edge subsets. Independent oracle."""
     n = g.n_vertices // 2

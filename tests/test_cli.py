@@ -8,7 +8,13 @@ import matchbound.estimator as estimator
 import matchbound.exact as exact
 from matchbound.analysis import c1_constant
 from matchbound.cli import main
-from matchbound.graphs import WeightedGraph, complete_graph, path_graph, serialize_graph
+from matchbound.graphs import (
+    WeightedGraph,
+    complete_bipartite_graph,
+    complete_graph,
+    path_graph,
+    serialize_graph,
+)
 
 from conftest import MULTI_EDGES, RANDOM6_EDGES, grid_graph, sample_row_bytes, sparse_graph
 
@@ -169,16 +175,34 @@ class TestEstimate:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    @pytest.mark.parametrize("graph", ["multi", "k64", "sparse", "random6"])
-    def test_byte_identical_across_batch_sizes(self, capsys, tmp_path, monkeypatch, graph):
+    def test_byte_identical_across_thread_counts_on_the_gram_route(self, capsys, tmp_path):
+        # K13,13 is one Gram matrix of order 13, past SMALL_ORDER: 8,962 rows a batch
+        # part 17,925 samples into 3 batches, the last of one row
+        path = tmp_path / "k13_13.txt"
+        path.write_text(serialize_graph(complete_bipartite_graph(13, 13)))
+        argv = ["estimate", "--graph", str(path), "--t", "1", "--samples", "17925",
+                "--seed", "3", "--format", "json"]
+        code1, out1 = run_json(capsys, argv + ["--threads", "1"])
+        code2, out2 = run_json(capsys, argv + ["--threads", "8"])
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    @pytest.mark.parametrize("graph, batches", [
+        *(pytest.param(g, (7, 1024, 4096), id=g) for g in ("multi", "k64", "sparse", "random6")),
+        # one row a batch: a lone Gram matrix past SMALL_ORDER laid out as in a longer batch
+        pytest.param("k13_13", (1, 7, 1024, 4096), id="k13_13"),
+    ])
+    def test_byte_identical_across_batch_sizes(self, capsys, tmp_path, monkeypatch, graph,
+                                               batches):
         g = {"multi": WeightedGraph(12, MULTI_EDGES), "k64": complete_graph(64),
-             "sparse": sparse_graph(), "random6": WeightedGraph(6, RANDOM6_EDGES)}[graph]
+             "sparse": sparse_graph(), "random6": WeightedGraph(6, RANDOM6_EDGES),
+             "k13_13": complete_bipartite_graph(13, 13)}[graph]
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
         argv = ["estimate", "--graph", str(path), "--t", "1", "--samples", "3000",
                 "--seed", "5", "--format", "json"]
         reports = set()
-        for batch in (7, 1024, 4096):
+        for batch in batches:
             monkeypatch.setattr(estimator, "_BATCH", batch)
             code, out = run_json(capsys, argv)
             assert code == 0

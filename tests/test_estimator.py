@@ -236,7 +236,8 @@ class TestEstimate:
                 ("_BATCH", 7, ""), ("_CHUNK", 3, "-chunk3"), ("_BATCH_BYTES", 1, "-bytes1")
             )
             for graph, t in (("random6", 1.0), ("k23", 0.5), ("k4", 1e-2), ("p6", 1e-2),
-                             ("multi", 1.0), ("even_multi", 1e-2))
+                             ("multi", 1.0), ("even_multi", 1e-2), ("k13", 1.0),
+                             ("k13_13", 1.0), ("two_k13_13", 1.0))
         ],
     )
     def test_batch_size_never_changes_a_sample(self, request, monkeypatch, graph, t, knob, size):
@@ -428,7 +429,8 @@ class TestComponents:
         position = {pair: p for p, pair in enumerate(itertools.combinations(range(12), 2))}
         pairs = [position[min(u, v), max(u, v)] for u, v, _ in multi.edges]
         assert plan.blocks.tolist() == sorted({p // 2 for p in pairs})
-        assert plan.isolated == 2
+        assert plan.shift == 0.0  # the isolated vertices 3 and 6 add (1/2) log 1 each
+        assert estimator._sample_plan(multi, 3.0).shift == math.log(3.0)
         assert sorted((s.dense, s.coef.shape) for s in plan.stacks) == [
             (False, (1, 1, 1)), (False, (1, 2, 3)), (True, (1, 3, 3))
         ]
@@ -549,8 +551,35 @@ class TestComponents:
 
         monkeypatch.setattr(estimator, "skew_logdet_batch", corrupt)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(NonPositiveDeterminantError, match="^sample 7, component 1 of 2 "):
+            with pytest.raises(NonPositiveDeterminantError, match=r"^sample 7, component 1 of 2 "
+                               r"alike: determinant sign \S+, log\|det\| nan where ") as exc:
                 estimate_log_phi_tilde(g, 1.0, 10, 0)
+        assert str(exc.value).count("sample") == 1  # not the kernel's row in the batch too
+
+    @pytest.mark.parametrize("k, threads, shares", [
+        (1, 64, 1), (21, 8, 3), (22, 8, 4), (22, 3, 3), (21, 1, 1), (1000, 8, 8)
+    ])
+    def test_no_share_without_a_batch(self, monkeypatch, random6, k, threads, shares):
+        # batches of 7 rows: k = 21 is 3 batches and 22 is 4; each share but the caller's
+        # goes to a worker, and one sample starts none, whatever the thread count
+        monkeypatch.setattr(estimator, "_BATCH", 7)
+        want = astuple(estimate_log_phi_tilde(random6, 1.0, k, 3, threads=1))
+        submitted, start, started = [], threading.Thread.start, []
+
+        class Recording(estimator.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        def counted_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        assert astuple(estimate_log_phi_tilde(random6, 1.0, k, 3, threads=threads)) == want
+        assert len(submitted) == shares - 1
+        assert len(started) <= shares - 1
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -320,6 +320,14 @@ class TestSmallOrderKernels:
             gram_logdet_batch(us, 1.0)
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("m", [13, 32])
+    def test_gram_layout_never_changes_a_bit_past_small_order(self, m):
+        # U U^T is a matmul past SMALL_ORDER, and matmul sums in an order that follows
+        # the memory layout: a batch-innermost stack must give the C-order stack's bits
+        u = np.random.default_rng(m).standard_normal((64, m, m))
+        batch_inner = np.ascontiguousarray(u.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert np.array_equal(gram_logdet_batch(batch_inner, 1.0), gram_logdet_batch(u, 1.0))
+
     def test_layout_never_changes_a_bit(self):
         # the estimator hands over a view of (n, n, B) memory; a scalar caller a C-order stack
         rng = np.random.default_rng(8)
