@@ -30,14 +30,15 @@ from .graphs import (
     GraphFormatError,
     SkewAdjacency,
     WeightedGraph,
+    WeightSums,
     bipartition,
     complete_bipartite_graph,
     complete_graph,
-    heaviest_weight_sums,
     parse_graph,
     path_graph,
     serialize_graph,
     skew_adjacency,
+    weight_sums,
 )
 from .linalg import (
     BipartiteSample,
@@ -65,6 +66,7 @@ __all__ = [
     "SkewAdjacency",
     "SkewSample",
     "WeightedGraph",
+    "WeightSums",
     "bipartite_block",
     "bipartition",
     "bounds_report",
@@ -75,7 +77,6 @@ __all__ = [
     "complete_graph_counts",
     "estimate_log_phi_tilde",
     "gaussian_log_gap",
-    "heaviest_weight_sums",
     "log_det_bipartite",
     "log_det_shifted",
     "log_gap_bound",
@@ -88,4 +89,5 @@ __all__ = [
     "serialize_graph",
     "skew_adjacency",
     "tail_bound",
+    "weight_sums",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .estimator import RngStream, derive_seed, estimate_log_phi_tilde, log_gap_bound
 from .exact import complete_bipartite_counts, matching_counts
-from .graphs import WeightedGraph, complete_bipartite_graph, heaviest_weight_sums
+from .graphs import WeightedGraph, complete_bipartite_graph, weight_sums
 
 EULER_GAMMA = 0.5772156649015329
 _PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)  # psi(1/2)
@@ -93,7 +93,7 @@ class GapSweepRow:
     exact_per_vertex: float
     gap_per_vertex: float
     std_err_per_vertex: float
-    gap_bound: float  # sum_C min(W_C / 4t, n_C c1) / N (estimator.log_gap_bound)
+    gap_bound: float  # min(nu / 2t, N c1) / N of the cover weight nu (estimator.log_gap_bound)
 
 
 def optimality_sweep(
@@ -156,7 +156,7 @@ def optimality_sweep(
                 exact_per_vertex=exact_pv,
                 gap_per_vertex=exact_pv - estimate_pv,
                 std_err_per_vertex=est.std_err / n_vertices,
-                gap_bound=log_gap_bound(heaviest_weight_sums(g)[1], t, c1) / n_vertices,
+                gap_bound=log_gap_bound(weight_sums(g).parts, t, c1) / n_vertices,
             )
         )
     return rows

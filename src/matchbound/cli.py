@@ -32,9 +32,9 @@ from .exact import GraphTooLargeError, matching_counts
 from .graphs import (
     GraphFormatError,
     WeightedGraph,
-    bipartition,
-    heaviest_weight_sums,
+    WeightSums,
     parse_graph,
+    weight_sums,
 )
 from .linalg import NonPositiveDeterminantError
 
@@ -44,9 +44,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 _SLACK_STD_ERRS = 4.0
-
-Parts = tuple[tuple[float, int], ...]  # (W_C, n_C) per component, see heaviest_weight_sums
-
 
 def _json_scalar(x: Any) -> str:
     if x is None:
@@ -115,36 +112,37 @@ def _pick(obj: Any, keys: str) -> dict[str, Any]:
     return {key: getattr(obj, key) for key in keys.split()}
 
 
-def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, Parts, dict[str, Any]]:
-    """The graph of --graph, its (W_C, n_C) parts and its report block, once --t is checked."""
+def _graph(args: argparse.Namespace) -> tuple[WeightedGraph, WeightSums, dict[str, Any]]:
+    """The graph of --graph, its weight sums and its report block, once --t is checked."""
     with open(args.graph, "r", encoding="utf-8-sig") as fh:  # with or without a BOM
         g = parse_graph(fh.read())
     if not 0 < args.t < math.inf:
         raise ValueError("--t must be positive and finite")
-    heaviest, parts = heaviest_weight_sums(g)
+    sums = weight_sums(g)
     block = {
         "n_vertices": g.n_vertices,
         "n_edges": g.n_edges,
         "amplitude": math.sqrt(g.max_weight),
-        "heaviest_weight_sum": heaviest,
+        "heaviest_weight_sum": sums.heaviest,
+        "cover_weight_sum": sums.cover_sum,
     }
-    return g, parts, block
+    return g, sums, block
 
 
 def _bracket(
-    args: argparse.Namespace, g: WeightedGraph, parts: Parts, k: int
+    args: argparse.Namespace, g: WeightedGraph, sums: WeightSums, k: int
 ) -> tuple[EstimateResult, BoundsReport, dict[str, Any]]:
     """Estimate with k samples and bracket the result: both, and their report blocks."""
     est = estimate_log_phi_tilde(g, args.t, k, args.seed, threads=args.threads)
-    bounds = bounds_report(est, g.n_vertices, args.t, c1_constant(), parts=parts)
+    bounds = bounds_report(est, g.n_vertices, args.t, c1_constant(), parts=sums.parts)
     keys = "t seed mean_log std_err mean_det std_err_det log_mean_det max_abs_variate"
     blocks = {"estimate": {"samples": est.k, **_pick(est, keys)}, "bounds": asdict(bounds)}
     return est, bounds, blocks
 
 
 def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    g, parts, graph = _graph(args)
-    graph["bipartite"] = bipartition(g) is not None
+    g, sums, graph = _graph(args)
+    graph["bipartite"] = sums.bipartite
 
     plan = None
     k = args.samples
@@ -155,10 +153,10 @@ def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             raise ValueError("provide --samples or both --eps and --delta")
         plan = plan_samples(
             args.eps, args.delta, g.n_vertices, args.t,
-            heaviest_weight_sum=graph["heaviest_weight_sum"],
+            heaviest_weight_sum=sums.cover_sum,
         )  # an edgeless graph has W = 0 and one sample, which is exact
         k = plan.samples
-    _, _, blocks = _bracket(args, g, parts, k)
+    _, _, blocks = _bracket(args, g, sums, k)
 
     # thread count is deliberately not echoed: it never affects the numbers,
     # and reports must be byte-identical across worker counts
@@ -172,7 +170,7 @@ def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    g, parts, graph = _graph(args)
+    g, sums, graph = _graph(args)
 
     # phi_{cw}(k) = c^k phi_w(k): count on weights scaled to a largest weight
     # of 1, so the float counts cannot overflow, and sum the terms
@@ -187,7 +185,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     lead = max(terms)
     log_value = lead + math.log(math.fsum(math.exp(x - lead) for x in terms))
 
-    est, bounds, blocks = _bracket(args, g, parts, args.samples)
+    est, bounds, blocks = _bracket(args, g, sums, args.samples)
 
     # unbiased target: the polynomial value, times sqrt(t) when N is odd;
     # mean, target and standard error are all divided by the larger of the

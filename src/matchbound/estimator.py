@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import SkewAdjacency, WeightedGraph, components, skew_adjacency
+from .graphs import SkewAdjacency, WeightedGraph, skew_adjacency
 from .linalg import (
     SMALL_ORDER,
     NonPositiveDeterminantError,
@@ -167,7 +167,7 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
     col = np.zeros((n, n), dtype=np.intp)  # an entry off every edge reads column 0, times 0
     col[i, j] = col[j, i] = edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2
     groups: dict[tuple[bool, int, int], list] = {}
-    for verts, bip in (comps := components(g)):
+    for verts, bip in g.components:
         if bip is not None:
             n_c, max_w = len(verts), float(np.square(row_max[list(verts)].max()))
             keeps_t = n_c * np.finfo(float).eps * (max_w / t) <= 1e-12
@@ -179,7 +179,7 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
         for (dense, _, _), cells in groups.items()
     )
     idle = np.setdiff1d(np.arange(2 * len(blocks)), edges)
-    isolated = n - sum(len(v) for v, _ in comps)
+    isolated = n - sum(len(v) for v, _ in g.components)
     return _SamplePlan(blocks, idle, stacks, isolated * (0.5 * math.log(t)) if isolated else 0.0)
 
 
@@ -341,20 +341,24 @@ class BoundsReport:
 def plan_samples(
     epsilon: float, delta: float, n_vertices: int, t: float, *, heaviest_weight_sum: float
 ) -> FprasPlan:
-    """Sample count ceil(4 W log(4/delta) / (t eps^2)), radius eps/(2N).
+    """Sample count ceil(4 W log(4/delta) / (t eps^2)), radius eps/(2N), for any W >= 2 nu*.
 
-    W = sum_i max_j w_ij sums each vertex's heaviest edge weight (the graph's
-    heaviest_weight_sum, from graphs.heaviest_weight_sums); the worst case,
-    every vertex paying the largest weight a^2, is W = a^2 N.
+    nu* is the largest weight of a fractional matching of the graph. Twice the weight
+    of any fractional vertex cover is such a W (graphs.weight_sums' cover_sum), and so
+    is the heaviest weight sum sum_i max_j w_ij; the worst case, every vertex paying
+    the largest weight a^2, is W = a^2 N.
 
-    W/2t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
+    nu*/t <= W/2t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
     where Y_ij = a_ij z_ij = -Y_ji for i < j. Its gradient is df/dz_ij = a_ij K_ij
     with K = 2Y (tI + Y^T Y)^-1, since M^-1 - M^-T = -2Y (tI - Y^2)^-1 for
     M = sqrt(t) I + Y; K is skew and its singular values are 2s / (t + s^2) <=
-    1/sqrt(t). The gradient has one entry per unordered pair, so, K being skew,
-    |grad f|^2 = sum_{i<j} w_ij K_ij^2 = (1/2) sum_{i!=j} w_ij K_ij^2. Bound row
-    i's weights by its heaviest, max_j w_ij, and its row norm of K by ||K||_2:
-    |grad f|^2 <= sum_i max_j w_ij / 2t = W/2t, which K2 attains at y = sqrt(t).
+    1/sqrt(t). The gradient has one entry per unordered pair, so |grad f|^2 =
+    sum_{i<j} w_ij K_ij^2. Row i of K has sum_j K_ij^2 = (K K^T)_ii <= 1/t, so
+    x_ij = t K_ij^2 is a fractional matching and |grad f|^2 = sum_{i<j} w_ij x_ij / t
+    <= nu*/t, which K2 and every star attain at y = sqrt(t) on one heaviest edge. By
+    LP duality nu* is the least weight sum_i c_i of a fractional vertex cover (c >= 0,
+    c_i + c_j >= w_ij on every edge): c_i = max_j w_ij / 2 gives the heaviest weight
+    sum, and on a bipartite graph either side's heaviest weights are a cover.
     Gaussian concentration for Lipschitz functions (Tsirelson-Ibragimov-Sudakov)
     then puts the mean of k samples more than N r from its expectation with
     probability at most 2 exp(-t k N^2 r^2 / W) (tail_bound), which is at most
@@ -388,10 +392,10 @@ def plan_samples(
 
 
 def tail_bound(r: float, n_vertices: int, k: int, t: float, *, heaviest_weight_sum: float) -> float:
-    """Deviation probability bound 2 exp(-t k N^2 r^2 / W).
+    """Deviation probability bound 2 exp(-t k N^2 r^2 / W), for any W >= 2 nu*.
 
     Bounds Pr(|mean of k log-determinants - its expectation| >= N r) by Gaussian
-    concentration, 2 exp(-k (N r)^2 / 2L^2) with plan_samples' L^2 = W/2t.
+    concentration, 2 exp(-k (N r)^2 / 2L^2) with plan_samples' L^2 <= nu*/t <= W/2t.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -405,12 +409,13 @@ def tail_bound(r: float, n_vertices: int, k: int, t: float, *, heaviest_weight_s
 
 
 def log_gap_bound(parts: Sequence[tuple[float, int]], t: float, c1: float) -> float:
-    """sum_C min(W_C / 4t, n_C c1) over the (W_C, n_C) parts from graphs.heaviest_weight_sums.
+    """sum_C min(W_C / 4t, n_C c1) over parts (W_C, n_C), for any W_C >= 2 nu*_C.
 
     log E det - E log det adds over components, which draw disjoint normals.
-    A component's gap is at most L_C^2 / 2 = W_C / 4t, by Gaussian concentration with
-    plan_samples' L_C^2 = W_C / 2t (each edge counted once), and at most n_C c1 per vertex. A part
-    without an edge (W_C = 0) is exact. t must be positive.
+    A component's gap is at most L_C^2 / 2 <= W_C / 4t, by Gaussian concentration with
+    plan_samples' L_C^2 <= nu*_C / t, and at most n_C c1 per vertex. graphs.weight_sums'
+    parts are (2 nu_C, n_C) from a fractional vertex cover. A part without an edge
+    (W_C = 0) is exact. t must be positive.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -422,11 +427,11 @@ def bounds_report(
 ) -> BoundsReport:
     """Assemble the additive bracket from an estimate: gap log_gap_bound(parts, t, c1).
 
-    parts are the graph's (W_C, n_C) (graphs.heaviest_weight_sums); the worst
-    case, every vertex its own part of weight a^2, is ((a^2, 1),) * N. The
-    finite-sample gap log1p(sqrt(4kW / pi t) exp(kW / 4t)) / k, W = sum_C W_C,
-    is never smaller, so it is not reported. With E = k L^2 / 2 = kW / 4t (L^2 = W/2t,
-    plan_samples) its log1p argument is 4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1
+    parts are the graph's (W_C, n_C), any W_C >= 2 nu*_C (graphs.weight_sums'
+    parts); the worst case, every vertex its own part of weight a^2, is
+    ((a^2, 1),) * N. The finite-sample gap log1p(sqrt(4kW / pi t) exp(kW / 4t)) / k,
+    W = sum_C W_C, is never smaller, so it is not reported. With E = kW / 4t >= k L^2 / 2
+    (plan_samples) its log1p argument is 4 sqrt(E/pi) e^E, and e^-E + 4 sqrt(E/pi) >= 1
     for E >= 0 (1 at E = 0, increasing since e^E > sqrt(pi E) / 2), so the gap is at
     least log(e^E) / k = W / 4t >= log_gap_bound(parts, t, c1).
     """

@@ -1,13 +1,15 @@
 """Weighted graphs, file parsing, skew-symmetric edge templates, components, bipartition.
 
 Vertex ids are 1-based in files and 0-based everywhere else. All containers
-are immutable after construction and safe to share between threads.
+are immutable after construction and safe to share between threads; a graph
+keeps its components once they are found.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +57,32 @@ class WeightedGraph:
     @property
     def max_weight(self) -> float:
         return max((w for _, _, w in self.edges), default=0.0)
+
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, ...], Bipartition | None], ...]:
+        """The connected components that hold an edge, in order of least vertex.
+
+        Each is its vertex tuple (ascending) with its BFS two-coloring from the
+        least vertex, sides swapped if needed so that left is not larger, or
+        None when the component has an odd cycle. Built once per graph.
+        """
+        color = [-1] * self.n_vertices
+        nbrs = self.adjacency()
+        out = []
+        for start in range(self.n_vertices):
+            if color[start] != -1 or not nbrs[start]:
+                continue
+            color[start], found, odd = 0, [start], False
+            for u in found:  # found grows while it is read: breadth-first order
+                for v, _ in nbrs[u]:
+                    if color[v] == -1:
+                        color[v] = 1 - color[u]
+                        found.append(v)
+                    odd = odd or color[v] == color[u]
+            sides = [tuple(sorted(v for v in found if color[v] == c)) for c in (0, 1)]
+            sides.sort(key=len)
+            out.append((tuple(sorted(found)), None if odd else Bipartition(*sides)))
+        return tuple(out)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """Neighbor lists (neighbor, weight), ascending vertex order."""
@@ -179,43 +207,39 @@ def skew_adjacency(g: WeightedGraph) -> SkewAdjacency:
     return SkewAdjacency(g.n_vertices, a)
 
 
-def components(g: WeightedGraph) -> list[tuple[tuple[int, ...], Bipartition | None]]:
-    """The connected components that hold an edge, in order of least vertex.
+@dataclass(frozen=True)
+class WeightSums:
+    """The certificate's weight sums of a graph (weight_sums).
 
-    Each is its vertex tuple (ascending) with its BFS two-coloring from the
-    least vertex, sides swapped if needed so that left is not larger, or
-    None when the component has an odd cycle.
+    heaviest is W = sum_v max_j w_vj. cover holds 2 c_v per vertex for a fractional
+    vertex cover c (c_u + c_v >= w_uv on every edge): c_v = max_j w_vj / 2 on a
+    component with an odd cycle; on a bipartite one, c_v = max_j w_vj on the side
+    whose sum is smaller and 0 on the other. parts holds (2 nu_C, n_C) per component
+    of g.components, nu_C = sum_{v in C} c_v <= W_C / 2, and cover_sum is
+    sum_C 2 nu_C. Each sum is rounded once (math.fsum), or is inf past the largest
+    double; an isolated vertex adds 0. bipartite is whether g has no odd cycle.
     """
-    color = [-1] * g.n_vertices
-    nbrs = g.adjacency()
-    out = []
-    for start in range(g.n_vertices):
-        if color[start] != -1 or not nbrs[start]:
-            continue
-        color[start], found, odd = 0, [start], False
-        for u in found:  # found grows while it is read: breadth-first order
-            for v, _ in nbrs[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    found.append(v)
-                odd = odd or color[v] == color[u]
-        sides = sorted((tuple(sorted(v for v in found if color[v] == c)) for c in (0, 1)), key=len)
-        out.append((tuple(sorted(found)), None if odd else Bipartition(*sides)))
-    return out
+
+    heaviest: float
+    cover_sum: float
+    parts: tuple[tuple[float, int], ...]
+    cover: tuple[float, ...]
+    bipartite: bool
 
 
-def heaviest_weight_sums(g: WeightedGraph) -> tuple[float, tuple[tuple[float, int], ...]]:
-    """W and the (W_C, n_C) of each component of components(g), in its order.
-
-    n_C is the component's vertex count and W_C = sum_{i in C} max_j w_ij, the
-    sum over its vertices of each one's heaviest edge weight; W = sum_C W_C.
-    Each is taken from the weights themselves and rounded once (math.fsum), or
-    is inf past the largest double. An isolated vertex is in no component and
-    adds 0, so W <= max_weight * N.
-    """
+def weight_sums(g: WeightedGraph) -> WeightSums:
+    """W, the cover and its per-component sums 2 nu_C of g, and whether g is bipartite."""
     heaviest = [max((w for _, w in nbrs), default=0.0) for nbrs in g.adjacency()]
-    parts = tuple((_sum(heaviest[v] for v in verts), len(verts)) for verts, _ in components(g))
-    return _sum(heaviest), parts
+    cover = heaviest.copy()
+    for _, bip in g.components:
+        if bip is not None:  # either side covers every edge of C: take the lighter one
+            sides = sorted((bip.left, bip.right), key=lambda side: _sum(heaviest[v] for v in side))
+            for side, scale in zip(sides, (2.0, 0.0)):
+                for v in side:
+                    cover[v] = scale * heaviest[v]
+    parts = tuple((_sum(cover[v] for v in verts), len(verts)) for verts, _ in g.components)
+    bipartite = all(bip is not None for _, bip in g.components)
+    return WeightSums(_sum(heaviest), _sum(cover), parts, tuple(cover), bipartite)
 
 
 def _sum(terms) -> float:
@@ -232,7 +256,7 @@ def bipartition(g: WeightedGraph) -> Bipartition | None:
     The left side joins the smaller side of every component; isolated
     vertices go right, so len(left) <= len(right).
     """
-    bips = [bip for _, bip in components(g)]
+    bips = [bip for _, bip in g.components]
     if None in bips:
         return None
     left = tuple(sorted(v for bip in bips for v in bip.left))

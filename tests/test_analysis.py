@@ -134,9 +134,9 @@ class TestOptimalitySweep:
         row = optimality_sweep([side], t, 0.25, 4.0, 13, 50)[0]
         u = RngStream(derive_seed(13, 0), 2**64 - 1).uniforms(row.m * row.n)
         w = 0.25 + 3.75 * u.reshape(row.m, row.n)
-        heaviest = math.fsum(w.max(axis=1)) + math.fsum(w.max(axis=0))
+        nu = min(math.fsum(w.max(axis=1)), math.fsum(w.max(axis=0)))  # the lighter side
         n_vertices = row.m + row.n
-        want = min(heaviest / t / 4.0, n_vertices * c1_constant()) / n_vertices
+        want = min(2.0 * nu / t / 4.0, n_vertices * c1_constant()) / n_vertices
         assert row.gap_bound == pytest.approx(want, rel=1e-15)
         assert row.gap_bound < min(4.0 / t / 4.0, c1_constant())
 

@@ -94,7 +94,8 @@ class TestEstimate:
 
     def test_plan_uses_the_heaviest_weight_sum(self, capsys, tmp_path):
         # P3 with weights 0.5, 2 plus an edge of weight 3 and an isolated vertex:
-        # W = 0.5 + 2 + 2 + 3 + 3 = 10.5 against a^2 N = 3 * 6 = 18
+        # W = 0.5 + 2 + 2 + 3 + 3 = 10.5 against a^2 N = 3 * 6 = 18, and the plan's
+        # cover 2 nu = 2 (2 + 3) = 10: P3's middle vertex and one end of the edge
         path = tmp_path / "mixed.txt"
         path.write_text("6 3\n1 2 0.5\n2 3 2\n4 5 3\n")
         code, out = run_json(
@@ -105,10 +106,11 @@ class TestEstimate:
         assert code == 0
         report = json.loads(out)
         assert report["graph"]["heaviest_weight_sum"] == 10.5
-        want = math.ceil(4 * 10.5 * math.log(4 / 0.25) / (2 * 0.5**2))
-        assert report["plan"]["samples"] == want == 233
-        # gap: min(4.5 / 8, 3 c1) + min(6 / 8, 2 c1); the isolated vertex adds 0
-        assert report["bounds"]["gap_asymptotic"] == 0.5625 + 0.75
+        assert report["graph"]["cover_weight_sum"] == 10.0
+        want = math.ceil(4 * 10.0 * math.log(4 / 0.25) / (2 * 0.5**2))
+        assert report["plan"]["samples"] == want == 222
+        # gap: min(4 / 8, 3 c1) + min(6 / 8, 2 c1); the isolated vertex adds 0
+        assert report["bounds"]["gap_asymptotic"] == 0.5 + 0.75
 
     def test_missing_t_is_usage_error(self, k2_file):
         with pytest.raises(SystemExit) as exc:
@@ -480,13 +482,14 @@ class TestBench:
              "--seed", "4", "--format", "json"],
         )
         assert code == 0
-        # K_{2,2} with weights 0.5 + 1.5 u: the per-vertex gap min(W / 4Nt, c1) of
-        # its heaviest weight sum W, below the worst case min(2 / 4t, c1) = 0.5
+        # K_{2,2} with weights 0.5 + 1.5 u: the per-vertex gap min(2 nu / 4Nt, c1) of
+        # the lighter side's heaviest weight sum nu, below the worst case
+        # min(2 / 4t, c1) = 0.5
         u = estimator.RngStream(estimator.derive_seed(4, 0), 2**64 - 1).uniforms(4).tolist()
         w = [[0.5 + 1.5 * u[2 * i + j] for j in range(2)] for i in range(2)]
-        heaviest = sum(map(max, w)) + sum(map(max, zip(*w)))
+        nu = min(sum(map(max, w)), sum(map(max, zip(*w))))
         gap_bound = json.loads(out)["rows"][0]["gap_bound"]
-        assert gap_bound == pytest.approx(min(heaviest / 16, c1_constant()), rel=1e-15)
+        assert gap_bound == pytest.approx(min(2 * nu / 16, c1_constant()), rel=1e-15)
         assert gap_bound < 0.5
 
     def test_invalid_weight_is_usage_error(self, capsys):
@@ -606,6 +609,7 @@ ESTIMATE_KEYS = [
     "std_err_det", "log_mean_det", "max_abs_variate",
 ]
 BOUNDS_KEYS = ["lower_log", "gap_asymptotic", "upper_log", "per_vertex_gap"]
+GRAPH_KEYS = ["n_vertices", "n_edges", "amplitude", "heaviest_weight_sum", "cover_weight_sum"]
 
 
 class TestReportSchema:
@@ -621,7 +625,7 @@ class TestReportSchema:
         assert self.report(capsys, argv) == {
             "": ["command", "graph", "estimate", "bounds"],
             ".command": ["subcommand", "graph", "t", "eps", "delta", "samples", "seed"],
-            ".graph": ["n_vertices", "n_edges", "amplitude", "heaviest_weight_sum", "bipartite"],
+            ".graph": GRAPH_KEYS + ["bipartite"],
             ".estimate": ESTIMATE_KEYS,
             ".bounds": BOUNDS_KEYS,
         }
@@ -631,7 +635,7 @@ class TestReportSchema:
         assert self.report(capsys, argv) == {
             "": ["command", "graph", "plan", "estimate", "bounds"],
             ".command": ["subcommand", "graph", "t", "eps", "delta", "samples", "seed"],
-            ".graph": ["n_vertices", "n_edges", "amplitude", "heaviest_weight_sum", "bipartite"],
+            ".graph": GRAPH_KEYS + ["bipartite"],
             ".plan": ["epsilon", "delta", "deviation_radius", "samples"],
             ".estimate": ESTIMATE_KEYS,
             ".bounds": BOUNDS_KEYS,
@@ -642,7 +646,7 @@ class TestReportSchema:
         assert self.report(capsys, argv) == {
             "": ["command", "graph", "estimate", "bounds", "oracle"],
             ".command": ["subcommand", "graph", "t", "samples", "seed"],
-            ".graph": ["n_vertices", "n_edges", "amplitude", "heaviest_weight_sum"],
+            ".graph": GRAPH_KEYS,
             ".estimate": ESTIMATE_KEYS,
             ".bounds": BOUNDS_KEYS,
             ".oracle": [

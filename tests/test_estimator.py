@@ -30,10 +30,9 @@ from matchbound.graphs import (
     bipartition,
     complete_bipartite_graph,
     complete_graph,
-    components,
-    heaviest_weight_sums,
     path_graph,
     skew_adjacency,
+    weight_sums,
 )
 from matchbound.linalg import (
     NonPositiveDeterminantError,
@@ -300,22 +299,26 @@ class TestEstimate:
         assert math.fsum(per_sample.tolist()) / 3000 != mean_log
 
     def test_memory_per_sample_is_bounded(self, random6):
-        # no storage grows with k: each of the two threads keeps a running sum, and no
-        # batch leaves a future or a kept value behind
-        def peak(k):
+        # no storage grows with k: each thread keeps a running sum, and no batch leaves a
+        # future or a kept value behind
+        def peak(k, threads):
             tracemalloc.start()
             try:
-                estimate_log_phi_tilde(random6, 1.0, k, 3, threads=2)
+                estimate_log_phi_tilde(random6, 1.0, k, 3, threads=threads)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(1 << 12)  # one-time allocations out of the way
-        # the peak also holds whatever the two threads' batches hold at one time; 2^20
-        # samples (256 batches) nearly always see both at their largest, and the most of
-        # five runs of 2^16 (16 batches) does too
-        small = max(peak(1 << 16) for _ in range(5))
-        assert peak(1 << 20) - small < 64 << 10
+        peak(1 << 12, 1)  # one-time allocations out of the way
+        # on one thread the peak repeats to within a few KB: 2^16 samples (6 batches) and
+        # 2^20 (86) differ by about 4 KB, where a value kept per sample would add 8 MB
+        assert peak(1 << 20, 1) - peak(1 << 16, 1) < 64 << 10
+        # on two it moves with what the other thread holds at that instant, so it is held
+        # to a budget: per thread, a batch's variates and matrices (_batch_rows' rows of
+        # sample_row_bytes) and as much again for its kernel and reduction, plus 1 MiB;
+        # at 2^21 samples a value kept per sample would add 16 MB
+        rows = estimator._batch_rows(estimator._sample_plan(random6, 1.0))
+        assert peak(1 << 21, 2) < 2 * 2 * rows * sample_row_bytes(random6) + (1 << 20)
 
     def test_gge_sanity_even(self, k4):
         # arithmetic mean of determinants is unbiased for the polynomial value
@@ -493,12 +496,12 @@ class TestComponents:
         # blocks; isolated vertices contribute t^(1/2) each
         g, t, k = request.getfixturevalue(graph), 0.9, 400
         adj = skew_adjacency(g)
-        blocks = [np.ix_(verts, verts) for verts, _ in components(g)]
+        blocks = [np.ix_(verts, verts) for verts, _ in g.components]
         dets = np.array([
             [math.exp(log_det_shifted(SkewSample(y[b]), t)) for b in blocks]
             for y in (sample_skew(adj, RngStream(3), i).matrix for i in range(k))
         ])
-        isolated = g.n_vertices - sum(len(v) for v, _ in components(g))
+        isolated = g.n_vertices - sum(len(v) for v, _ in g.components)
         mean, var = dets.mean(axis=0), dets.var(axis=0, ddof=1)
         est = estimate_log_phi_tilde(g, t, k, 3)
         want = math.fsum(np.log(mean)) + 0.5 * isolated * math.log(t)
@@ -886,22 +889,47 @@ class TestPlanner:
     @pytest.mark.parametrize("seed", range(8))
     def test_heaviest_weight_sum_never_plans_more(self, seed):
         g = mixed_graph(seed)
-        heaviest, _ = heaviest_weight_sums(g)
+        sums = weight_sums(g)
         for epsilon, delta, t in [(0.5, 0.25, 1.0), (0.1, 0.01, 0.3), (1.0, 0.9, 7.0)]:
             args = (epsilon, delta, g.n_vertices, t)
-            plan = plan_samples(*args, heaviest_weight_sum=heaviest)
+            cover = plan_samples(*args, heaviest_weight_sum=sums.cover_sum)
+            plan = plan_samples(*args, heaviest_weight_sum=sums.heaviest)
             bound = plan_samples(*args, heaviest_weight_sum=g.max_weight * g.n_vertices)
-            assert plan.samples <= bound.samples
-            assert plan.deviation_radius == bound.deviation_radius
+            assert cover.samples <= plan.samples <= bound.samples
+            assert cover.deviation_radius == plan.deviation_radius == bound.deviation_radius
 
     def test_sparse_workload_plan(self):
-        # 16 disjoint K_{2,6}: W = 160 against a^2 N = 256
+        # 16 disjoint K_{2,6}: a cover of 2 nu = 80 (each copy's 2-vertex side), against
+        # W = 160 and a^2 N = 256
         g = sparse_graph()
-        heaviest, _ = heaviest_weight_sums(g)
-        assert heaviest == 160.0
+        sums = weight_sums(g)
+        assert (sums.cover_sum, sums.heaviest) == (80.0, 160.0)
         worst = g.max_weight * g.n_vertices
         assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 3778
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=heaviest).samples == 2361
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.cover_sum).samples == 1181
+
+    def test_cover_plan_covers_a_mixed_bipartite_graph(self):
+        # criterion 07 at the cover's plan: a star K_{1,3} of weights 0.5, 1, 2, a 4-cycle
+        # of unequal weights and an isolated vertex (N = 9), where 2 nu = 4 + 5 against
+        # W = 10.5. Consecutive runs of k samples are independent means of k.
+        g = WeightedGraph(9, (
+            (0, 1, 0.5), (0, 2, 1.0), (0, 3, 2.0),
+            (4, 5, 1.5), (5, 6, 0.5), (6, 7, 1.0), (7, 4, 0.25),
+        ))
+        sums = weight_sums(g)
+        assert (sums.cover_sum, sums.heaviest) == (9.0, 10.5)
+        plan = plan_samples(0.5, 0.25, 9, 1.0, heaviest_weight_sum=sums.cover_sum)
+        assert plan.samples == 400
+        runs = 400
+        per_sample = estimate_with_samples(g, 1.0, runs * plan.samples, 707)[1]
+        means = per_sample.reshape(runs, plan.samples).mean(axis=1)
+        reference = estimate_log_phi_tilde(g, 1.0, 200_000, 708).mean_log
+        ratio = np.exp(means - reference)
+        coverage = float(((1.0 - plan.epsilon < ratio) & (ratio < 1.0 + plan.epsilon)).mean())
+        assert coverage >= 1.0 - plan.delta
+        # the plan's own promise: a mean at least N r from its expectation in delta / 2
+        far = float((np.abs(means - reference) >= 9 * plan.deviation_radius).mean())
+        assert far <= plan.delta / 2.0
 
     def test_edgeless_graph_plans_one_sample(self):
         plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=0.0)
@@ -951,14 +979,15 @@ class TestTailBound:
     @pytest.mark.parametrize("seed", range(8))
     def test_planner_consistency_with_heaviest_weight_sum(self, seed):
         g = mixed_graph(seed)
-        heaviest, _ = heaviest_weight_sums(g)
+        sums = weight_sums(g)
         n, worst = g.n_vertices, g.max_weight * g.n_vertices
         for eps, delta, t in [(0.5, 0.25, 1.0), (0.2, 0.1, 0.4), (1.0, 0.9, 3.0)]:
-            plan = plan_samples(eps, delta, n, t, heaviest_weight_sum=heaviest)
-            r, k = plan.deviation_radius, plan.samples
-            bound = tail_bound(r, n, k, t, heaviest_weight_sum=heaviest)
-            assert bound <= delta / 2.0 + 1e-12
-            assert bound <= tail_bound(r, n, k, t, heaviest_weight_sum=worst)
+            for w in (sums.cover_sum, sums.heaviest):
+                plan = plan_samples(eps, delta, n, t, heaviest_weight_sum=w)
+                r, k = plan.deviation_radius, plan.samples
+                bound = tail_bound(r, n, k, t, heaviest_weight_sum=w)
+                assert bound <= delta / 2.0 + 1e-12
+                assert bound <= tail_bound(r, n, k, t, heaviest_weight_sum=worst)
 
     def test_heaviest_weight_sum_validation(self):
         with pytest.raises(ValueError, match="heaviest_weight_sum"):
@@ -967,19 +996,20 @@ class TestTailBound:
     def test_tail_frequencies_on_unequal_weights(self):
         # criterion 06's check against the sharper bound: P3 of weights 0.5, 2, a K2 of
         # weight 3 with a pendant edge of weight 0.25, and an isolated vertex (N = 7, odd):
-        # W = 10.75 against a^2 N = 21. Consecutive runs of k samples are independent
-        # means of k, since every sample is a function of (seed, index) alone.
+        # a cover of 2 nu = 10 (W = 10.75) against a^2 N = 21. Consecutive runs of k
+        # samples are independent means of k, since every sample is a function of
+        # (seed, index) alone.
         g = WeightedGraph(7, ((0, 1, 0.5), (1, 2, 2.0), (3, 4, 3.0), (4, 5, 0.25)))
-        heaviest, _ = heaviest_weight_sums(g)
-        assert heaviest == 10.75
+        cover = weight_sums(g).cover_sum
+        assert cover == 10.0
         runs, k, t = 2000, 4, 3.0
         means = estimate_with_samples(g, t, runs * k, 616)[1].reshape(runs, k).mean(1)
         reference = estimate_log_phi_tilde(g, t, 200_000, 617).mean_log
         deviations = np.abs(means - reference)
         for r in (0.1, 0.2, 0.3, 0.4):
             freq = float((deviations >= 7 * r).mean())
-            bound = tail_bound(r, 7, k, t, heaviest_weight_sum=heaviest)
-            assert bound < tail_bound(r, 7, k, t, heaviest_weight_sum=3.0 * 7)
+            bound = tail_bound(r, 7, k, t, heaviest_weight_sum=cover)
+            assert bound < tail_bound(r, 7, k, t, heaviest_weight_sum=10.75)
             assert freq <= bound + 0.02, f"tail frequency {freq} exceeds {bound} at r={r}"
 
 
@@ -999,7 +1029,8 @@ def lipschitz_sq(w: np.ndarray, z: np.ndarray, t: float) -> float:
 
 
 class TestLipschitzConstant:
-    """The squared Lipschitz constant W/2t behind plan_samples, tail_bound and log_gap_bound."""
+    """The squared Lipschitz constants nu/t <= W/2t behind plan_samples, tail_bound and
+    log_gap_bound: nu is a fractional vertex cover's weight (graphs.weight_sums)."""
 
     @staticmethod
     def _case(rng: np.random.Generator):
@@ -1028,18 +1059,21 @@ class TestLipschitzConstant:
                 assert (up - down) / (2.0 * h) == pytest.approx(want, rel=1e-5, abs=1e-7 / math.sqrt(t))
 
     def test_unordered_pairs_bound(self):
-        # sum_{i<j} w_ij K_ij^2 <= W/2t on random graphs, weights, draws and t in 1e-3..1e3
+        # sum_{i<j} w_ij K_ij^2 <= nu/t <= W/2t on random graphs, weights, draws and t in
+        # 1e-3..1e3, with 2 nu the cover weight sum and W the heaviest weight sum
         rng = np.random.default_rng(2702)
-        worst = 0.0
+        worst = worst_cover = 0.0
         for _ in range(1500):
             w, g, t, z = self._case(rng)
-            heaviest, _ = heaviest_weight_sums(g)
-            if heaviest == 0:
+            sums = weight_sums(g)
+            if sums.heaviest == 0:
                 continue
-            ratio = lipschitz_sq(w, z, t) / (heaviest / (2.0 * t))
-            assert ratio <= 1.0 + 1e-12
-            worst = max(worst, ratio)
+            ratio = lipschitz_sq(w, z, t) / (sums.heaviest / (2.0 * t))
+            cover_ratio = lipschitz_sq(w, z, t) / (sums.cover_sum / (2.0 * t))
+            assert ratio <= cover_ratio <= 1.0 + 1e-12
+            worst, worst_cover = max(worst, ratio), max(worst_cover, cover_ratio)
         assert worst > 0.5  # the draws come near the bound, so the check has teeth
+        assert worst_cover > 0.5
 
     @pytest.mark.parametrize("weight, t", [(1.0, 1.0), (0.3, 1e-2), (7.0, 50.0), (2.0, 1e3)])
     def test_k2_attains_the_bound(self, weight, t):
@@ -1047,8 +1081,23 @@ class TestLipschitzConstant:
         # further factor is available from this argument
         w = np.array([[0.0, weight], [weight, 0.0]])
         z = np.array([[0.0, math.sqrt(t / weight)], [0.0, 0.0]])
-        heaviest, _ = heaviest_weight_sums(WeightedGraph(2, ((0, 1, weight),)))
-        assert lipschitz_sq(w, z, t) == pytest.approx(heaviest / (2.0 * t), rel=1e-12)
+        sums = weight_sums(WeightedGraph(2, ((0, 1, weight),)))
+        assert sums.cover_sum == sums.heaviest
+        assert lipschitz_sq(w, z, t) == pytest.approx(sums.heaviest / (2.0 * t), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-2, 50.0])
+    def test_star_attains_the_cover_bound(self, t):
+        # K_{1,7} of unit weights with y = sqrt(t) on one edge: |grad f|^2 = 1/t = nu/t,
+        # a quarter of W/2t = 4/t
+        g = complete_bipartite_graph(1, 7)
+        w = np.zeros((8, 8))
+        w[0, 1:] = w[1:, 0] = 1.0
+        z = np.zeros((8, 8))
+        z[0, 3] = math.sqrt(t)
+        sums = weight_sums(g)
+        assert (sums.cover_sum, sums.heaviest) == (2.0, 8.0)
+        assert lipschitz_sq(w, z, t) == pytest.approx(sums.cover_sum / (2.0 * t), rel=1e-12)
+        assert lipschitz_sq(w, z, t) == pytest.approx(sums.heaviest / (8.0 * t), rel=1e-12)
 
 
 class TestBoundsReport:
@@ -1093,7 +1142,7 @@ class TestBoundsReport:
     def test_edgeless_gap_zero(self):
         g = WeightedGraph(4, ())
         est = self._est(g, 2.0)
-        rep = bounds_report(est, 4, 2.0, c1_constant(), parts=heaviest_weight_sums(g)[1])
+        rep = bounds_report(est, 4, 2.0, c1_constant(), parts=weight_sums(g).parts)
         assert rep.gap_asymptotic == 0.0
         assert rep.upper_log == rep.lower_log
 
@@ -1124,7 +1173,7 @@ class TestBoundsReport:
         g = mixed_graph(seed) if seed % 2 else random_weighted_graph(
             np.random.default_rng(seed), 9, 0.3
         )
-        _, parts = heaviest_weight_sums(g)
+        parts = weight_sums(g).parts
         c1 = c1_constant()
         for t in (1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3):
             assert log_gap_bound(parts, t, c1) <= worst_case_gap(g, t, c1)
@@ -1140,9 +1189,9 @@ class TestBoundsReport:
     @pytest.mark.parametrize("seed", range(6))
     def test_sandwich_where_the_heaviest_weight_sums_bind(self, seed):
         g = mixed_graph(seed)
-        _, parts = heaviest_weight_sums(g)
+        parts = weight_sums(g).parts  # (2 nu_C, n_C) from the fractional vertex cover
         c1 = c1_constant()
-        # the smallest t where every W_C / 4t is below n_C c1, times 1.2 to 4
+        # the smallest t where every 2 nu_C / 4t is below n_C c1, times 1.2 to 4
         t_bind = max(w / (4.0 * n * c1) for w, n in parts)
         t = t_bind * float(np.random.default_rng(seed).uniform(1.2, 4.0))
         assert all(w / t / 4.0 < n * c1 for w, n in parts)

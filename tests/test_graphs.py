@@ -9,18 +9,27 @@ from matchbound.graphs import (
     Bipartition,
     GraphFormatError,
     WeightedGraph,
+    WeightSums,
     bipartition,
     complete_bipartite_graph,
     complete_graph,
-    components,
-    heaviest_weight_sums,
     parse_graph,
     path_graph,
     serialize_graph,
     skew_adjacency,
+    weight_sums,
 )
 
-from conftest import has_odd_cycle, random_weighted_graph
+from conftest import (
+    EVEN_MULTI_EDGES,
+    MULTI_EDGES,
+    RANDOM6_EDGES,
+    grid_graph,
+    has_odd_cycle,
+    random_weighted_graph,
+    relabel,
+    sparse_graph,
+)
 
 
 class TestParse:
@@ -119,11 +128,13 @@ class TestHeaviestWeightSums:
         # K_{2,3} on {0, 7 | 4, 9, 11}, a triangle on {1, 5, 10}, K2 on {2, 8}; 3 and 6 isolated
         heaviest = {0: 2.1, 7: 1.6, 4: 1.3, 9: 1.6, 11: 2.1}  # K_{2,3}
         heaviest |= {1: 1.9, 5: 1.2, 10: 1.9, 2: 1.4, 8: 1.4}  # the triangle and K2
-        total, parts = heaviest_weight_sums(multi)
-        want = [[heaviest[v] for v in verts] for verts, _ in components(multi)]
-        assert parts == tuple((math.fsum(h), len(h)) for h in want)
-        assert [n for _, n in parts] == [5, 3, 2]
-        assert total == math.fsum(heaviest.values())
+        sums = weight_sums(multi)
+        assert sums.heaviest == math.fsum(heaviest.values())
+        # K_{2,3}: the side {0, 7} (3.7) against {4, 9, 11} (5.0); K2: the side {2}
+        covers = [[2.0 * heaviest[v] for v in (0, 7)], [heaviest[v] for v in (1, 5, 10)], [2.8]]
+        assert sums.parts == tuple((math.fsum(c), n) for c, n in zip(covers, (5, 3, 2)))
+        assert sums.cover_sum == math.fsum(x for c in covers for x in c)
+        assert sums.bipartite is False
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_sums_rounded_once(self, seed):
@@ -131,24 +142,73 @@ class TestHeaviestWeightSums:
         g = random_weighted_graph(rng, int(rng.integers(2, 12)), 0.3)
         nbrs = g.adjacency()
         heaviest = [Fraction(max((w for _, w in nb), default=0.0)) for nb in nbrs]
-        total, parts = heaviest_weight_sums(g)
-        assert total == float(sum(heaviest))
-        assert [w for w, _ in parts] == [
-            float(sum(heaviest[v] for v in verts)) for verts, _ in components(g)
+        sums = weight_sums(g)
+        assert sums.heaviest == float(sum(heaviest))
+        cover = [Fraction(c) for c in sums.cover]
+        assert sums.cover_sum == float(sum(cover))
+        assert [w for w, _ in sums.parts] == [
+            float(sum(cover[v] for v in verts)) for verts, _ in g.components
         ]
-        assert total <= g.max_weight * g.n_vertices
+        assert sums.heaviest <= g.max_weight * g.n_vertices
 
     def test_regular_unit_weights_meet_the_worst_case(self):
-        g = complete_graph(64)
-        assert heaviest_weight_sums(g) == (64.0, ((64.0, 64),))
+        sums = weight_sums(complete_graph(64))
+        assert (sums.heaviest, sums.cover_sum, sums.parts) == (64.0, 64.0, ((64.0, 64),))
 
     def test_edgeless_graph(self):
-        assert heaviest_weight_sums(WeightedGraph(3, ())) == (0.0, ())
+        assert weight_sums(WeightedGraph(3, ())) == WeightSums(0.0, 0.0, (), (0.0,) * 3, True)
 
     def test_sum_past_the_largest_double_is_inf(self):
-        total, parts = heaviest_weight_sums(WeightedGraph(4, ((0, 1, 1.7e308), (2, 3, 1.0))))
-        assert total == math.inf
-        assert parts == ((math.inf, 2), (2.0, 2))
+        sums = weight_sums(WeightedGraph(4, ((0, 1, 1.7e308), (2, 3, 1.0))))
+        assert sums.heaviest == sums.cover_sum == math.inf
+        assert sums.parts == ((math.inf, 2), (2.0, 2))
+
+
+def suite_graphs():
+    """The shapes of the suite's fixture graphs, with stars, a grid, sparse's 16 K_{2,6},
+    a mixed graph and random graphs of unequal weights."""
+    yield from (WeightedGraph(6, RANDOM6_EDGES), WeightedGraph(12, MULTI_EDGES))
+    yield from (WeightedGraph(12, EVEN_MULTI_EDGES), WeightedGraph(4, ()), sparse_graph())
+    yield from (complete_graph(n, 0.7) for n in (2, 3, 4, 13, 64))
+    yield from (complete_bipartite_graph(m, n, 1.3) for m, n in ((1, 7), (2, 2), (2, 3), (13, 13)))
+    yield from (path_graph(n) for n in (3, 6, 64))
+    yield from (grid_graph(3, 4), WeightedGraph(7, ((0, 1, 0.5), (1, 2, 2.0), (3, 4, 3.0))))
+    for seed in range(40):
+        rng = np.random.default_rng(900 + seed)
+        g = random_weighted_graph(rng, int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.7)))
+        yield g if seed % 2 else relabel(g, rng)
+
+
+class TestCover:
+    """The fractional vertex cover behind the certificate's constant 2 nu_C per component."""
+
+    @pytest.mark.parametrize("g", suite_graphs())
+    def test_feasible_and_never_above_the_heaviest_weight_sums(self, g):
+        sums = weight_sums(g)
+        cover = sums.cover  # 2 c_v: c_u + c_v >= w_uv is cover[u] + cover[v] >= 2 w_uv
+        assert all(cover[u] + cover[v] >= 2.0 * w for u, v, w in g.edges)
+        assert all(c >= 0.0 for c in cover)
+        heaviest = [max((w for _, w in nb), default=0.0) for nb in g.adjacency()]
+        for (two_nu, n), (verts, _) in zip(sums.parts, g.components, strict=True):
+            assert two_nu <= math.fsum(heaviest[v] for v in verts)  # nu_C <= W_C / 2
+            assert n == len(verts)
+        assert sums.cover_sum <= sums.heaviest
+        assert sums.bipartite == (bipartition(g) is not None)
+
+    def test_star_and_sparse_copies_take_the_smaller_side(self):
+        # K_{1,7}: the centre alone covers every edge, nu = w against W / 2 = 4 w
+        assert weight_sums(complete_bipartite_graph(1, 7, 1.5)).parts == ((3.0, 8),)
+        # each K_{2,6} of weight w: nu = 2 w against W / 2 = 4 w
+        sums = weight_sums(sparse_graph())
+        assert (sums.heaviest, sums.cover_sum) == (160.0, 80.0)
+        weights = [0.5 + 1.5 * c / 15 for c in range(16)]
+        assert [two_nu for two_nu, _ in sums.parts] == [4.0 * w for w in weights]
+
+    def test_odd_cycles_keep_the_heaviest_weights_halved(self, random6):
+        sums = weight_sums(random6)
+        assert sums.cover == tuple(max(w for _, w in nb) for nb in random6.adjacency())
+        assert sums.cover_sum == sums.heaviest == 11.5
+        assert sums.bipartite is False
 
 
 class TestBipartition:
@@ -183,11 +243,11 @@ class TestBipartition:
 
     def test_components_of_interleaved_labels(self, multi):
         # K_{2,3}, a triangle and K2 in order of least vertex; 3 and 6 are isolated
-        assert components(multi) == [
+        assert multi.components == (
             ((0, 4, 7, 9, 11), Bipartition((0, 7), (4, 9, 11))),
             ((1, 5, 10), None),
             ((2, 8), Bipartition((2,), (8,))),
-        ]
+        )
         assert bipartition(multi) is None
 
     def test_exhaustive_small_graphs_match_odd_cycle_oracle(self):
