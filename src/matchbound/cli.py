@@ -44,6 +44,7 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 _SLACK_STD_ERRS = 4.0
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call, once per process
 
 def _json_scalar(x: Any) -> str:
     if x is None:
@@ -308,12 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         if sampled:
             p.add_argument("--t", type=float, required=True, help="polynomial argument, > 0")
             p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=_usable_cpus(),
-                help="worker threads (default: the CPUs in this process's affinity set)",
-            )
+            usable = "the CPUs in this process's affinity set"  # main reads them at each call
+            p.add_argument("--threads", type=int, help=f"worker threads (default: {usable})")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
 
@@ -369,7 +366,11 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
+    if getattr(args, "threads", 1) is None:  # the CPUs usable at this call, not the first
+        args.threads = _usable_cpus()
     try:
         # the wall time goes to the text report only, so JSON stays byte-identical
         started = time.monotonic()

@@ -316,7 +316,7 @@ class FprasPlan:
 
     epsilon: float
     delta: float
-    deviation_radius: float  # epsilon / (2N)
+    deviation_radius: float  # r = ln(1 + epsilon) / N, so that exp(N r) = 1 + epsilon
     samples: int
 
 
@@ -341,7 +341,7 @@ class BoundsReport:
 def plan_samples(
     epsilon: float, delta: float, n_vertices: int, t: float, *, heaviest_weight_sum: float
 ) -> FprasPlan:
-    """Sample count ceil(4 W log(4/delta) / (t eps^2)), radius eps/(2N), for any W >= 2 nu*.
+    """Sample count ceil(W log(4/delta) / (t s^2)), radius s/N, s = ln(1 + eps), any W >= 2 nu*.
 
     nu* is the largest weight of a fractional matching of the graph. Twice the weight
     of any fractional vertex cover is such a W (graphs.weight_sums' cover_sum), and so
@@ -351,7 +351,7 @@ def plan_samples(
     nu*/t <= W/2t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
     where Y_ij = a_ij z_ij = -Y_ji for i < j. Its gradient is df/dz_ij = a_ij K_ij
     with K = 2Y (tI + Y^T Y)^-1, since M^-1 - M^-T = -2Y (tI - Y^2)^-1 for
-    M = sqrt(t) I + Y; K is skew and its singular values are 2s / (t + s^2) <=
+    M = sqrt(t) I + Y; K is skew and its singular values are 2g / (t + g^2) <=
     1/sqrt(t). The gradient has one entry per unordered pair, so |grad f|^2 =
     sum_{i<j} w_ij K_ij^2. Row i of K has sum_j K_ij^2 = (K K^T)_ii <= 1/t, so
     x_ij = t K_ij^2 is a fractional matching and |grad f|^2 = sum_{i<j} w_ij x_ij / t
@@ -362,10 +362,12 @@ def plan_samples(
     Gaussian concentration for Lipschitz functions (Tsirelson-Ibragimov-Sudakov)
     then puts the mean of k samples more than N r from its expectation with
     probability at most 2 exp(-t k N^2 r^2 / W) (tail_bound), which is at most
-    delta/2 at this k and r = eps/(2N): the geometric-mean estimate is within a
-    multiplicative (1 +- epsilon) of its target. An edgeless graph has W = 0 and
-    takes one sample. A count that is not finite, or past 2**64, one sample per
-    uint64 index, raises ValueError.
+    delta/2 at this k and r = s/N. A mean within N r = s of its expectation puts the
+    geometric-mean estimate within a factor e^s = 1 + eps above its target and
+    e^-s = 1/(1 + eps) >= 1 - eps below it, since (1 - eps)(1 + eps) <= 1: a
+    multiplicative (1 +- epsilon) for every eps in (0, 1], where s > eps/2. An
+    edgeless graph has W = 0 and takes one sample. A count that is not finite, or
+    past 2**64, one sample per uint64 index, raises ValueError.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must be in (0, 1]")
@@ -377,8 +379,8 @@ def plan_samples(
         raise ValueError("heaviest_weight_sum must be nonnegative")
     if not t > 0:
         raise ValueError("t must be positive")
-    k = 4.0 * heaviest_weight_sum * math.log(4.0 / delta) / (t * epsilon**2 or math.nan)
-    if not k < math.inf:  # the count overflows, or t eps^2 underflows to 0
+    k = heaviest_weight_sum * math.log(4.0 / delta) / (t * math.log1p(epsilon) ** 2 or math.nan)
+    if not k < math.inf:  # the count overflows, or t ln(1 + eps)^2 underflows to 0
         raise ValueError(f"the planned sample count is not finite at eps {epsilon}, t {t}")
     if k > 2**64:
         msg = f"the planned sample count {k:.3g} is too large at eps {epsilon}, t {t}"
@@ -386,7 +388,7 @@ def plan_samples(
     return FprasPlan(
         epsilon=epsilon,
         delta=delta,
-        deviation_radius=epsilon / (2.0 * n_vertices),
+        deviation_radius=math.log1p(epsilon) / n_vertices,
         samples=max(1, math.ceil(k)),
     )
 
@@ -396,6 +398,7 @@ def tail_bound(r: float, n_vertices: int, k: int, t: float, *, heaviest_weight_s
 
     Bounds Pr(|mean of k log-determinants - its expectation| >= N r) by Gaussian
     concentration, 2 exp(-k (N r)^2 / 2L^2) with plan_samples' L^2 <= nu*/t <= W/2t.
+    At plan_samples' r = ln(1 + eps)/N and k it is at most delta/2.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")

@@ -195,7 +195,7 @@ def test_criterion_06_concentration(k4_reference):
 
 def test_criterion_07_fpras_planner(k4_reference):
     worked = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
-    assert worked.samples == 80
+    assert worked.samples == 42  # ceil(10 * 2 / ln(2)^2)
 
     plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=4.0)
     hits = 0
@@ -209,6 +209,23 @@ def test_criterion_07_fpras_planner(k4_reference):
     ok = coverage >= 1.0 - plan.delta
     _report(7, "sample planner", ok, f"coverage {coverage:.3f} with k={plan.samples}")
     assert coverage >= 1.0 - plan.delta
+
+
+def test_criterion_07_fpras_planner_at_small_eps(k4_reference):
+    # criterion 07 where the radius ln(1 + eps)/N cuts the plan most: 1221 samples,
+    # against 4437 at eps/2N
+    plan = plan_samples(0.1, 0.25, 4, 1.0, heaviest_weight_sum=4.0)
+    assert plan.samples == 1221
+    ratios, far = [], 0
+    for i in range(400):
+        est = estimate_log_phi_tilde(complete_graph(4), 1.0, plan.samples, derive_seed(717, i))
+        ratios.append(math.exp(est.mean_log - k4_reference))
+        far += abs(est.mean_log - k4_reference) >= 4 * plan.deviation_radius
+    coverage = float(np.mean([1.0 - plan.epsilon < r < 1.0 + plan.epsilon for r in ratios]))
+    ok = coverage >= 1.0 - plan.delta and far / 400 <= plan.delta / 2.0
+    _report(7, "sample planner at eps 0.1", ok, f"coverage {coverage:.3f} with k={plan.samples}")
+    assert coverage >= 1.0 - plan.delta
+    assert far / 400 <= plan.delta / 2.0
 
 
 def test_criterion_08_optimality_trend():

@@ -65,8 +65,26 @@ class TestEstimate:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["plan"]["samples"] == 89
-        assert report["estimate"]["samples"] == 89
+        assert report["plan"]["samples"] == 34
+        assert report["estimate"]["samples"] == 34
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", ["k2", "random6"])
+    def test_planned_run_is_the_fixed_count_run(self, capsys, tmp_path, name, threads):
+        # the plan picks k and nothing else: the estimate and bounds blocks, the last in
+        # the report, are the bytes of --samples k with the same seed
+        g = complete_graph(2) if name == "k2" else WeightedGraph(6, RANDOM6_EDGES)
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize_graph(g))
+        argv = ["estimate", "--graph", str(path), "--t", "1", "--seed", "9",
+                "--threads", threads, "--format", "json"]
+        code, planned = run_json(capsys, argv + ["--eps", "0.3", "--delta", "0.1"])
+        assert code == 0
+        k = json.loads(planned)["plan"]["samples"]
+        code, fixed = run_json(capsys, argv + ["--samples", str(k)])
+        assert code == 0
+        tail = '  "estimate": {'
+        assert planned[planned.index(tail):] == fixed[fixed.index(tail):]
 
     def test_edgeless_plan_degenerates_to_one_sample(self, capsys, tmp_path):
         path = tmp_path / "edgeless.txt"
@@ -107,8 +125,8 @@ class TestEstimate:
         report = json.loads(out)
         assert report["graph"]["heaviest_weight_sum"] == 10.5
         assert report["graph"]["cover_weight_sum"] == 10.0
-        want = math.ceil(4 * 10.0 * math.log(4 / 0.25) / (2 * 0.5**2))
-        assert report["plan"]["samples"] == want == 222
+        want = math.ceil(10.0 * math.log(4 / 0.25) / (2 * math.log1p(0.5) ** 2))
+        assert report["plan"]["samples"] == want == 85
         # gap: min(4 / 8, 3 c1) + min(6 / 8, 2 c1); the isolated vertex adds 0
         assert report["bounds"]["gap_asymptotic"] == 0.5 + 0.75
 
@@ -143,13 +161,33 @@ class TestEstimate:
         assert main(argv + ["--threads", threads]) == 2
         assert "threads" in capsys.readouterr().err
 
-    def test_default_threads_are_the_usable_cpus(self, monkeypatch):
-        argv = ["estimate", "--graph", "g.txt", "--t", "1"]
+    def test_default_threads_are_the_usable_cpus(self, capsys, monkeypatch, k2_file):
+        # main reads the default at each call, though its parser is built once
+        seen = []
+
+        def spy(*args, threads):
+            seen.append(threads)
+            return estimator.estimate_log_phi_tilde(*args, threads=threads)
+
+        monkeypatch.setattr(cli, "estimate_log_phi_tilde", spy)
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--samples", "1"]
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
-        assert cli.build_parser().parse_args(argv).threads == 2
+        assert main(argv) == 0
         monkeypatch.delattr(cli.os, "sched_getaffinity")  # as on macOS and Windows
-        assert cli.build_parser().parse_args(argv).threads == 16
+        assert main(argv) == 0
+        assert main(argv + ["--threads", "3"]) == 0
+        assert seen == [2, 16, 3]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, k2_file):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+        argv = ["estimate", "--graph", k2_file, "--t", "1", "--samples", "1"]
+        assert main(argv) == 0
+        assert main(argv + ["--format", "json"]) == 0
+        assert main(["constants", "--grid-max", "0"]) == 0
+        assert len(built) == 1
 
     def test_bad_graph_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -243,11 +281,11 @@ class TestEstimate:
         assert "error: the planned sample count is not finite" in capsys.readouterr().err
 
     def test_plan_past_any_array_is_usage_error(self, capsys, k2_file):
-        # 2.95e21 samples: finite, but past 2**64, the count of uint64 sample indices
+        # 7.38e20 samples: finite, but past 2**64, the count of uint64 sample indices
         argv = ["estimate", "--graph", k2_file, "--t", "1", "--eps", "1e-10", "--delta", "0.1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "error: the planned sample count 2.95e+21 is too large" in err
+        assert "error: the planned sample count 7.38e+20 is too large" in err
         assert "eps 1e-10, t 1.0" in err
 
     def test_samples_past_the_indices_is_usage_error(self, capsys, k2_file):

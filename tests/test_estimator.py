@@ -829,13 +829,14 @@ def worst_case_gap(g: WeightedGraph, t: float, c1: float) -> float:
 
 class TestPlanner:
     def test_worked_example(self):
+        # k = ceil(W log(4/delta) / (t ln(1 + eps)^2)) = ceil(10 * 2 / ln(2)^2), r = ln(2)/N
         plan = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
-        assert plan.samples == 80
-        assert plan.deviation_radius == pytest.approx(0.05)
+        assert plan.samples == 42
+        assert plan.deviation_radius == pytest.approx(math.log(2.0) / 10)
 
     def test_cli_example(self):
         plan = plan_samples(0.5, 0.25, 2, 1.0, heaviest_weight_sum=2.0)
-        assert plan.samples == 89
+        assert plan.samples == 34
 
     def test_amplitude_scaling(self):
         base = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
@@ -845,7 +846,8 @@ class TestPlanner:
     def test_epsilon_scaling(self):
         base = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
         halved = plan_samples(0.25, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
-        assert halved.samples == pytest.approx(4 * base.samples, abs=4)
+        ratio = (math.log1p(0.5) / math.log1p(0.25)) ** 2  # k scales as 1 / ln(1 + eps)^2
+        assert halved.samples == pytest.approx(ratio * base.samples, abs=4)
 
     @pytest.mark.parametrize("epsilon, t", [(1e-160, 1.0), (1e-170, 1.0), (0.5, 5e-324)])
     def test_unbounded_count_is_value_error(self, epsilon, t):
@@ -860,8 +862,8 @@ class TestPlanner:
                 plan_samples(*args, heaviest_weight_sum=4.0)
 
     def test_count_past_the_indices_is_value_error(self):
-        # k = 4 W log(4/delta) / (t eps^2) at eps 1, delta 1/2: 2**64 is the largest allowed
-        heaviest = 2.0**62 / math.log(8.0)
+        # k = W log(4/delta) / (t ln(1 + eps)^2) at eps 1, delta 1/2: 2**64 is the largest
+        heaviest = 2.0**64 * math.log(2.0) ** 2 / math.log(8.0)
         assert plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=0.99 * heaviest).samples < 2**64
         with pytest.raises(ValueError, match=r"it must be at most 2\*\*64, one per uint64 index"):
             plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=1.01 * heaviest)
@@ -881,9 +883,9 @@ class TestPlanner:
         (0.3, 0.01, 7, 1e-3, 1e-5), (0.9, 0.5, 3, 1e10, 1e12),
     ])
     def test_worst_case_is_the_default(self, epsilon, delta, n, a, t):
-        # the worst case, passed in as W = a^2 N, keeps its count: criterion 07's 80 among them
+        # the worst case, passed in as W = a^2 N, keeps its count: criterion 07's 42 among them
         worst = plan_samples(epsilon, delta, n, t, heaviest_weight_sum=a**2 * n)
-        k = 4.0 * a**2 * n * math.log(4.0 / delta) / (t * epsilon**2)
+        k = a**2 * n * math.log(4.0 / delta) / (t * math.log1p(epsilon) ** 2)
         assert worst.samples == max(1, math.ceil(k))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -905,8 +907,9 @@ class TestPlanner:
         sums = weight_sums(g)
         assert (sums.cover_sum, sums.heaviest) == (80.0, 160.0)
         worst = g.max_weight * g.n_vertices
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 3778
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.cover_sum).samples == 1181
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 1966
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.heaviest).samples == 1229
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.cover_sum).samples == 615
 
     def test_cover_plan_covers_a_mixed_bipartite_graph(self):
         # criterion 07 at the cover's plan: a star K_{1,3} of weights 0.5, 1, 2, a 4-cycle
@@ -919,7 +922,7 @@ class TestPlanner:
         sums = weight_sums(g)
         assert (sums.cover_sum, sums.heaviest) == (9.0, 10.5)
         plan = plan_samples(0.5, 0.25, 9, 1.0, heaviest_weight_sum=sums.cover_sum)
-        assert plan.samples == 400
+        assert plan.samples == 152
         runs = 400
         per_sample = estimate_with_samples(g, 1.0, runs * plan.samples, 707)[1]
         means = per_sample.reshape(runs, plan.samples).mean(axis=1)
@@ -931,10 +934,25 @@ class TestPlanner:
         far = float((np.abs(means - reference) >= 9 * plan.deviation_radius).mean())
         assert far <= plan.delta / 2.0
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 128, 1000])
+    def test_radius_keeps_the_promise(self, n):
+        # a mean log within N r = ln(1 + eps) of its target is a ratio in
+        # (1/(1 + eps), 1 + eps), inside (1 - eps, 1 + eps); the plan's k holds the tail
+        # at r to delta/2. exp, log1p and N r each round: exp(N r) may pass 1 + eps by
+        # 2 ulps, so 4 are allowed.
+        for epsilon in np.linspace(0.01, 1.0, 100).tolist():
+            for delta, t, w in [(0.1, 1.0, n), (0.25, 0.3, 2.5 * n), (0.9, 7.0, 0.5)]:
+                plan = plan_samples(epsilon, delta, n, t, heaviest_weight_sum=w)
+                r, k = plan.deviation_radius, plan.samples
+                assert math.exp(n * r) <= 1.0 + epsilon + 4 * math.ulp(1.0 + epsilon)
+                assert math.exp(-n * r) >= 1.0 - epsilon
+                assert n * r > epsilon / 2.0
+                assert tail_bound(r, n, k, t, heaviest_weight_sum=w) <= delta / 2.0
+
     def test_edgeless_graph_plans_one_sample(self):
         plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=0.0)
         assert plan.samples == 1
-        assert plan.deviation_radius == 0.0625
+        assert plan.deviation_radius == math.log1p(0.5) / 4
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_bad_heaviest_weight_sum(self, bad):
