@@ -148,6 +148,7 @@ class _SamplePlan:
     idle: np.ndarray
     stacks: tuple[_Stack, ...]
     shift: float
+    least: tuple[int, ...]  # each component's least vertex, in the order of stack members
 
 
 def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
@@ -180,7 +181,9 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
     )
     idle = np.setdiff1d(np.arange(2 * len(blocks)), edges)
     isolated = n - sum(len(v) for v, _ in g.components)
-    return _SamplePlan(blocks, idle, stacks, isolated * (0.5 * math.log(t)) if isolated else 0.0)
+    least = tuple(int(min(r.min(), c.min())) for cells in groups.values() for r, c in cells)
+    shift = isolated * (0.5 * math.log(t)) if isolated else 0.0
+    return _SamplePlan(blocks, idle, stacks, shift, least)
 
 
 def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
@@ -455,22 +458,23 @@ def bounds_report(
 def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
     """Samples start to start + count - 1: (log-determinants in index order, their exact
     moments and each component's determinants', largest |normal| used). The kernels are
-    module attributes, looked up at each call, so a wrapper of one is used.
+    module attributes, looked up at each call, so a wrapper of one is used. A value that
+    is not finite raises NonPositiveDeterminantError, naming the lowest such sample.
     """
     z = _normal_block(seed, start, count, plan.blocks)
     z[:, plan.idle] = 0.0  # they enter no matrix, so they leave the peak alone
     parts = [np.zeros((count, 0))]
     for s in plan.stacks:
-        kernel = skew_logdet_batch if s.dense else gram_logdet_batch
-        try:
-            values = kernel(_matrices(s, z), t)
-        except NonPositiveDeterminantError as exc:  # name the sample drawn, not the row
-            members, i = len(s.coef), exc.index
-            row, member = (i % count, i // count) if s.small else (i // members, i % members)
-            msg = f"sample {start + row}, component {member} of {members} alike: {exc.detail}"
-            raise NonPositiveDeterminantError(msg) from None
+        values = (skew_logdet_batch if s.dense else gram_logdet_batch)(_matrices(s, z), t)
         parts.append(values.reshape(-1, count).T if s.small else values.reshape(count, -1))
     per_comp = np.concatenate(parts, axis=1)
+    bad = np.flatnonzero(~np.isfinite(per_comp))  # sample-major: the first is the lowest sample
+    if bad.size:
+        row, c = divmod(int(bad[0]), per_comp.shape[1])
+        raise NonPositiveDeterminantError(
+            f"sample {start + row}, component with least vertex {plan.least[c] + 1}: log det "
+            f"{per_comp[row, c]} where a positive finite determinant is guaranteed"
+        )
     total = sum(per_comp.T, np.full(count, plan.shift))  # component by component, in plan order
     peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
     n = np.floor(per_comp / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
@@ -493,7 +497,7 @@ def estimate_log_phi_tilde(
     it is bipartite and U U^T keeps t (see _sample_plan), the dense
     antisymmetric factorization otherwise; a sample's value is the sum over
     components, in a fixed order. Thread i of n sums batches i, i + n, ... exactly, so no
-    thread count or batch size moves a result, nor which failing batch's error is raised.
+    thread count or batch size moves a result, nor the lowest failing sample an error names.
     """
     if not 1 <= k <= 2**64:
         raise ValueError("the sample count must be from 1 to 2**64, one per uint64 index")

@@ -184,8 +184,12 @@ def parse_graph(text: str) -> WeightedGraph:
             raise GraphFormatError(f"line {no}: non-positive or non-finite weight {fields[2]!r}")
         edges.append((u - 1, v - 1, w))
 
-    # duplicate-pair detection happens in the constructor
-    return WeightedGraph(n_vertices, tuple(edges))
+    try:
+        return WeightedGraph(n_vertices, tuple(edges))
+    except GraphFormatError as exc:  # a duplicate edge, the one check left: name its later line
+        first, keys = {}, [frozenset(e[:2]) for e in edges]
+        no = next(no for (no, _), key in zip(edge_lines, keys) if first.setdefault(key, no) != no)
+        raise GraphFormatError(f"line {no}: {exc}") from None
 
 
 def serialize_graph(g: WeightedGraph) -> str:

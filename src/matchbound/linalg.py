@@ -9,11 +9,13 @@ pivot is positive in exact arithmetic, and the growth is bounded in terms
 of ||Y|| / sqrt(t) (Golub and Van Loan, "Unsymmetric positive definite
 linear systems", LAA 1979; Higham, Accuracy and Stability of Numerical
 Algorithms, 10.4). A matrix past GROWTH_CAP, and every larger order, goes
-to np.linalg.slogdet instead. A pivot or a sign that is not positive, or a
-value that is not finite, is the numerical health check. The bipartite
-block form [[0, U], [-U^T, 0]] reduces to the m-by-m Gram matrix U U^T,
-which is symmetric positive definite once shifted by t I. Every kernel
-takes t > 0, where each determinant is positive; the scalar helpers check it.
+to np.linalg.slogdet instead. A pivot or a sign that is not positive, or an
+overflow, comes back as a log-determinant that is not finite, and the
+kernels never raise: the estimator checks each batch, and the scalar
+helpers their one value. The bipartite block form [[0, U], [-U^T, 0]]
+reduces to the m-by-m Gram matrix U U^T, which is symmetric positive
+definite once shifted by t I. Every kernel takes t > 0, where each
+determinant is positive; the scalar helpers check it.
 
 The batch kernels take a leading batch axis so Monte Carlo callers factor
 thousands of samples per numpy call; the scalar helpers wrap them. Every
@@ -33,14 +35,7 @@ GROWTH_CAP = 1e3  # dense elimination only where ||Y||_F^2 <= GROWTH_CAP * t
 
 
 class NonPositiveDeterminantError(ArithmeticError):
-    """A determinant that is positive in exact arithmetic came out non-positive or non-finite.
-
-    Where a batch kernel raised it, index is the position in its batch of the sample
-    named, and detail the message past that position.
-    """
-
-    index: int | None = None
-    detail: str = ""
+    """A determinant that is positive in exact arithmetic came out non-positive or non-finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,57 +86,31 @@ def bipartite_block(u: BipartiteSample) -> SkewSample:
     return SkewSample(y)
 
 
-def _require_positive(bad: np.ndarray, detail, rows: np.ndarray | None = None) -> None:
-    """Raise NonPositiveDeterminantError naming the first flagged sample, if any.
-
-    rows maps a flagged position to the sample's index in the caller's batch.
-    """
-    hit = np.flatnonzero(bad)
-    if hit.size:
-        i = int(hit[0])
-        index = i if rows is None else int(rows[i])
-        text = f"{detail(i)} where a positive finite determinant is guaranteed"
-        err = NonPositiveDeterminantError(f"sample {index} of the batch: {text}")
-        err.index, err.detail = index, text
-        raise err
+def _positive_logdet(mats: np.ndarray) -> np.ndarray:
+    """log det over a (B, k, k) stack, nan where slogdet's sign is not +1."""
+    with np.errstate(invalid="ignore"):  # a nan comes back as one; the caller checks it
+        sign, logabs = np.linalg.slogdet(mats)
+    return np.where(sign == 1.0, logabs, np.nan)
 
 
-def _positive_logdet(mats: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """log det over a (B, k, k) stack whose determinants are positive in exact arithmetic."""
-    sign, logabs = np.linalg.slogdet(mats)
-    _require_positive(
-        (sign != 1.0) | ~np.isfinite(logabs),
-        lambda i: f"determinant sign {sign[i]:+.0f}, log|det| {logabs[i]:.17g}",
-        rows,
-    )
-    return logabs
-
-
-def _eliminated_logdet(a: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+def _eliminated_logdet(a: np.ndarray) -> np.ndarray:
     """log det over an (n, n, B) C-contiguous stack by elimination without pivoting, in place.
 
     Each step updates the trailing rows with ufunc calls over contiguous length-B
-    vectors; the log-determinant sums the pivots' logs in row order. Where every
-    pivot is positive in exact arithmetic, a sum that is not finite (a pivot that
-    is not positive, or an overflow) raises NonPositiveDeterminantError.
+    vectors; the log-determinant sums the pivots' logs in row order. A pivot that
+    is not positive, or an overflow, leaves a sum that is not finite.
     """
     n = len(a)
     tmp = np.empty(a.shape[1:])
-    pivots = _diagonal(a)
-    with np.errstate(all="ignore"):  # the health check below sees every overflow or nan
+    with np.errstate(all="ignore"):  # every overflow or nan reaches the sum
         for k in range(n - 1):
             for i in range(k + 1, n):
                 lk = np.divide(a[i, k], a[k, k], out=tmp[0])
                 a[i, k + 1 :] -= np.multiply(lk, a[k, k + 1 :], out=tmp[1 : n - k])
-        np.copyto(tmp, pivots)  # contiguous: np.log takes the same path at any B
+        np.copyto(tmp, _diagonal(a))  # contiguous: np.log takes the same path at any B
         total = np.zeros(a.shape[2])
         for row in np.log(tmp, out=tmp):  # in row order: the sum's bits depend on no other sample
             total += row
-    _require_positive(
-        ~np.isfinite(total),
-        lambda i: f"smallest pivot {pivots[:, i].min():.17g}, log det {total[i]:.17g}",
-        rows,
-    )
     return total
 
 
@@ -153,8 +122,8 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 def skew_logdet_batch(y_batch: np.ndarray, t: float) -> np.ndarray:
     """Batched log det(sqrt(t) I + Y) over a (B, N, N) stack of antisymmetric Y, at t > 0.
 
-    A determinant that is not positive and finite raises
-    NonPositiveDeterminantError; y_batch may be overwritten. Up to order
+    A determinant that is not positive and finite comes back as a value that is
+    not finite; y_batch may be overwritten. Up to order
     SMALL_ORDER a matrix with ||Y||_F^2 <= GROWTH_CAP * t is eliminated
     without pivoting, fastest when y_batch is a view of an (N, N, B)
     C-contiguous array; any other goes to slogdet.
@@ -174,19 +143,19 @@ def skew_logdet_batch(y_batch: np.ndarray, t: float) -> np.ndarray:
         return _eliminated_logdet(a)
     values = np.empty(b)
     far, near = np.flatnonzero(~fits), np.flatnonzero(fits)
-    values[far] = _positive_logdet(a[:, :, far].transpose(2, 0, 1), far)
-    values[near] = _eliminated_logdet(a[:, :, near], near)
+    values[far] = _positive_logdet(a[:, :, far].transpose(2, 0, 1))
+    values[near] = _eliminated_logdet(a[:, :, near])
     return values
 
 
 def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
     """Batched log det of the embedded block samples of a (B, m, n) stack, m <= n, at t > 0.
 
-    This is log det(t I_m + U U^T) plus ((n - m)/2) log t, checked as in
-    skew_logdet_batch. Up to m = SMALL_ORDER, U U^T is summed over the n
-    columns in order and eliminated without pivoting (it is positive
-    definite), fastest when u_batch is a view of an (m, n, B) C-contiguous
-    array. u_batch is not changed.
+    This is log det(t I_m + U U^T) plus ((n - m)/2) log t, not finite where
+    it fails as in skew_logdet_batch. Up to m = SMALL_ORDER, U U^T is summed
+    over the n columns in order and eliminated without pivoting (it is
+    positive definite), fastest when u_batch is a view of an (m, n, B)
+    C-contiguous array. u_batch is not changed.
     """
     b, m, n = u_batch.shape
     if m > SMALL_ORDER:
@@ -196,7 +165,7 @@ def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
         return _positive_logdet(gram) + 0.5 * (n - m) * math.log(t)
     u = u_batch.transpose(1, 2, 0)  # (m, n, B)
     gram, term = np.zeros((m, m, b)), np.empty((m, m, b))
-    with np.errstate(over="ignore", invalid="ignore"):  # the health check sees an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches the value
         for k in range(n):  # one multiply-add per column, in order, for every sample alike
             gram += np.multiply(u[:, None, k], u[None, :, k], out=term)
         _diagonal(gram)[:] += t
@@ -207,7 +176,7 @@ def log_det_shifted(y: SkewSample, t: float) -> float:
     """log det(sqrt(t) I + Y) for an antisymmetric sample Y and t > 0, at least (N/2) log t."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return float(skew_logdet_batch(y.matrix[None, :, :].copy(), t)[0])
+    return _checked(skew_logdet_batch(y.matrix[None, :, :].copy(), t)[0])
 
 
 def log_det_bipartite(u: BipartiteSample, t: float) -> float:
@@ -218,4 +187,13 @@ def log_det_bipartite(u: BipartiteSample, t: float) -> float:
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    return float(gram_logdet_batch(u.matrix[None, :, :], t)[0])
+    return _checked(gram_logdet_batch(u.matrix[None, :, :], t)[0])
+
+
+def _checked(value: float) -> float:
+    """A scalar helper's log-determinant, which must be finite."""
+    if not math.isfinite(value):
+        raise NonPositiveDeterminantError(
+            f"log det {value} where a positive finite determinant is guaranteed"
+        )
+    return float(value)

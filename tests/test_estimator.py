@@ -540,7 +540,8 @@ class TestComponents:
     @pytest.mark.parametrize("order", [3, 13])
     def test_health_check_names_sample_and_component(self, monkeypatch, order):
         # two components of one shape share a stack: member-major up to SMALL_ORDER,
-        # sample-major past it; either way the message names the sample drawn
+        # sample-major past it; either way the message names the sample drawn and the
+        # component's least vertex, 1-based
         g = WeightedGraph(2 * order, tuple(
             (c * order + u, c * order + v, 1.0)
             for c in range(2) for u, v in itertools.combinations(range(order), 2)
@@ -553,11 +554,63 @@ class TestComponents:
             return kernel(y, t)
 
         monkeypatch.setattr(estimator, "skew_logdet_batch", corrupt)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NonPositiveDeterminantError, match=r"^sample 7, component 1 of 2 "
-                               r"alike: determinant sign \S+, log\|det\| nan where ") as exc:
-                estimate_log_phi_tilde(g, 1.0, 10, 0)
-        assert str(exc.value).count("sample") == 1  # not the kernel's row in the batch too
+        with pytest.raises(NonPositiveDeterminantError, match=(
+            rf"^sample 7, component with least vertex {order + 1}: log det nan "
+            r"where a positive finite determinant is guaranteed$"
+        )):
+            estimate_log_phi_tilde(g, 1.0, 10, 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows", [None, 7, 5])
+    def test_named_sample_does_not_depend_on_the_batch_size(self, monkeypatch, rows, threads):
+        # the triangle on vertices 1-3 fails at sample 9 and the 4-cycle on 4-7 at sample 2:
+        # whatever the batch size and thread count, the lowest failing sample is named
+        g = WeightedGraph(7, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                              (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0), (3, 6, 1.0)))
+        plan = estimator._sample_plan(g, 1.0)
+        assert [s.dense for s in plan.stacks] == [True, False]
+        edge_cols = [s.index[0][s.coef[0] != 0][0] for s in plan.stacks]  # one edge of each
+        block = estimator._normal_block
+
+        def poisoned(seed, first, n, blocks):
+            z = block(seed, first, n, blocks)
+            for sample, col in zip((9, 2), edge_cols):
+                if first <= sample < first + n:
+                    z[sample - first, col] = np.nan
+            return z
+
+        if rows is not None:
+            monkeypatch.setattr(estimator, "_BATCH", rows)
+        monkeypatch.setattr(estimator, "_normal_block", poisoned)
+        with pytest.raises(NonPositiveDeterminantError,
+                           match="^sample 2, component with least vertex 4: log det nan where "):
+            estimate_log_phi_tilde(g, 1.0, 20, 0, threads=threads)
+
+    @pytest.mark.parametrize("graph, entry, route", [
+        (complete_graph(3), 3.0, (True, True)),  # eliminated: the second pivot is 1 - 3^2
+        (complete_graph(3), 1e3, (True, True)),  # ||Y||_F^2 past GROWTH_CAP: slogdet's sign -1
+        (complete_bipartite_graph(2, 2), np.nan, (False, True)),  # U U^T eliminated
+        (complete_bipartite_graph(13, 13), np.nan, (False, False)),  # m = 13: slogdet
+    ], ids=["dense-small", "dense-slogdet", "gram-small", "gram-past-small-order"])
+    def test_every_route_reaches_the_health_check(self, monkeypatch, graph, entry, route):
+        # one component after an isolated vertex 1, so its least vertex is 2, and row 7 of
+        # its stack is sample 7 in either layout; the kernel returns the failure as a value
+        g = WeightedGraph(graph.n_vertices + 1, tuple((u + 1, v + 1, w) for u, v, w in graph.edges))
+        (stack,) = estimator._sample_plan(g, 1.0).stacks
+        assert (stack.dense, stack.small) == route
+        name = "skew_logdet_batch" if stack.dense else "gram_logdet_batch"
+        kernel = getattr(estimator, name)
+
+        def corrupt(mats, t):
+            mats[7, 0, 1] = entry
+            if stack.dense:
+                mats[7, 1, 0] = entry  # a symmetric pair: no longer antisymmetric
+            return kernel(mats, t)
+
+        monkeypatch.setattr(estimator, name, corrupt)
+        with pytest.raises(NonPositiveDeterminantError,
+                           match="^sample 7, component with least vertex 2: log det nan where "):
+            estimate_log_phi_tilde(g, 1.0, 10, 0)
 
     @pytest.mark.parametrize("k, threads, shares", [
         (1, 64, 1), (21, 8, 3), (22, 8, 4), (22, 3, 3), (21, 1, 1), (1000, 8, 8)

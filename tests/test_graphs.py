@@ -57,6 +57,14 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="duplicate"):
             parse_graph("3 2\n1 2 1.0\n2 1 2.0")
 
+    def test_duplicate_edge_names_its_later_line(self):
+        with pytest.raises(GraphFormatError, match=r"^line 3: duplicate edge \(1, 2\)$"):
+            parse_graph("3 2\n1 2 1\n2 1 3\n")
+        # comments and blank lines count; the first repeat is named, not a later one
+        text = "# c\n4 4\n1 2 1\n\n3 4 1\n# x\n4 3 2\n2 1 1\n"
+        with pytest.raises(GraphFormatError, match=r"^line 7: duplicate edge \(3, 4\)$"):
+            parse_graph(text)
+
     def test_non_positive_weight_rejected(self):
         for w in ("0.0", "-3", "inf", "1e999", "nan"):
             with pytest.raises(GraphFormatError, match="non-positive"):
