@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .estimator import RngStream, derive_seed, estimate_log_phi_tilde, log_gap_bound
-from .exact import complete_bipartite_counts, matching_counts
+from .exact import complete_bipartite_counts, log_polynomial
 from .graphs import WeightedGraph, complete_bipartite_graph, weight_sums
 
 EULER_GAMMA = 0.5772156649015329
@@ -109,10 +109,10 @@ def optimality_sweep(
     """Per-vertex gap between exact and estimated log-values on K_{m,n}.
 
     A bare integer side means the square graph K_{n,n}. Equal weight bounds
-    use the uniform closed-form count; distinct bounds draw each edge
+    use the unit-weight closed-form count; distinct bounds draw each edge
     weight uniformly from [weight_lo, weight_hi] and count it exactly with
-    matching_counts, whose table cap bounds the sides. Gaps trend to zero
-    as the sides grow.
+    log_polynomial, whose table cap bounds the sides. Both count on weights
+    divided by the largest. Gaps trend to zero as the sides grow.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be positive and finite")
@@ -129,7 +129,7 @@ def optimality_sweep(
         row_seed = derive_seed(seed, index)
         if weight_lo == weight_hi:
             g = complete_bipartite_graph(m, n, weight_hi)
-            exact_log = complete_bipartite_counts(m, n, weight_hi).log_eval(t)
+            exact_log = complete_bipartite_counts(m, n).log_eval(t, math.log(weight_hi))
         else:
             # the last stream, 2**64 - 1, holds no sample's normals short of 2**64 samples
             picks = RngStream(row_seed, 2**64 - 1).uniforms(m * n).tolist()
@@ -139,7 +139,7 @@ def optimality_sweep(
                 for j in range(n)
             )
             g = WeightedGraph(m + n, edges)
-            exact_log = matching_counts(g).log_eval(t)
+            exact_log = log_polynomial(g, t)
         est = estimate_log_phi_tilde(g, t, samples_per_point, row_seed, threads=threads)
         n_vertices = m + n
         estimate_pv = est.mean_log / n_vertices

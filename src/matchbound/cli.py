@@ -28,7 +28,7 @@ from .estimator import (
     estimate_log_phi_tilde,
     plan_samples,
 )
-from .exact import GraphTooLargeError, matching_counts
+from .exact import GraphTooLargeError, log_polynomial
 from .graphs import (
     GraphFormatError,
     WeightedGraph,
@@ -172,19 +172,7 @@ def _run_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     g, sums, graph = _graph(args)
-
-    # phi_{cw}(k) = c^k phi_w(k): count on weights scaled to a largest weight
-    # of 1, so the float counts cannot overflow, and sum the terms
-    # phi(k) t^(floor(N/2) - k) in log space (t/c itself may not be a double)
-    c = g.max_weight or 1.0
-    scaled = WeightedGraph(g.n_vertices, tuple((u, v, w / c) for u, v, w in g.edges))
-    terms = [
-        math.log(p) + k * math.log(c) + (g.n_vertices // 2 - k) * math.log(args.t)
-        for k, p in enumerate(matching_counts(scaled).counts)
-        if p > 0.0
-    ]
-    lead = max(terms)
-    log_value = lead + math.log(math.fsum(math.exp(x - lead) for x in terms))
+    log_value = log_polynomial(g, args.t)
 
     est, bounds, blocks = _bracket(args, g, sums, args.samples)
 

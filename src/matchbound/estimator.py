@@ -173,7 +173,7 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
             n_c, max_w = len(verts), float(np.square(row_max[list(verts)].max()))
             keeps_t = n_c * np.finfo(float).eps * (max_w / t) <= 1e-12
             bip = bip if keeps_t and t + n_c * 75.0 * max_w < math.inf else None
-        rows, cols = (verts, verts) if bip is None else (bip.left, bip.right)
+        rows, cols = (sorted(verts),) * 2 if bip is None else (bip.left, bip.right)
         groups.setdefault((bip is None, len(rows), len(cols)), []).append(np.ix_(rows, cols))
     stacks = tuple(
         _Stack(dense, np.stack([adj.matrix[c] for c in cells]), np.stack([col[c] for c in cells]))

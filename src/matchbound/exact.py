@@ -48,17 +48,18 @@ class MatchingCounts:
             acc = acc * t + c
         return acc
 
-    def log_eval(self, t: float) -> float:
-        """log of eval(t), max-shifted log-sum-exp over nonzero terms.
+    def log_eval(self, t: float, log_scale: float = 0.0) -> float:
+        """log of sum_k c^k phi(k) t^(n-k) for c = exp(log_scale): log of eval(t) by default.
 
-        Safe where t**(N/2) would overflow; requires t > 0.
+        A max-shifted log-sum-exp over nonzero terms, safe where t**(N/2) or
+        c^k would overflow; requires t > 0.
         """
         if not t > 0:
             raise ValueError("t must be positive for log evaluation")
         n = self.n_vertices // 2
         log_t = math.log(t)
         terms = [
-            math.log(c) + (n - k) * log_t
+            math.log(c) + k * log_scale + (n - k) * log_t
             for k, c in enumerate(self.counts)
             if c > 0.0
         ]
@@ -80,24 +81,17 @@ def _finite_counts(n_vertices: int, counts: Iterable[float]) -> MatchingCounts:
 def matching_counts(g: WeightedGraph) -> MatchingCounts:
     """Exact weighted k-matching totals for every k, by a profile DP.
 
-    Vertices are taken in breadth-first order, one component after another.
-    Before vertex i, a state is the set of later vertices already matched
-    (bit d for vertex i + d); its row holds the counts of the partial
-    matchings that reach it. Vertex i is already matched, left unmatched, or
-    matched to a later free neighbour u, one more edge of weight w(i, u).
-    Between components the table is the empty state alone, so they need no
-    convolution. GraphTooLargeError once it passes TABLE_CAP cells.
+    Vertices are taken in the breadth-first order of g.components, one
+    component after another. Before vertex i, a state is the set of later
+    vertices already matched (bit d for vertex i + d); its row holds the
+    counts of the partial matchings that reach it. Vertex i is already
+    matched, left unmatched, or matched to a later free neighbour u, one more
+    edge of weight w(i, u). Between components the table is the empty state
+    alone, so they need no convolution and an isolated vertex needs no step.
+    GraphTooLargeError once it passes TABLE_CAP cells.
     """
     n, nbrs = g.n_vertices, g.adjacency()
-    pos: dict[int, int] = {}  # vertex -> its place in the order
-    for start in range(n):
-        if start not in pos:
-            pos[start], found = len(pos), [start]
-            for v in found:  # found grows while it is read: breadth-first order
-                for u, _ in nbrs[v]:
-                    if u not in pos:
-                        pos[u] = len(pos)
-                        found.append(u)
+    pos = {v: i for i, v in enumerate(v for verts, _ in g.components for v in verts)}
     size = n // 2 + 1
     masks, table = [0], np.eye(1, size)
     with np.errstate(over="ignore"):  # an overflowed count raises at the end
@@ -121,6 +115,17 @@ def matching_counts(g: WeightedGraph) -> MatchingCounts:
                 table = new
             masks = list(rows)
     return _finite_counts(n, table[0])
+
+
+def log_polynomial(g: WeightedGraph, t: float) -> float:
+    """log of g's matching polynomial at t > 0, counted on the weights divided by the largest.
+
+    phi_{cw}(k) = c^k phi_w(k): scaled to a largest weight of 1, the counts stay
+    finite where g's own would overflow, and log_eval puts c^k back in log space.
+    """
+    c = g.max_weight or 1.0
+    scaled = WeightedGraph(g.n_vertices, tuple((u, v, w / c) for u, v, w in g.edges))
+    return matching_counts(scaled).log_eval(t, math.log(c))
 
 
 def complete_graph_counts(n: int, w: float = 1.0) -> MatchingCounts:

@@ -62,9 +62,9 @@ class WeightedGraph:
     def components(self) -> tuple[tuple[tuple[int, ...], Bipartition | None], ...]:
         """The connected components that hold an edge, in order of least vertex.
 
-        Each is its vertex tuple (ascending) with its BFS two-coloring from the
-        least vertex, sides swapped if needed so that left is not larger, or
-        None when the component has an odd cycle. Built once per graph.
+        Each is its vertex tuple in breadth-first order from the least vertex,
+        with that search's two-coloring (sides ascending, left not larger), or
+        None when the component has an odd cycle. Built once, by the graph's only BFS.
         """
         color = [-1] * self.n_vertices
         nbrs = self.adjacency()
@@ -81,7 +81,7 @@ class WeightedGraph:
                     odd = odd or color[v] == color[u]
             sides = [tuple(sorted(v for v in found if color[v] == c)) for c in (0, 1)]
             sides.sort(key=len)
-            out.append((tuple(sorted(found)), None if odd else Bipartition(*sides)))
+            out.append((tuple(found), None if odd else Bipartition(*sides)))
         return tuple(out)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:

@@ -535,11 +535,24 @@ class TestBench:
         assert main(["bench", "--sides", "2", "--t", "1", "--w", "-1"]) == 2
         assert main(["bench", "--sides", "2", "--t", "1", "--w", "inf"]) == 2
 
-    @pytest.mark.parametrize("sides, w", [("200", "1"), ("150", "4")])
+    # uniform weights are counted at w = 1, so a count overflows only past the
+    # double at unit weight: K_{200,200} has 200! ~ 7.9e374 perfect matchings
+    @pytest.mark.parametrize("sides, w", [("200", "1"), ("200", "4")])
     def test_count_overflow_is_usage_error(self, capsys, sides, w):
         argv = ["bench", "--sides", sides, "--t", "1", "--w", w, "--samples", "4"]
         assert main(argv) == 2
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w", ["1e300", "1e200,1e300"])
+    def test_weights_past_the_count_range(self, capsys, w):
+        # K_{3,3} counts reach 6 w^3: finite only on weights divided by the largest
+        argv = ["bench", "--sides", "3", "--t", "1", "--w", w, "--samples", "200",
+                "--format", "json"]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert math.isfinite(row["exact_per_vertex"])
+        assert math.isfinite(row["gap_per_vertex"])
 
     def test_empty_sides_is_usage_error(self, capsys):
         assert main(["bench", "--sides", ",", "--t", "1", "--w", "1"]) == 2

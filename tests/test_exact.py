@@ -10,9 +10,11 @@ from matchbound.exact import (
     MatchingCounts,
     complete_bipartite_counts,
     complete_graph_counts,
+    log_polynomial,
     matching_counts,
 )
 from matchbound.graphs import (
+    GraphFormatError,
     WeightedGraph,
     complete_bipartite_graph,
     complete_graph,
@@ -182,6 +184,40 @@ class TestPolynomialEval:
             matching_counts(k4).eval(-1.0)
         with pytest.raises(ValueError):
             matching_counts(k4).log_eval(0.0)
+
+
+def scaled_log_sum_exp(g: WeightedGraph, t: float) -> float:
+    """log Phi(t) term by term on the weights divided by the largest: log_polynomial's reference."""
+    c = g.max_weight or 1.0
+    scaled = WeightedGraph(g.n_vertices, tuple((u, v, w / c) for u, v, w in g.edges))
+    terms = [
+        math.log(p) + k * math.log(c) + (g.n_vertices // 2 - k) * math.log(t)
+        for k, p in enumerate(matching_counts(scaled).counts)
+        if p > 0.0
+    ]
+    lead = max(terms)
+    return lead + math.log(math.fsum(math.exp(x - lead) for x in terms))
+
+
+class TestLogPolynomial:
+    MIXED7 = WeightedGraph(7, ((0, 1, 0.5), (1, 2, 2.0), (3, 4, 3.0), (4, 5, 0.25)))
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 2.0, 10.0, 1e3])
+    def test_is_the_term_by_term_reference_bit_for_bit(self, random6, t):
+        graphs = (self.MIXED7, path_graph(64), complete_bipartite_graph(3, 3, 1e300),
+                  random6, sparse_graph())
+        for g in graphs:
+            assert log_polynomial(g, t) == scaled_log_sum_exp(g, t)
+
+    def test_ladder_still_overflows(self):
+        with pytest.raises(GraphTooLargeError, match="overflows"):
+            log_polynomial(grid_graph(2, 800), 1.0)
+
+    def test_weight_spread_past_the_double_range_raises(self):
+        # 1e-300 / 1e300 underflows to 0: the scaled graph has a zero weight
+        g = WeightedGraph(3, ((0, 1, 1e-300), (1, 2, 1e300)))
+        with pytest.raises(GraphFormatError, match="non-positive or non-finite weight"):
+            log_polynomial(g, 1.0)
 
 
 class TestClosedForms:

@@ -250,9 +250,10 @@ class TestBipartition:
             assert (u in left) != (v in left)
 
     def test_components_of_interleaved_labels(self, multi):
-        # K_{2,3}, a triangle and K2 in order of least vertex; 3 and 6 are isolated
+        # K_{2,3}, a triangle and K2 in order of least vertex, each in breadth-first
+        # order from it (neighbours ascending); 3 and 6 are isolated
         assert multi.components == (
-            ((0, 4, 7, 9, 11), Bipartition((0, 7), (4, 9, 11))),
+            ((0, 4, 9, 11, 7), Bipartition((0, 7), (4, 9, 11))),
             ((1, 5, 10), None),
             ((2, 8), Bipartition((2,), (8,))),
         )
