@@ -14,11 +14,11 @@ determinants is the unbiased estimator of the polynomial itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +37,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _BATCH = 3 << 12  # most rows a batch takes; the partition never depends on the thread count
 _BATCH_BYTES = 24 << 20  # a batch's variates and matrices stay within this, whatever N
 _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
+_TERMS = 1 << 14  # terms an exact-sum pass takes at once: cache-sized, and exact
 _LN2 = math.log(2.0)
 
 
@@ -158,32 +159,54 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
     component of n_C vertices and largest weight max_w, so the Gram route is taken
     only where n_C eps max_w / t <= 1e-12; elsewhere a bipartite component takes the
     dense route. Every variate has z^2 <= 108 ln 2 < 75, so no entry of t I + U U^T
-    exceeds t + n_C 75 max_w, which must be finite on the Gram route too.
+    exceeds t + n_C 75 max_w, which must be finite on the Gram route too. Built from
+    the edge list in O(N + E) memory besides the stacks, n_C^2 entries a component.
     """
-    adj, n = skew_adjacency(g), g.n_vertices
-    i, j = np.nonzero(adj.matrix > 0)  # each edge's +sqrt(w) sits above the diagonal
-    row_max = adj.matrix.max(axis=1)  # so the row of its lower end holds it
+    n, (u, v, w) = g.n_vertices, np.array(g.edges or np.empty((0, 3))).T
+    i, j = np.minimum(u, v).astype(np.intp), np.maximum(u, v).astype(np.intp)
+    root = np.sqrt(w)  # the template's entry: +root at (i, j), -root at (j, i)
     pair = i * n - i * (i + 1) // 2 + (j - i - 1)
     blocks = np.unique(pair // 2)
-    col = np.zeros((n, n), dtype=np.intp)  # an entry off every edge reads column 0, times 0
-    col[i, j] = col[j, i] = edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2
-    groups: dict[tuple[bool, int, int], list] = {}
-    for verts, bip in g.components:
+    edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2  # each edge's column of z
+    comps, eps = g.components, np.finfo(float).eps
+    comp, row, col = [-1] * n, [-1] * n, [-1] * n  # each vertex's component, row and column
+    for c, (verts, _) in enumerate(comps):
+        for v in verts:
+            comp[v] = c
+    comp = np.array(comp)[i]  # each edge's component
+    max_root = np.zeros(len(comps))
+    np.maximum.at(max_root, comp, root)
+    groups: dict[tuple[bool, int, int], list] = {}  # stacks in order of first member
+    keys, member = [], []
+    for c, (verts, bip) in enumerate(comps):
         if bip is not None:
-            n_c, max_w = len(verts), float(np.square(row_max[list(verts)].max()))
-            keeps_t = n_c * np.finfo(float).eps * (max_w / t) <= 1e-12
+            n_c, max_w = len(verts), float(np.square(max_root[c]))
+            keeps_t = n_c * eps * (max_w / t) <= 1e-12
             bip = bip if keeps_t and t + n_c * 75.0 * max_w < math.inf else None
         rows, cols = (sorted(verts),) * 2 if bip is None else (bip.left, bip.right)
-        groups.setdefault((bip is None, len(rows), len(cols)), []).append(np.ix_(rows, cols))
-    stacks = tuple(
-        _Stack(dense, np.stack([adj.matrix[c] for c in cells]), np.stack([col[c] for c in cells]))
-        for (dense, _, _), cells in groups.items()
-    )
+        for side, place in ((rows, row), (cols, col)):
+            for r, v in enumerate(side):
+                place[v] = r
+        keys.append((bip is None, len(rows), len(cols)))
+        member.append(len(groups.setdefault(keys[-1], [])))
+        groups[keys[-1]].append(c)
+    order = {key: s for s, key in enumerate(groups)}
+    stack = np.array([order[key] for key in keys], dtype=np.intp)[comp]  # each edge's stack
+    member, row, col = np.array(member, dtype=np.intp)[comp], np.array(row), np.array(col)
+    stacks = []
+    for s, ((dense, n_rows, n_cols), members) in enumerate(groups.items()):
+        coef = np.zeros((len(members), n_rows, n_cols))
+        index = np.zeros(coef.shape, np.intp)  # an entry off every edge reads column 0, times 0
+        for a, b, sign in ((i, j, root), (j, i, -root)):  # entry (a, b): a a row, b a column
+            on = (stack == s) & (row[a] >= 0) & (col[b] >= 0)
+            at = member[on], row[a[on]], col[b[on]]
+            coef[at], index[at] = sign[on], edges[on]
+        stacks.append(_Stack(dense, coef, index))
     idle = np.setdiff1d(np.arange(2 * len(blocks)), edges)
-    isolated = n - sum(len(v) for v, _ in g.components)
-    least = tuple(int(min(r.min(), c.min())) for cells in groups.values() for r, c in cells)
+    isolated = n - sum(len(verts) for verts, _ in comps)
+    least = tuple(min(comps[c][0]) for members in groups.values() for c in members)
     shift = isolated * (0.5 * math.log(t)) if isolated else 0.0
-    return _SamplePlan(blocks, idle, stacks, shift, least)
+    return _SamplePlan(blocks, idle, tuple(stacks), shift, least)
 
 
 def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
@@ -222,48 +245,99 @@ def sample_skew(adj: SkewAdjacency, stream: RngStream, i: int) -> SkewSample:
     return SkewSample(y - y.T)
 
 
-def _exact_total(x: np.ndarray, e=0) -> Fraction:
-    """sum(x 2^e) exactly, for finite doubles x and integers e, by integer sums per binade.
+def _exact_moments(x: np.ndarray, e: np.ndarray):
+    """((s1, p1), (s2, p2)) such that row r of the finite doubles x and integers e sums
+    exactly to sum x 2^e = s1[r] 2^p1 and sum x^2 2^2e = s2[r] 2^p2 (object arrays of ints).
 
-    np.frexp gives x = m 2^p, |m| in [1/2, 1), and m 2^27 = h + l 2^-26 with integers
-    |h| < 2^27, |l| < 2^26. bincount sums the h and l per binade of p + e, exactly in a
-    double; 16 adjacent binades combine in an int64, to which a term adds below 2^42, so
-    the sum is exact up to 2^20 terms (a batch passes at most 2 _BATCH). The total does
-    not depend on the order of the terms; float() rounds it once.
+    The pass takes _TERMS terms at a time, whole rows where they fit, so that its arrays
+    stay cache-sized (_exact_chunk); integer sums add exactly, so no order or split of
+    the terms moves a bit.
     """
-    mant, exp = np.frexp(x)
-    exp = exp + e
-    base = int(exp.min()) if exp.size else 0  # an empty x (a direct call only) sums to 0
-    exp -= base
-    low, high = np.modf(mant * 2.0**27)  # l 2^-26 and h, whose sums both stay exact
-    width = (int(exp.max(initial=0)) + 42) // 16 * 16  # an h counts 26 binades above its own
-    sums = np.bincount(exp, low, width) * 2.0**26
-    sums[26:] += np.bincount(exp, high, width)[:-26]
-    blocks = (sums.astype(np.int64).reshape(-1, 16) @ (1 << np.arange(16))).tolist()
-    total, shift = sum(v << 16 * i for i, v in enumerate(blocks)), base - 53
-    return Fraction(total << max(shift, 0), 1 << max(-shift, 0))
+    if not x.size:
+        return ((np.zeros(len(x), dtype=object), 0),) * 2
+    width = min(x.shape[1], _TERMS)
+    height = _TERMS // width
+    chunks = [
+        functools.reduce(_add_moments, (
+            _exact_chunk(x[r : r + height, c : c + width], e[r : r + height, c : c + width])
+            for c in range(0, x.shape[1], width)
+        ))
+        for r in range(0, len(x), height)
+    ]
+    return tuple((np.concatenate(ints), p) for ints, p in (_aligned(*s) for s in zip(*chunks)))
 
 
-def _moments(x: np.ndarray, e=0) -> tuple[Fraction, Fraction]:
-    """(sum x 2^e, sum x^2 2^2e) exactly, for finite doubles x and integers e.
+def _exact_chunk(x: np.ndarray, e: np.ndarray):
+    """_exact_moments of at most _TERMS terms, by integer sums per binade.
 
-    np.frexp gives x = m 2^p, |m| in [1/2, 1), and m^2 = g + err exactly (Dekker's
-    product on Veltkamp's 26-bit halves of m), which neither overflows nor underflows.
+    np.frexp gives x 2^e = m 2^(p + e - 53), with |m| < 2^53 an integer, read as limbs
+    m = l2 2^36 + l1 2^18 + l0, 0 <= l0, l1 < 2^18, so that m^2 = sum_j c_j 2^(18 j), with
+    c = (l0^2, 2 l0 l1, l1^2 + 2 l0 l2, 2 l1 l2, l2^2) and each |c_j| < 2^37. One bincount
+    sums l1 2^18 + l0 and l2 by binade of m, and each c_j by binade of m^2 (a bin is a
+    factor 4). A bin takes at most one value below 2^37 a term, so over _TERMS = 2^14
+    terms it stays below 2^51: exact in a double, and 10 binades of m (5 of m^2) combine
+    below 2^61 in an int64. The int64 blocks then add up in a Python int.
     """
-    m, p = np.frexp(x)
-    p = 2 * (p + e)
-    hi = m * (2.0**27 + 1)
-    hi -= hi - m
-    lo = m - hi
-    g = m * m
-    err = lo * lo - ((g - hi * hi) - 2.0 * hi * lo)
-    return _exact_total(x, e), _exact_total(np.concatenate([g, err]), np.concatenate([p, p]))
+    rows, cols = x.shape
+    w = np.empty((7, rows, cols))
+    low_m, l2, c0, c1, c2, c3, c4 = w
+    m, p = np.frexp(x, out=(c4, np.empty(x.shape, dtype=np.int64)))
+    m *= 2.0**53
+    np.floor(np.multiply(m, 2.0**-36, out=l2), out=l2)
+    np.subtract(m, l2 * 2.0**36, out=low_m)  # l1 2^18 + l0
+    l1 = np.floor(np.multiply(low_m, 2.0**-18, out=c3), out=c3)
+    l0 = np.subtract(low_m, l1 * 2.0**18, out=c0)
+    np.multiply(l0, l1, out=c1)
+    c1 *= 2.0
+    np.multiply(l0, l2, out=c2)
+    c2 *= 2.0
+    c2 += l1 * l1
+    np.multiply(l1, l2, out=c3)  # l1 was kept in c3: each entry is read before it is written
+    c3 *= 2.0
+    np.multiply(l2, l2, out=c4)
+    np.multiply(l0, l0, out=c0)
+    p += e
+    low = p.min(axis=1)
+    p -= low[:, None]
+    span = -(-(int(p.max()) + 37) // 10) * 10  # room for each row's top binade, limbs 36 up
+    p += np.arange(0, rows * span, span)[:, None]
+    bins = np.array([0, 36, 0, 9, 18, 27, 36]) + np.repeat([0, rows * span], [2, 5])
+    sums = np.bincount((p + bins[:, None, None]).ravel(), w.ravel(), 2 * rows * span)
+    sums = sums.astype(np.int64).reshape(2, rows, -1, 10)
+    blocks = sums[0] @ (1 << np.arange(10)), sums[1].reshape(rows, -1, 5) @ (4 ** np.arange(5))
+    base, shift = int(low.min()), (low - low.min()).astype(object)
+    return tuple(
+        ((b.astype(object) << 10 * np.arange(b.shape[1]).astype(object)).sum(axis=1) << k * shift,
+         k * (base - 53))
+        for k, b in zip((1, 2), blocks)
+    )
 
 
-def _log(r: Fraction) -> float:
-    """log r of a positive rational, normalized by bit length so that no part overflows."""
-    a = r.numerator.bit_length() - r.denominator.bit_length()
-    return math.log(r * Fraction(2) ** -a) + a * _LN2
+def _aligned(*sums):
+    """Exact sums (ints, p), each ints 2^p, brought to their least p: ([ints, ...], p)."""
+    low = min(p for _, p in sums)
+    return [ints << p - low for ints, p in sums], low
+
+
+def _add_moments(a, b):
+    """The sum of two _exact_moments of the same rows."""
+    return tuple((ints[0] + ints[1], p) for ints, p in (_aligned(x, y) for x, y in zip(a, b)))
+
+
+def _quotient(num: int, den: int, p: int) -> float:
+    """num 2^p / den rounded once, for ints num and den > 0."""
+    return (num << p) / den if p >= 0 else num / (den << -p)
+
+
+def _log(num: int, den: int, p: int) -> float:
+    """log of num 2^p / den > 0, normalized by the bit lengths of its lowest terms so that
+    no part overflows, and so that the result depends on the ratio alone, not on how it
+    is written."""
+    num, den = num << max(p, 0), den << max(-p, 0)
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    a = num.bit_length() - den.bit_length()
+    return math.log(_quotient(num, den, -a)) + a * _LN2
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +351,10 @@ class EstimateResult:
     rel^2 = sum_C var_C / (k mean_C^2). Both are kept as logs, and are inf where they
     exceed the largest double.
 
-    Every statistic comes from the exact moments S1 = sum x and S2 = sum x^2
-    (_moments) of the log-determinants and of each component's determinants:
-    mean_log is S1 / k rounded once, and std_err is sqrt(var / k) of the exact
-    var = (k S2 - S1^2) / (k (k - 1)), which is 0 at k = 1 and for equal
+    Every statistic comes from the exact moments S1 = sum x and S2 = sum x^2 of the
+    log-determinants and of each component's determinants, integers times powers of
+    two (_exact_moments): mean_log is S1 / k rounded once, and std_err is sqrt(var / k)
+    of the exact var = (k S2 - S1^2) / (k (k - 1)), which is 0 at k = 1 and for equal
     samples. So neither the thread count nor the batch size moves a bit of
     any field. No storage grows with k: each thread adds up its own batches'
     moments as it goes, and a batch's variates and matrices stay within
@@ -344,12 +418,14 @@ class BoundsReport:
 def plan_samples(
     epsilon: float, delta: float, n_vertices: int, t: float, *, heaviest_weight_sum: float
 ) -> FprasPlan:
-    """Sample count ceil(W log(4/delta) / (t s^2)), radius s/N, s = ln(1 + eps), any W >= 2 nu*.
+    """Sample count ceil(W x / (t s^2)), radius s/N, s = ln(1 + eps), any W >= 2 nu*.
 
-    nu* is the largest weight of a fractional matching of the graph. Twice the weight
-    of any fractional vertex cover is such a W (graphs.weight_sums' cover_sum), and so
-    is the heaviest weight sum sum_i max_j w_ij; the worst case, every vertex paying
-    the largest weight a^2, is W = a^2 N.
+    x = ln(2/delta) + ln(1 + (delta/2)^(rho - 1)), rho = (s'/s)^2, spends delta/2 on the
+    two tails, each at its own radius: s above the expectation and s' = -ln(1 - eps)
+    below it. nu* is the largest weight of a fractional matching of the graph. Twice the
+    weight of any fractional vertex cover is such a W (graphs.weight_sums' cover_sum),
+    and so is the heaviest weight sum sum_i max_j w_ij; the worst case, every vertex
+    paying the largest weight a^2, is W = a^2 N.
 
     nu*/t <= W/2t bounds the squared Lipschitz constant of f(z) = log det(sqrt(t) I + Y(z)),
     where Y_ij = a_ij z_ij = -Y_ji for i < j. Its gradient is df/dz_ij = a_ij K_ij
@@ -362,15 +438,19 @@ def plan_samples(
     LP duality nu* is the least weight sum_i c_i of a fractional vertex cover (c >= 0,
     c_i + c_j >= w_ij on every edge): c_i = max_j w_ij / 2 gives the heaviest weight
     sum, and on a bipartite graph either side's heaviest weights are a cover.
-    Gaussian concentration for Lipschitz functions (Tsirelson-Ibragimov-Sudakov)
-    then puts the mean of k samples more than N r from its expectation with
-    probability at most 2 exp(-t k N^2 r^2 / W) (tail_bound), which is at most
-    delta/2 at this k and r = s/N. A mean within N r = s of its expectation puts the
-    geometric-mean estimate within a factor e^s = 1 + eps above its target and
-    e^-s = 1/(1 + eps) >= 1 - eps below it, since (1 - eps)(1 + eps) <= 1: a
-    multiplicative (1 +- epsilon) for every eps in (0, 1], where s > eps/2. An
-    edgeless graph has W = 0 and takes one sample. A count that is not finite, or
-    past 2**64, one sample per uint64 index, raises ValueError.
+
+    Gaussian concentration for Lipschitz functions (Tsirelson-Ibragimov-Sudakov;
+    Boucheron, Lugosi and Massart, Concentration Inequalities, Thm 5.6) bounds each
+    side alone: the mean of k samples lies s or more above its expectation with
+    probability at most e^(-a s^2), and s' or more below it with at most e^(-a s'^2),
+    a = t k / W. At this k, a s^2 >= x and a s'^2 >= rho x, and with q = (delta/2)^(rho-1)
+    and rho >= 1, e^-x + e^(-rho x) = (delta/2) / (1 + q) + (delta/2)^rho / (1 + q)^rho
+    <= delta/2. A mean inside (-s', s) of its expectation puts the geometric-mean
+    estimate inside a factor (e^-s', e^s) = (1 - eps, 1 + eps) of its target. At
+    eps = 1 no mean fails below (s' = inf) and x = ln(2/delta); as eps -> 0, x tends
+    to ln(4/delta), both tails at s, which x never passes. An edgeless graph has W = 0
+    and takes one sample. A count that is not finite, or past 2**64, one sample per
+    uint64 index, raises ValueError.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must be in (0, 1]")
@@ -382,7 +462,9 @@ def plan_samples(
         raise ValueError("heaviest_weight_sum must be nonnegative")
     if not t > 0:
         raise ValueError("t must be positive")
-    k = heaviest_weight_sum * math.log(4.0 / delta) / (t * math.log1p(epsilon) ** 2 or math.nan)
+    s, lower = math.log1p(epsilon), -math.log1p(-epsilon) if epsilon < 1 else math.inf
+    tails = math.log(2.0 / delta) + math.log1p((delta / 2.0) ** ((lower / s) ** 2 - 1.0))
+    k = heaviest_weight_sum * min(tails, math.log(4.0 / delta)) / (t * s**2 or math.nan)
     if not k < math.inf:  # the count overflows, or t ln(1 + eps)^2 underflows to 0
         raise ValueError(f"the planned sample count is not finite at eps {epsilon}, t {t}")
     if k > 2**64:
@@ -391,7 +473,7 @@ def plan_samples(
     return FprasPlan(
         epsilon=epsilon,
         delta=delta,
-        deviation_radius=math.log1p(epsilon) / n_vertices,
+        deviation_radius=s / n_vertices,
         samples=max(1, math.ceil(k)),
     )
 
@@ -400,8 +482,9 @@ def tail_bound(r: float, n_vertices: int, k: int, t: float, *, heaviest_weight_s
     """Deviation probability bound 2 exp(-t k N^2 r^2 / W), for any W >= 2 nu*.
 
     Bounds Pr(|mean of k log-determinants - its expectation| >= N r) by Gaussian
-    concentration, 2 exp(-k (N r)^2 / 2L^2) with plan_samples' L^2 <= nu*/t <= W/2t.
-    At plan_samples' r = ln(1 + eps)/N and k it is at most delta/2.
+    concentration, exp(-k (N r)^2 / 2L^2) a side with plan_samples' L^2 <= nu*/t <= W/2t.
+    Both sides are at r here; plan_samples holds its two sides, at their own radii, to
+    delta/2 together, so at its plan this symmetric bound may pass delta/2.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -456,10 +539,11 @@ def bounds_report(
 
 
 def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
-    """Samples start to start + count - 1: (log-determinants in index order, their exact
-    moments and each component's determinants', largest |normal| used). The kernels are
-    module attributes, looked up at each call, so a wrapper of one is used. A value that
-    is not finite raises NonPositiveDeterminantError, naming the lowest such sample.
+    """Samples start to start + count - 1: (log-determinants in index order, the exact
+    moments of those and of each component's determinants in one pass, largest |normal|
+    used). The kernels are module attributes, looked up at each call, so a wrapper of one
+    is used. A value that is not finite raises NonPositiveDeterminantError, naming the
+    lowest such sample.
     """
     z = _normal_block(seed, start, count, plan.blocks)
     z[:, plan.idle] = 0.0  # they enter no matrix, so they leave the peak alone
@@ -477,10 +561,13 @@ def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
         )
     total = sum(per_comp.T, np.full(count, plan.shift))  # component by component, in plan order
     peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
-    n = np.floor(per_comp / _LN2).astype(np.int64)  # each determinant e^v is f 2^n, f rounded once
-    f = np.exp(per_comp - n * _LN2)
-    moments = [_moments(total)] + [_moments(fc, nc) for fc, nc in zip(f.T, n.T)]
-    return total, np.array(moments, dtype=object).T, peak
+    # row 0 sums the log-determinants, row C + 1 component C's determinants e^v = f 2^n
+    v = np.ascontiguousarray(per_comp.T)
+    x, e = np.empty((len(v) + 1, count)), np.zeros((len(v) + 1, count), dtype=np.int64)
+    x[0] = total
+    e[1:] = np.floor(v / _LN2)  # f rounded once
+    np.exp(v - e[1:] * _LN2, out=x[1:])
+    return total, _exact_moments(x, e), peak
 
 
 def estimate_log_phi_tilde(
@@ -512,13 +599,14 @@ def estimate_log_phi_tilde(
     failed = []  # (start, error) of each failing batch; a stale read runs one more batch
 
     def share(first: int):
-        sums, peak = 0, 0.0
+        sums, peak = None, 0.0
         for start in range(first, k, n * rows):
             if failed and min(failed)[0] < start:  # a lower batch failed: stop here
                 break
             try:
                 _, batch_sums, batch_peak = _batch(plan, t, seed, start, min(rows, k - start))
-                sums, peak = sums + batch_sums, max(peak, batch_peak)
+                sums = batch_sums if sums is None else _add_moments(sums, batch_sums)
+                peak = max(peak, batch_peak)
             except BaseException as exc:  # a Ctrl-C too: the other shares stop
                 failed.append((start, exc))
         return sums, peak
@@ -533,15 +621,18 @@ def estimate_log_phi_tilde(
             raise
     if failed:
         raise min(failed)[1]
-    # column 0 sums the log-determinants, column C + 1 component C's determinants; each
-    # unbiased variance is exact, and 0 at k = 1, where k S2 = S1^2
-    s1, s2 = sum(sums)
-    var = (k * s2 - s1 * s1) / (k * max(k - 1, 1))
-    log_mean_det = math.fsum(_log(m) for m in s1[1:] / k) + plan.shift
-    rel2 = (var[1:] * k / (s1[1:] * s1[1:])).sum()  # sum_C var_C / (k mean_C^2)
+    # row 0 sums the log-determinants, row C + 1 component C's determinants; each unbiased
+    # variance d 2^q / (k (k - 1)) is exact, and 0 at k = 1, where k S2 = S1^2
+    (s1, p1), (s2, p2) = functools.reduce(_add_moments, sums)
+    q, k1 = min(p2, 2 * p1), max(k - 1, 1)
+    d = (k * s2 << p2 - q) - (s1 * s1 << 2 * p1 - q)
+    log_mean_det = math.fsum(_log(a, k, p1) for a in s1[1:]) + plan.shift
+    num, den = 0, 1  # sum_C d_C / S1_C^2 over one denominator: rel^2 k1 2^(2 p1 - q)
+    for dc, ac in zip(d[1:], s1[1:]):
+        num, den = num * ac * ac + dc * den, den * ac * ac
     return EstimateResult(
         k=k, t=t, seed=seed, max_abs_variate=max(peaks),
-        mean_log=float(s1[0] / k), std_err=math.sqrt(float(var[0] / k)),
-        log_mean_det=log_mean_det,
-        log_std_err_det=log_mean_det + 0.5 * _log(rel2) if rel2 > 0 else -math.inf,
+        mean_log=_quotient(s1[0], k, p1), std_err=math.sqrt(_quotient(d[0], k * k * k1, q)),
+        log_mean_det=log_mean_det,  # rel^2 = sum_C var_C / (k mean_C^2), the delta method's
+        log_std_err_det=log_mean_det + 0.5 * _log(num, den * k1, q - 2 * p1) if num else -math.inf,
     )

@@ -90,7 +90,7 @@ def matching_counts(g: WeightedGraph) -> MatchingCounts:
     alone, so they need no convolution and an isolated vertex needs no step.
     GraphTooLargeError once it passes TABLE_CAP cells.
     """
-    n, nbrs = g.n_vertices, g.adjacency()
+    n, nbrs = g.n_vertices, g.adjacency
     pos = {v: i for i, v in enumerate(v for verts, _ in g.components for v in verts)}
     size = n // 2 + 1
     masks, table = [0], np.eye(1, size)

@@ -2,7 +2,7 @@
 
 Vertex ids are 1-based in files and 0-based everywhere else. All containers
 are immutable after construction and safe to share between threads; a graph
-keeps its components once they are found.
+keeps its neighbor lists and components once they are found.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class WeightedGraph:
         None when the component has an odd cycle. Built once, by the graph's only BFS.
         """
         color = [-1] * self.n_vertices
-        nbrs = self.adjacency()
+        nbrs = self.adjacency
         out = []
         for start in range(self.n_vertices):
             if color[start] != -1 or not nbrs[start]:
@@ -84,15 +84,14 @@ class WeightedGraph:
             out.append((tuple(found), None if odd else Bipartition(*sides)))
         return tuple(out)
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Neighbor lists (neighbor, weight), ascending vertex order."""
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Each vertex's (neighbor, weight) pairs, ascending vertex order. Built once."""
         nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vertices)]
         for u, v, w in self.edges:
             nbrs[u].append((v, w))
             nbrs[v].append((u, w))
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
+        return tuple(tuple(sorted(lst)) for lst in nbrs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +232,7 @@ class WeightSums:
 
 def weight_sums(g: WeightedGraph) -> WeightSums:
     """W, the cover and its per-component sums 2 nu_C of g, and whether g is bipartite."""
-    heaviest = [max((w for _, w in nbrs), default=0.0) for nbrs in g.adjacency()]
+    heaviest = [max((w for _, w in nbrs), default=0.0) for nbrs in g.adjacency]
     cover = heaviest.copy()
     for _, bip in g.components:
         if bip is not None:  # either side covers every edge of C: take the lighter one

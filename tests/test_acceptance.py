@@ -195,9 +195,10 @@ def test_criterion_06_concentration(k4_reference):
 
 def test_criterion_07_fpras_planner(k4_reference):
     worked = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
-    assert worked.samples == 42  # ceil(10 * 2 / ln(2)^2)
+    assert worked.samples == 28  # ceil(10 ln(2/delta) / ln(2)^2): at eps 1 no mean fails below
 
     plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=4.0)
+    assert plan.samples == 52  # each tail at its own radius; 68 with both at ln(1 + eps)
     hits = 0
     runs = 400
     for i in range(runs):
@@ -212,10 +213,10 @@ def test_criterion_07_fpras_planner(k4_reference):
 
 
 def test_criterion_07_fpras_planner_at_small_eps(k4_reference):
-    # criterion 07 where the radius ln(1 + eps)/N cuts the plan most: 1221 samples,
-    # against 4437 at eps/2N
+    # criterion 07 where the radius ln(1 + eps)/N cuts the plan most: 1131 samples with
+    # each tail at its own radius, 1221 with both at ln(1 + eps), and 4437 at eps/2N
     plan = plan_samples(0.1, 0.25, 4, 1.0, heaviest_weight_sum=4.0)
-    assert plan.samples == 1221
+    assert plan.samples == 1131
     ratios, far = [], 0
     for i in range(400):
         est = estimate_log_phi_tilde(complete_graph(4), 1.0, plan.samples, derive_seed(717, i))

@@ -65,8 +65,8 @@ class TestEstimate:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["plan"]["samples"] == 34
-        assert report["estimate"]["samples"] == 34
+        assert report["plan"]["samples"] == 26
+        assert report["estimate"]["samples"] == 26
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", ["k2", "random6"])
@@ -125,8 +125,11 @@ class TestEstimate:
         report = json.loads(out)
         assert report["graph"]["heaviest_weight_sum"] == 10.5
         assert report["graph"]["cover_weight_sum"] == 10.0
-        want = math.ceil(10.0 * math.log(4 / 0.25) / (2 * math.log1p(0.5) ** 2))
-        assert report["plan"]["samples"] == want == 85
+        # x = ln(2/delta) + ln(1 + (delta/2)^(rho - 1)), rho = (ln 0.5 / ln 1.5)^2
+        rho = (math.log(0.5) / math.log1p(0.5)) ** 2
+        x = math.log(2 / 0.25) + math.log1p((0.25 / 2) ** (rho - 1))
+        want = math.ceil(10.0 * x / (2 * math.log1p(0.5) ** 2))
+        assert report["plan"]["samples"] == want == 64
         # gap: min(4 / 8, 3 c1) + min(6 / 8, 2 c1); the isolated vertex adds 0
         assert report["bounds"]["gap_asymptotic"] == 0.5 + 0.75
 

@@ -439,8 +439,8 @@ class TestComponents:
         ]
 
     def test_plan_peak_memory(self):
-        # the template and the column map take 8 N^2 bytes each; the edges and each
-        # component's largest weight are read without another N x N array of doubles
+        # P2000 is one bipartite component: its 1000 x 1000 Gram block of coefficients and
+        # indices takes 4 N^2 bytes, and the plan builds no N x N array besides it
         n = 2000
         g = path_graph(n)
         tracemalloc.start()
@@ -450,6 +450,25 @@ class TestComponents:
         finally:
             tracemalloc.stop()
         assert peak < 3.2 * 8 * n * n
+
+    @pytest.mark.parametrize("graph", ["isolated", "disjoint-k2"])
+    def test_plan_memory_is_linear(self, graph):
+        # the plan reads the edge list and g.components, never an N x N array: 2,000
+        # isolated vertices and 1,000 disjoint K2 each peaked at 62 MiB with the N x N
+        # template and column map, and now stay within 1 KiB a vertex or edge
+        n = 2000
+        pairs = range(0 if graph == "isolated" else n // 2)
+        edges = tuple((2 * i, 2 * i + 1, 1.0 + i) for i in pairs)
+        g = WeightedGraph(n, edges)
+        estimator._sample_plan(path_graph(3), 1.0)  # numpy's first calls allocate once
+        tracemalloc.start()
+        try:
+            plan = estimator._sample_plan(g, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * (n + len(edges))
+        assert len(plan.least) == len(edges)
 
     @pytest.mark.parametrize(
         "graph, t, atol", [("multi", 1.0, 1e-11), ("even_multi", 1.0, 1e-11),
@@ -773,15 +792,113 @@ class TestDeterminantMoments:
             x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.5, -2.75])
             e = np.zeros(len(x), dtype=np.int64)
         terms = [Fraction(v) * Fraction(2) ** int(p) for v, p in zip(x.tolist(), e.tolist())]
-        s1, s2 = estimator._moments(x, e if case == "determinants" else 0)
-        assert s1 == sum(terms)
-        assert s2 == sum(v * v for v in terms)
+        s1, s2 = exact_moments(x[None], e[None])
+        assert s1 == [sum(terms)]
+        assert s2 == [sum(v * v for v in terms)]
 
     def test_exponent_per_term(self):
         rng = np.random.default_rng(6)
         x, e = rng.normal(0, 1, 3000), rng.integers(-5000, 5000, 3000)
         want = sum(Fraction(v) * Fraction(2) ** int(p) for v, p in zip(x.tolist(), e))
-        assert estimator._exact_total(x, e) == want
+        assert exact_moments(x[None], e[None])[0] == [want]
+
+
+def exact_moments(x: np.ndarray, e: np.ndarray) -> tuple[list[Fraction], list[Fraction]]:
+    """estimator._exact_moments of each row of x 2^e, as Fractions."""
+    (s1, p1), (s2, p2) = estimator._exact_moments(x, e)
+    return tuple([Fraction(v) * Fraction(2) ** p for v in s] for s, p in ((s1, p1), (s2, p2)))
+
+
+def exact_total(x) -> Fraction:
+    """The exact sum of the doubles x, through estimator._exact_moments."""
+    x = np.asarray(x, dtype=np.float64)[None]
+    return exact_moments(x, np.zeros(x.shape, dtype=np.int64))[0][0]
+
+
+def oracle_total(x: np.ndarray, e=0) -> Fraction:
+    """sum(x 2^e) exactly, for finite doubles x and integers e: the exact sum the estimator
+    used before its one-pass sums, kept as their oracle. np.frexp gives x = m 2^p, and
+    m 2^27 = h + l 2^-26 with integers |h| < 2^27, |l| < 2^26, summed per binade of p + e."""
+    mant, exp = np.frexp(x)
+    exp = exp + e
+    base = int(exp.min()) if exp.size else 0
+    exp -= base
+    low, high = np.modf(mant * 2.0**27)
+    width = (int(exp.max(initial=0)) + 42) // 16 * 16
+    sums = np.bincount(exp, low, width) * 2.0**26
+    sums[26:] += np.bincount(exp, high, width)[:-26]
+    blocks = (sums.astype(np.int64).reshape(-1, 16) @ (1 << np.arange(16))).tolist()
+    total, shift = sum(v << 16 * i for i, v in enumerate(blocks)), base - 53
+    return Fraction(total << max(shift, 0), 1 << max(-shift, 0))
+
+
+def oracle_moments(x: np.ndarray, e=0) -> tuple[Fraction, Fraction]:
+    """(sum x 2^e, sum x^2 2^2e) exactly: np.frexp gives x = m 2^p, and m^2 = g + err
+    exactly (Dekker's product on Veltkamp's 26-bit halves of m)."""
+    m, p = np.frexp(x)
+    p = 2 * (p + e)
+    hi = m * (2.0**27 + 1)
+    hi -= hi - m
+    lo = m - hi
+    g = m * m
+    err = lo * lo - ((g - hi * hi) - 2.0 * hi * lo)
+    return oracle_total(x, e), oracle_total(np.concatenate([g, err]), np.concatenate([p, p]))
+
+
+def moment_rows(rng: np.random.Generator, sums: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """sums x terms doubles of every kind the sums meet, with integer exponent offsets:
+    determinant factors f 2^n (f in [1, 2), some a few ulps outside), log-determinants of
+    both signs, subnormals, values near 1e+-300 and zeros."""
+    shape = (sums, terms)
+    sign = rng.choice([-1.0, 1.0], shape)
+    edge = np.where(rng.random(shape) < 0.5, 1.0, 2.0)
+    kinds = [
+        np.exp(rng.uniform(0.0, math.log(2.0), shape)),
+        edge + edge * rng.integers(-3, 4, shape) * 2.0**-52,
+        rng.normal(0, 50, shape),
+        sign * rng.integers(0, 2**52, shape) * 5e-324,
+        sign * 10.0 ** rng.uniform(-300, 300, shape),
+        rng.choice([0.0, -0.0, 1.0], shape),
+    ]
+    x = np.choose(rng.integers(0, len(kinds), shape), kinds)
+    return x, rng.integers(-3000, 3000, shape) * (rng.random((sums, 1)) < 0.7)
+
+
+class TestExactMoments:
+    """The one-pass sums (estimator._exact_moments) equal the former per-column sums."""
+
+    @pytest.mark.parametrize("sums, terms", [
+        (0, 5), (1, 0), (1, 1), (2, 1), (2, 7), (17, 1), (17, 499), (17, 615), (1001, 1),
+        (1001, 3), (2, estimator._TERMS + 1), (1, 2 * estimator._BATCH),
+    ])
+    def test_equals_the_oracle(self, sums, terms):
+        # one row of x per column of a batch: the log-determinants, then each component's
+        x, e = moment_rows(np.random.default_rng(sums * 100_003 + terms), sums, terms)
+        s1, s2 = exact_moments(x, e)
+        assert len(s1) == len(s2) == sums
+        for r in range(sums):
+            assert (s1[r], s2[r]) == oracle_moments(x[r], e[r]), r
+
+    def test_any_split_of_the_pass(self, monkeypatch):
+        # the term budget moves where chunks end, never a sum
+        x, e = moment_rows(np.random.default_rng(35), 17, 499)
+        want = exact_moments(x, e)
+        for terms in (1, 7, 499, 500, 17 * 499):
+            monkeypatch.setattr(estimator, "_TERMS", terms)
+            assert exact_moments(x, e) == want, terms
+
+    def test_batch_moments_are_the_oracle(self):
+        # a batch's moments: the log-determinants, then each component's e^v = f 2^n
+        plan = estimator._sample_plan(sixteen_k26(), 1.0)
+        total, ((s1, p1), (s2, p2)), _ = estimator._batch(plan, 1.0, 3, 0, 499)
+        z = estimator._normal_block(3, 0, 499, plan.blocks)
+        (stack,) = plan.stacks
+        v = estimator.gram_logdet_batch(estimator._matrices(stack, z), 1.0).reshape(16, 499)
+        n = np.floor(v / estimator._LN2).astype(np.int64)
+        rows = [(total, 0)] + list(zip(np.exp(v - n * estimator._LN2), n))
+        for r, (x, e) in enumerate(rows):
+            got = Fraction(s1[r]) * Fraction(2) ** p1, Fraction(s2[r]) * Fraction(2) ** p2
+            assert got == oracle_moments(x, e)
 
 
 def exact_scaled_sum(x) -> int:
@@ -820,7 +937,7 @@ class TestExactTotal:
         # split: the total of split-term slices, as the estimator adds its batches
         x = np.asarray(EXACT_SUM_CASES[case], dtype=np.float64)
         slices = [x] if split is None else [x[lo : lo + split] for lo in range(0, len(x), split)]
-        total = sum((estimator._exact_total(part) for part in slices), Fraction(0))
+        total = sum((exact_total(part) for part in slices), Fraction(0))
         assert total * 2**1126 == exact_scaled_sum(x)
         assert float(total).hex() == math.fsum(x.tolist()).hex()
 
@@ -830,27 +947,28 @@ class TestExactTotal:
         top = 1 - 2.0**-53
         for shift in range(16):
             x = np.append(np.full(2**20, top * 2.0**shift), top)
-            assert estimator._exact_total(x) == Fraction(top) * (2**20 * 2**shift + 1), shift
-        # _moments passes _exact_total two terms a sample of one batch
-        assert 2 * estimator._BATCH <= 2**20
+            assert exact_total(x) == Fraction(top) * (2**20 * 2**shift + 1), shift
+        # a chunk of _TERMS terms keeps each bin below 2^51 (each value below 2^37)
+        assert estimator._TERMS <= 2**14
 
     def test_million_normals_mean_three(self):
         x = np.random.default_rng(3).normal(3.0, 1.0, 10**6)
-        total = estimator._exact_total(x)
+        total = exact_total(x)
         assert float(total).hex() == math.fsum(x.tolist()).hex()
 
     def test_order_and_split_do_not_matter(self):
         x = np.random.default_rng(4).normal(0, 1e6, 5000) ** 3
-        whole = estimator._exact_total(x)
-        assert estimator._exact_total(x[::-1]) == whole
-        assert estimator._exact_total(x[:1234]) + estimator._exact_total(x[1234:]) == whole
+        whole = exact_total(x)
+        assert exact_total(x[::-1]) == whole
+        assert exact_total(x[:1234]) + exact_total(x[1234:]) == whole
 
     def test_overflowing_sum_raises_like_fsum(self):
         x = [1.5e308, 1.5e308]
         with pytest.raises(OverflowError):
             math.fsum(x)
+        ((s1, p1), _) = estimator._exact_moments(np.array([x]), np.zeros((1, 2), dtype=np.int64))
         with pytest.raises(OverflowError):
-            float(estimator._exact_total(np.array(x)))
+            estimator._quotient(s1[0], 1, p1)
 
 
 def mixed_graph(seed: int) -> WeightedGraph:
@@ -880,16 +998,33 @@ def worst_case_gap(g: WeightedGraph, t: float, c1: float) -> float:
     return g.n_vertices * min(a**2 / t / 4.0, c1)
 
 
+def two_tails(epsilon: float, delta: float) -> float:
+    """x = ln(2/delta) + ln(1 + (delta/2)^(rho - 1)), rho = (ln(1 - eps) / ln(1 + eps))^2:
+    the plan's exponent, which holds e^-x + e^(-rho x) to delta/2."""
+    rho = (math.log1p(-epsilon) / math.log1p(epsilon)) ** 2 if epsilon < 1 else math.inf
+    return math.log(2.0 / delta) + math.log1p((delta / 2.0) ** (rho - 1.0))
+
+
+def one_sided_tails(plan, n: int, t: float, w: float) -> float:
+    """e^(-a s^2) + e^(-a s'^2), a = t k / W, at the plan's upper radius s = N r = ln(1 + eps)
+    and its lower radius s' = -ln(1 - eps): each tail_bound side at its own radius."""
+    lower = -math.log1p(-plan.epsilon) / n if plan.epsilon < 1 else math.inf
+    return sum(tail_bound(r, n, plan.samples, t, heaviest_weight_sum=w) / 2.0
+               for r in (plan.deviation_radius, lower))
+
+
 class TestPlanner:
     def test_worked_example(self):
-        # k = ceil(W log(4/delta) / (t ln(1 + eps)^2)) = ceil(10 * 2 / ln(2)^2), r = ln(2)/N
+        # k = ceil(W x / (t ln(1 + eps)^2)), with x = ln(2/delta) = 2 - ln 2 at eps = 1, where
+        # no mean fails below: ceil(10 (2 - ln 2) / ln(2)^2) = 28 (42 at ln(4/delta) = 2)
         plan = plan_samples(1.0, 4.0 / math.exp(2.0), 10, 1.0, heaviest_weight_sum=10.0)
-        assert plan.samples == 42
+        assert plan.samples == 28
         assert plan.deviation_radius == pytest.approx(math.log(2.0) / 10)
 
     def test_cli_example(self):
+        # x = ln 8 + ln(1 + (1/8)^(rho - 1)), rho = (ln 2 / ln 1.5)^2: 26 (34 at ln 16)
         plan = plan_samples(0.5, 0.25, 2, 1.0, heaviest_weight_sum=2.0)
-        assert plan.samples == 34
+        assert plan.samples == 26
 
     def test_amplitude_scaling(self):
         base = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
@@ -899,7 +1034,9 @@ class TestPlanner:
     def test_epsilon_scaling(self):
         base = plan_samples(0.5, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
         halved = plan_samples(0.25, 0.25, 6, 1.0, heaviest_weight_sum=6.0)
-        ratio = (math.log1p(0.5) / math.log1p(0.25)) ** 2  # k scales as 1 / ln(1 + eps)^2
+        # k scales as x / ln(1 + eps)^2, and x grows toward ln(4/delta) as eps falls
+        ratio = (math.log1p(0.5) / math.log1p(0.25)) ** 2
+        ratio *= two_tails(0.25, 0.25) / two_tails(0.5, 0.25)
         assert halved.samples == pytest.approx(ratio * base.samples, abs=4)
 
     @pytest.mark.parametrize("epsilon, t", [(1e-160, 1.0), (1e-170, 1.0), (0.5, 5e-324)])
@@ -915,8 +1052,8 @@ class TestPlanner:
                 plan_samples(*args, heaviest_weight_sum=4.0)
 
     def test_count_past_the_indices_is_value_error(self):
-        # k = W log(4/delta) / (t ln(1 + eps)^2) at eps 1, delta 1/2: 2**64 is the largest
-        heaviest = 2.0**64 * math.log(2.0) ** 2 / math.log(8.0)
+        # k = W ln(2/delta) / (t ln(1 + eps)^2) at eps 1, delta 1/2: 2**64 is the largest
+        heaviest = 2.0**64 * math.log(2.0) ** 2 / math.log(4.0)
         assert plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=0.99 * heaviest).samples < 2**64
         with pytest.raises(ValueError, match=r"it must be at most 2\*\*64, one per uint64 index"):
             plan_samples(1.0, 0.5, 2, 1.0, heaviest_weight_sum=1.01 * heaviest)
@@ -936,9 +1073,9 @@ class TestPlanner:
         (0.3, 0.01, 7, 1e-3, 1e-5), (0.9, 0.5, 3, 1e10, 1e12),
     ])
     def test_worst_case_is_the_default(self, epsilon, delta, n, a, t):
-        # the worst case, passed in as W = a^2 N, keeps its count: criterion 07's 42 among them
+        # the worst case, passed in as W = a^2 N, keeps its count: criterion 07's 28 among them
         worst = plan_samples(epsilon, delta, n, t, heaviest_weight_sum=a**2 * n)
-        k = a**2 * n * math.log(4.0 / delta) / (t * math.log1p(epsilon) ** 2)
+        k = a**2 * n * two_tails(epsilon, delta) / (t * math.log1p(epsilon) ** 2)
         assert worst.samples == max(1, math.ceil(k))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -960,9 +1097,11 @@ class TestPlanner:
         sums = weight_sums(g)
         assert (sums.cover_sum, sums.heaviest) == (80.0, 160.0)
         worst = g.max_weight * g.n_vertices
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 1966
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.heaviest).samples == 1229
-        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.cover_sum).samples == 615
+        # at eps = 1 only the upper tail can fail: x = ln(2/delta), where ln(4/delta) gave
+        # 1966, 1229 and 615
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=worst).samples == 1597
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.heaviest).samples == 998
+        assert plan_samples(1.0, 0.1, 128, 1.0, heaviest_weight_sum=sums.cover_sum).samples == 499
 
     def test_cover_plan_covers_a_mixed_bipartite_graph(self):
         # criterion 07 at the cover's plan: a star K_{1,3} of weights 0.5, 1, 2, a 4-cycle
@@ -974,33 +1113,55 @@ class TestPlanner:
         ))
         sums = weight_sums(g)
         assert (sums.cover_sum, sums.heaviest) == (9.0, 10.5)
-        plan = plan_samples(0.5, 0.25, 9, 1.0, heaviest_weight_sum=sums.cover_sum)
-        assert plan.samples == 152
-        runs = 400
-        per_sample = estimate_with_samples(g, 1.0, runs * plan.samples, 707)[1]
-        means = per_sample.reshape(runs, plan.samples).mean(axis=1)
         reference = estimate_log_phi_tilde(g, 1.0, 200_000, 708).mean_log
-        ratio = np.exp(means - reference)
-        coverage = float(((1.0 - plan.epsilon < ratio) & (ratio < 1.0 + plan.epsilon)).mean())
-        assert coverage >= 1.0 - plan.delta
-        # the plan's own promise: a mean at least N r from its expectation in delta / 2
-        far = float((np.abs(means - reference) >= 9 * plan.deviation_radius).mean())
-        assert far <= plan.delta / 2.0
+        for epsilon, samples, seed in [(0.5, 115, 707), (1.0, 39, 709)]:
+            plan = plan_samples(epsilon, 0.25, 9, 1.0, heaviest_weight_sum=sums.cover_sum)
+            assert plan.samples == samples  # 152 and 52 with both tails at ln(1 + eps)
+            runs = 400
+            per_sample = estimate_with_samples(g, 1.0, runs * plan.samples, seed)[1]
+            means = per_sample.reshape(runs, plan.samples).mean(axis=1)
+            ratio = np.exp(means - reference)
+            coverage = float(((1.0 - plan.epsilon < ratio) & (ratio < 1.0 + plan.epsilon)).mean())
+            assert coverage >= 1.0 - plan.delta
+            # the plan's own promise: a mean ln(1 + eps) above its expectation or
+            # -ln(1 - eps) below it, in delta / 2 together
+            lower = -math.log1p(-epsilon) if epsilon < 1 else math.inf
+            far = float((means - reference >= 9 * plan.deviation_radius).mean()
+                        + (reference - means >= lower).mean())
+            assert far <= plan.delta / 2.0
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 128, 1000])
     def test_radius_keeps_the_promise(self, n):
-        # a mean log within N r = ln(1 + eps) of its target is a ratio in
-        # (1/(1 + eps), 1 + eps), inside (1 - eps, 1 + eps); the plan's k holds the tail
-        # at r to delta/2. exp, log1p and N r each round: exp(N r) may pass 1 + eps by
-        # 2 ulps, so 4 are allowed.
+        # a mean log less than N r = ln(1 + eps) above its target and less than
+        # -ln(1 - eps) below it is a ratio in (1 - eps, 1 + eps); the plan's k holds the
+        # two one-sided tails, e^(-a s^2) + e^(-a s'^2) with a = t k / W, to delta/2.
+        # exp, log1p and N r each round: exp(N r) may pass 1 + eps by 2 ulps, so 4 are
+        # allowed.
         for epsilon in np.linspace(0.01, 1.0, 100).tolist():
             for delta, t, w in [(0.1, 1.0, n), (0.25, 0.3, 2.5 * n), (0.9, 7.0, 0.5)]:
                 plan = plan_samples(epsilon, delta, n, t, heaviest_weight_sum=w)
-                r, k = plan.deviation_radius, plan.samples
+                r, a = plan.deviation_radius, t * plan.samples / w
                 assert math.exp(n * r) <= 1.0 + epsilon + 4 * math.ulp(1.0 + epsilon)
                 assert math.exp(-n * r) >= 1.0 - epsilon
                 assert n * r > epsilon / 2.0
-                assert tail_bound(r, n, k, t, heaviest_weight_sum=w) <= delta / 2.0
+                lower = -math.log1p(-epsilon) if epsilon < 1 else math.inf
+                assert math.exp(-a * (n * r) ** 2) + math.exp(-a * lower**2) <= delta / 2.0
+
+    @pytest.mark.parametrize("delta, n, t, w", [
+        (0.1, 128, 1.0, 80.0), (0.25, 4, 1.0, 4.0), (0.01, 7, 0.3, 17.5), (0.9, 2, 1.0, 50.0),
+    ])
+    def test_never_more_than_two_sided(self, delta, n, t, w):
+        # both tails at ln(1 + eps), ceil(W ln(4/delta) / (t ln(1 + eps)^2)), is the plan's
+        # ceiling, and ln(2/delta) its floor at eps = 1; the lower radius -ln(1 - eps)
+        # nears ln(1 + eps) as eps -> 0, and so does the plan near the ceiling
+        for epsilon in [1.0, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:
+            plan = plan_samples(epsilon, delta, n, t, heaviest_weight_sum=w).samples
+            ceiling = math.ceil(w * math.log(4.0 / delta) / (t * math.log1p(epsilon) ** 2))
+            assert plan <= ceiling
+            if epsilon == 1.0:
+                assert plan == math.ceil(w * math.log(2.0 / delta) / (t * math.log(2.0) ** 2))
+            if epsilon <= 1e-4:
+                assert plan >= (1.0 - 10 * epsilon) * ceiling
 
     def test_edgeless_graph_plans_one_sample(self):
         plan = plan_samples(0.5, 0.25, 4, 1.0, heaviest_weight_sum=0.0)
@@ -1026,10 +1187,10 @@ class TestTailBound:
         assert tail_bound(0.0, 4, 10, 1.0, heaviest_weight_sum=4.0) == 2.0
 
     def test_planner_consistency(self):
+        # each side of the symmetric bound at its own radius: together within delta/2
         for eps, delta in [(0.5, 0.25), (0.2, 0.1), (1.0, 0.9)]:
             plan = plan_samples(eps, delta, 6, 0.7, heaviest_weight_sum=1.3**2 * 6)
-            r, k = plan.deviation_radius, plan.samples
-            bound = tail_bound(r, 6, k, 0.7, heaviest_weight_sum=1.3**2 * 6)
+            bound = one_sided_tails(plan, 6, 0.7, 1.3**2 * 6)
             assert bound <= delta / 2.0 + 1e-12
 
     def test_validation(self):
@@ -1056,8 +1217,8 @@ class TestTailBound:
             for w in (sums.cover_sum, sums.heaviest):
                 plan = plan_samples(eps, delta, n, t, heaviest_weight_sum=w)
                 r, k = plan.deviation_radius, plan.samples
+                assert one_sided_tails(plan, n, t, w) <= delta / 2.0 + 1e-12
                 bound = tail_bound(r, n, k, t, heaviest_weight_sum=w)
-                assert bound <= delta / 2.0 + 1e-12
                 assert bound <= tail_bound(r, n, k, t, heaviest_weight_sum=worst)
 
     def test_heaviest_weight_sum_validation(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from matchbound.exact import matching_counts
 from matchbound.graphs import (
     Bipartition,
     GraphFormatError,
@@ -144,11 +145,20 @@ class TestHeaviestWeightSums:
         assert sums.cover_sum == math.fsum(x for c in covers for x in c)
         assert sums.bipartite is False
 
+    def test_neighbor_lists_are_built_once(self, random6):
+        # components, weight_sums and matching_counts all read the one cached copy
+        nbrs = random6.adjacency
+        assert random6.adjacency is nbrs
+        assert nbrs[0] == ((1, 1.7), (2, 0.6), (5, 1.4))
+        weight_sums(random6)
+        matching_counts(random6)
+        assert random6.adjacency is nbrs
+
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_sums_rounded_once(self, seed):
         rng = np.random.default_rng(500 + seed)
         g = random_weighted_graph(rng, int(rng.integers(2, 12)), 0.3)
-        nbrs = g.adjacency()
+        nbrs = g.adjacency
         heaviest = [Fraction(max((w for _, w in nb), default=0.0)) for nb in nbrs]
         sums = weight_sums(g)
         assert sums.heaviest == float(sum(heaviest))
@@ -196,7 +206,7 @@ class TestCover:
         cover = sums.cover  # 2 c_v: c_u + c_v >= w_uv is cover[u] + cover[v] >= 2 w_uv
         assert all(cover[u] + cover[v] >= 2.0 * w for u, v, w in g.edges)
         assert all(c >= 0.0 for c in cover)
-        heaviest = [max((w for _, w in nb), default=0.0) for nb in g.adjacency()]
+        heaviest = [max((w for _, w in nb), default=0.0) for nb in g.adjacency]
         for (two_nu, n), (verts, _) in zip(sums.parts, g.components, strict=True):
             assert two_nu <= math.fsum(heaviest[v] for v in verts)  # nu_C <= W_C / 2
             assert n == len(verts)
@@ -214,7 +224,7 @@ class TestCover:
 
     def test_odd_cycles_keep_the_heaviest_weights_halved(self, random6):
         sums = weight_sums(random6)
-        assert sums.cover == tuple(max(w for _, w in nb) for nb in random6.adjacency())
+        assert sums.cover == tuple(max(w for _, w in nb) for nb in random6.adjacency)
         assert sums.cover_sum == sums.heaviest == 11.5
         assert sums.bipartite is False
 
