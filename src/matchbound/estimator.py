@@ -4,7 +4,10 @@ Each sample index owns a counter-based substream: the 64-bit seed and the
 index pass through the splitmix64 avalanche, and every uniform is again a
 pure function of (substream key, position). Normals come from Box-Muller
 on fixed uniform pairs, so draws are random access - no generator state,
-identical results for any batching, thread count, or evaluation order.
+identical results for any batching, thread count, or evaluation order. The bytes are
+identical on one host with one numpy and OpenBLAS build; across hosts, numpy's SIMD
+dispatch of log moves a few normals by an ulp (about 4e-16 relative), and OpenBLAS's
+kernels may move the factorizations' last bits.
 
 The geometric mean of det(sqrt(t) I + Y) over samples estimates
 exp(E log det), which lower-bounds the matching polynomial value (times
@@ -627,12 +630,14 @@ def estimate_log_phi_tilde(
     q, k1 = min(p2, 2 * p1), max(k - 1, 1)
     d = (k * s2 << p2 - q) - (s1 * s1 << 2 * p1 - q)
     log_mean_det = math.fsum(_log(a, k, p1) for a in s1[1:]) + plan.shift
-    num, den = 0, 1  # sum_C d_C / S1_C^2 over one denominator: rel^2 k1 2^(2 p1 - q)
-    for dc, ac in zip(d[1:], s1[1:]):
-        num, den = num * ac * ac + dc * den, den * ac * ac
+    # rel^2 = sum_C d_C 2^(q - 2 p1) / (k1 S1_C^2): each term's log from its exact ratio,
+    # added by a log-sum-exp shifted by the largest, so the cost is linear in the components
+    terms = [_log(dc, k1 * ac * ac, q - 2 * p1) for dc, ac in zip(d[1:], s1[1:]) if dc]
+    top = max(terms, default=-math.inf)
+    log_rel2 = top + math.log(math.fsum(math.exp(x - top) for x in terms)) if terms else -math.inf
     return EstimateResult(
         k=k, t=t, seed=seed, max_abs_variate=max(peaks),
         mean_log=_quotient(s1[0], k, p1), std_err=math.sqrt(_quotient(d[0], k * k * k1, q)),
         log_mean_det=log_mean_det,  # rel^2 = sum_C var_C / (k mean_C^2), the delta method's
-        log_std_err_det=log_mean_det + 0.5 * _log(num, den * k1, q - 2 * p1) if num else -math.inf,
+        log_std_err_det=log_mean_det + 0.5 * log_rel2,
     )

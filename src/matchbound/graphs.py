@@ -15,7 +15,14 @@ import numpy as np
 
 
 class GraphFormatError(ValueError):
-    """A graph file or edge list violates the input contract."""
+    """A graph file or edge list violates the input contract.
+
+    edge is the 0-based index of the first bad edge of a WeightedGraph, else None.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -30,25 +37,25 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        """The only check of the edge rules: range, self-loop, duplicate and weight, in
+        that order on each edge; the first bad edge raises, with its index."""
+        n, seen = self.n_vertices, set()
+        if n < 1:
             raise GraphFormatError("vertex count must be at least 1")
-        seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise GraphFormatError(
-                    f"vertex id out of range: edge ({u + 1}, {v + 1}) on "
-                    f"{self.n_vertices} vertices"
-                )
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u + 1}")
+        for at, (u, v, w) in enumerate(self.edges):
             key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({key[0] + 1}, {key[1] + 1})")
-            seen.add(key)
-            if not (math.isfinite(w) and w > 0.0):
-                raise GraphFormatError(
-                    f"non-positive or non-finite weight {w!r} on edge ({u + 1}, {v + 1})"
-                )
+            if not (0 <= u < n and 0 <= v < n):
+                msg = f"vertex id out of range: edge ({u + 1}, {v + 1}) on {n} vertices"
+            elif u == v:
+                msg = f"self-loop at vertex {u + 1}"
+            elif key in seen:
+                msg = f"duplicate edge ({key[0] + 1}, {key[1] + 1})"
+            elif not (math.isfinite(w) and w > 0.0):
+                msg = f"non-positive or non-finite weight {w!r} on edge ({u + 1}, {v + 1})"
+            else:
+                seen.add(key)
+                continue
+            raise GraphFormatError(msg, at)
 
     @property
     def n_edges(self) -> int:
@@ -129,24 +136,15 @@ def parse_graph(text: str) -> WeightedGraph:
 
     First non-comment line is "N M"; then exactly M lines "u v w" with
     1-based vertex ids and a positive decimal weight. Lines starting with
-    '#' are comments. Raises GraphFormatError with the offending line number.
+    '#' are comments. This reads the syntax only; WeightedGraph checks the
+    edges, and its first bad edge is named by its line number, as is any
+    malformed line.
     """
-    lines = text.splitlines()
-    header = None
-    header_no = 0
-    edge_lines: list[tuple[int, str]] = []
-    for no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            header = stripped
-            header_no = no
-        else:
-            edge_lines.append((no, stripped))
-
-    if header is None:
+    lines = [(no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(no, line) for no, line in lines if line and not line.startswith("#")]
+    if not lines:
         raise GraphFormatError("empty graph file: missing 'N M' header")
+    (header_no, header), edge_lines = lines[0], lines[1:]
     parts = header.split()
     if len(parts) != 2:
         raise GraphFormatError(f"line {header_no}: malformed header {header!r}, expected 'N M'")
@@ -165,30 +163,15 @@ def parse_graph(text: str) -> WeightedGraph:
 
     edges: list[tuple[int, int, float]] = []
     for no, line in edge_lines:
-        fields = line.split()
-        if len(fields) != 3:
-            raise GraphFormatError(f"line {no}: expected 'u v w', got {line!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
-            w = float(fields[2])
+            u, v, w = line.split()
+            edges.append((int(u) - 1, int(v) - 1, float(w)))
         except ValueError:
             raise GraphFormatError(f"line {no}: expected 'u v w', got {line!r}") from None
-        if not (1 <= u <= n_vertices) or not (1 <= v <= n_vertices):
-            raise GraphFormatError(
-                f"line {no}: vertex id out of range: edge ({u}, {v}) on {n_vertices} vertices"
-            )
-        if u == v:
-            raise GraphFormatError(f"line {no}: self-loop at vertex {u}")
-        if not (math.isfinite(w) and w > 0.0):
-            raise GraphFormatError(f"line {no}: non-positive or non-finite weight {fields[2]!r}")
-        edges.append((u - 1, v - 1, w))
-
     try:
         return WeightedGraph(n_vertices, tuple(edges))
-    except GraphFormatError as exc:  # a duplicate edge, the one check left: name its later line
-        first, keys = {}, [frozenset(e[:2]) for e in edges]
-        no = next(no for (no, _), key in zip(edge_lines, keys) if first.setdefault(key, no) != no)
-        raise GraphFormatError(f"line {no}: {exc}") from None
+    except GraphFormatError as exc:  # edge exc.edge is the first bad line in file order
+        raise GraphFormatError(f"line {edge_lines[exc.edge][0]}: {exc}", exc.edge) from None
 
 
 def serialize_graph(g: WeightedGraph) -> str:

@@ -175,6 +175,12 @@ def sparse_graph() -> WeightedGraph:
     return WeightedGraph(128, tuple(edges))
 
 
+def disjoint_k2(components: int, seed: int = 0) -> WeightedGraph:
+    """components disjoint K2, copy c on vertices 2c and 2c + 1, weights uniform in [0.5, 2]."""
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, components).tolist()
+    return WeightedGraph(2 * components, tuple((2 * c, 2 * c + 1, w) for c, w in enumerate(weights)))
+
+
 def sample_row_bytes(g: WeightedGraph, t: float = 1.0) -> int:
     """Bytes one sample takes in an estimator batch, measured, not an oracle: the
     nbytes of its drawn normals and of its gathered matrices on the plan of g at t."""

@@ -16,7 +16,14 @@ from matchbound.graphs import (
     serialize_graph,
 )
 
-from conftest import MULTI_EDGES, RANDOM6_EDGES, grid_graph, sample_row_bytes, sparse_graph
+from conftest import (
+    MULTI_EDGES,
+    RANDOM6_EDGES,
+    disjoint_k2,
+    grid_graph,
+    sample_row_bytes,
+    sparse_graph,
+)
 
 
 @pytest.fixture
@@ -265,6 +272,23 @@ class TestEstimate:
         for budget in (estimator._BATCH_BYTES, 1, 7 * sample_row_bytes(g)):
             monkeypatch.setattr(estimator, "_BATCH_BYTES", budget)
             code, out = run_json(capsys, argv)
+            assert code == 0
+            reports.add(out)
+        assert len(reports) == 1
+
+    def test_many_components_byte_identical(self, capsys, tmp_path, monkeypatch):
+        # 1,000 disjoint K2: rel^2 adds 1,000 terms, and neither the threads nor the
+        # batch rows (the budget's 1,048 a batch, or 97) may move a byte of the report
+        g = disjoint_k2(1000)
+        path = tmp_path / "many.txt"
+        path.write_text(serialize_graph(g))
+        argv = ["estimate", "--graph", str(path), "--t", "100", "--samples", "1200",
+                "--seed", "5", "--format", "json"]
+        reports = set()
+        for threads, budget in ((1, None), (2, None), (2, 97 * sample_row_bytes(g))):
+            if budget:
+                monkeypatch.setattr(estimator, "_BATCH_BYTES", budget)
+            code, out = run_json(capsys, argv + ["--threads", str(threads)])
             assert code == 0
             reports.add(out)
         assert len(reports) == 1

@@ -1,18 +1,23 @@
 import decimal
 import itertools
+import json
 import math
+import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchbound import estimator
+import matchbound
+from matchbound import cli, estimator
 from matchbound.analysis import c1_constant
 from matchbound.estimator import (
     RngStream,
@@ -31,6 +36,7 @@ from matchbound.graphs import (
     complete_bipartite_graph,
     complete_graph,
     path_graph,
+    serialize_graph,
     skew_adjacency,
     weight_sums,
 )
@@ -42,6 +48,7 @@ from matchbound.linalg import (
 
 from conftest import (
     RANDOM6_EDGES,
+    disjoint_k2,
     estimate_with_samples,
     exact_det,
     exact_log,
@@ -803,6 +810,55 @@ class TestDeterminantMoments:
         assert exact_moments(x[None], e[None])[0] == [want]
 
 
+def common_denominator_log_std_err_det(g: WeightedGraph, t: float, k: int, seed: int) -> float:
+    """log_std_err_det of k samples, with rel^2 = sum_C d_C / S1_C^2 added over one common
+    denominator: the reduction the estimator used before its log-sum-exp, kept as its
+    oracle. It is quadratic in the component count."""
+    plan = estimator._sample_plan(g, t)
+    _, ((s1, p1), (s2, p2)), _ = estimator._batch(plan, t, seed, 0, k)
+    q, k1 = min(p2, 2 * p1), max(k - 1, 1)
+    d = (k * s2 << p2 - q) - (s1 * s1 << 2 * p1 - q)
+    log_mean_det = math.fsum(estimator._log(a, k, p1) for a in s1[1:]) + plan.shift
+    num, den = 0, 1
+    for dc, ac in zip(d[1:], s1[1:]):
+        num, den = num * ac * ac + dc * den, den * ac * ac
+    return log_mean_det + 0.5 * estimator._log(num, den * k1, q - 2 * p1) if num else -math.inf
+
+
+class TestManyComponents:
+    """rel^2 is a log-sum-exp of one exact term per component: linear in their count."""
+
+    @pytest.mark.parametrize("components, t, k", [
+        (1, 100.0, 300), (2, 100.0, 300), (17, 1.0, 300), (1001, 100.0, 300), (1001, 100.0, 2),
+    ])
+    def test_equals_the_common_denominator_sum(self, components, t, k):
+        if components == 17:  # 16 Gram-route K_{2,6}, a dense triangle, an isolated vertex
+            edges = sparse_graph().edges + ((128, 129, 0.7), (129, 130, 1.3), (128, 130, 2.0))
+            g = WeightedGraph(132, edges)
+        else:
+            g = disjoint_k2(components)
+        assert len(g.components) == components
+        got = estimate_log_phi_tilde(g, t, k, 11).log_std_err_det
+        want = common_denominator_log_std_err_det(g, t, k, 11)
+        if components == 1:  # one term: the same exact ratio, so the same bits
+            assert got == want
+        assert got == want or math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
+
+    def test_twenty_thousand_components_in_linear_time(self):
+        # 0.28 to 0.47 s on a 2-core x86-64 box; the common-denominator sum took about
+        # 29 s there, as it is quadratic in the component count
+        g = disjoint_k2(20_000)
+        started = time.perf_counter()
+        est = estimate_log_phi_tilde(g, 100.0, 2, 1, threads=1)
+        assert time.perf_counter() - started < 2.0
+        assert math.isfinite(est.log_std_err_det)
+
+    def test_no_spread_in_any_component(self):
+        # t + w z^2 rounds to t at t = 1e300 in every component: no term, no spread
+        est = estimate_log_phi_tilde(disjoint_k2(5), 1e300, 50, 3)
+        assert est.log_std_err_det == -math.inf
+
+
 def exact_moments(x: np.ndarray, e: np.ndarray) -> tuple[list[Fraction], list[Fraction]]:
     """estimator._exact_moments of each row of x 2^e, as Fractions."""
     (s1, p1), (s2, p2) = estimator._exact_moments(x, e)
@@ -1443,3 +1499,68 @@ class TestBoundsReport:
         assert rep.lower_log == est.mean_log - 0.5 * math.log(4.0)
         log_phi = math.log(matching_counts(triangle).eval(4.0))
         assert rep.lower_log - 4 * est.std_err <= log_phi <= rep.upper_log + 4 * est.std_err
+
+
+def cpu_features() -> dict:
+    """numpy's map of CPU feature names to whether its dispatch may use them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def dispatch_run(normals: str, graph: str, report: str) -> bool:
+    """Seed 1's normals of pair blocks 0-8 over its first 20,000 samples to normals (.npy),
+    and the estimate report of the graph file at those samples to report; whether numpy
+    may dispatch to X86_V4 in this process."""
+    np.save(normals, estimator._normal_block(1, 0, 20_000, np.arange(9)))
+    argv = ["estimate", "--graph", graph, "--t", "1", "--samples", "20000", "--seed", "1",
+            "--format", "json", "--out", report]
+    assert cli.main(argv) == 0
+    return bool(cpu_features().get("X86_V4"))
+
+
+def assert_close_leaves(got, want, rel: float, path: str = "report") -> None:
+    """got and want have the same keys, lengths and values, floats to rel relative."""
+    if isinstance(want, (dict, list)):
+        keys = list(want) if isinstance(want, dict) else range(len(want))
+        assert type(got) is type(want) and len(got) == len(want), path
+        for key in keys:
+            assert_close_leaves(got[key], want[key], rel, f"{path}.{key}")
+    elif isinstance(want, float) and isinstance(got, float):
+        assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0), (path, got, want)
+    else:
+        assert got == want, path
+
+
+class TestHostDispatch:
+    """Bytes are fixed per host; across hosts, the normals and reports agree to a tolerance.
+
+    numpy's float64 log takes an AVX-512 kernel where the CPU has one. A subprocess with
+    numpy's dispatch capped at AVX2 stands in for a host without it.
+    """
+
+    @pytest.mark.skipif(not cpu_features().get("X86_V4"), reason="the host lacks X86_V4")
+    def test_capped_dispatch_agrees_to_a_tolerance(self, tmp_path):
+        graph = tmp_path / "random6.txt"
+        graph.write_text(serialize_graph(WeightedGraph(6, RANDOM6_EDGES)))
+        paths = {name: [str(tmp_path / f"{run}-{name}") for run in ("here", "capped")]
+                 for name in ("normals.npy", "report.json")}
+        assert dispatch_run(paths["normals.npy"][0], str(graph), paths["report.json"][0])
+        python_path = [str(Path(matchbound.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR",
+                   PYTHONPATH=os.pathsep.join(python_path + [os.environ.get("PYTHONPATH", "")]))
+        script = ("import sys; from test_estimator import dispatch_run; "
+                  "print(dispatch_run(*sys.argv[1:]))")
+        run = subprocess.run(
+            [sys.executable, "-c", script, paths["normals.npy"][1], str(graph),
+             paths["report.json"][1]],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.strip() == "False"  # the cap took hold there, and only there
+        assert "NPY_DISABLE_CPU_FEATURES" not in os.environ
+        here, capped = (np.load(path) for path in paths["normals.npy"])
+        assert np.all(np.abs(capped - here) <= 4 * np.spacing(np.abs(here)))
+        here, capped = (json.loads(Path(path).read_text()) for path in paths["report.json"])
+        assert_close_leaves(capped, here, 1e-13)

@@ -66,6 +66,32 @@ class TestParse:
         with pytest.raises(GraphFormatError, match=r"^line 7: duplicate edge \(3, 4\)$"):
             parse_graph(text)
 
+    def test_first_bad_line_in_file_order_is_named(self):
+        # line 3 repeats line 2 and line 4 is out of range: line 3 is the first bad line
+        with pytest.raises(GraphFormatError, match=r"^line 3: duplicate edge \(1, 2\)$"):
+            parse_graph("3 3\n1 2 1\n2 1 3\n1 4 1\n")
+        # and a bad line before a repeat is named before it
+        with pytest.raises(GraphFormatError, match=r"^line 3: self-loop at vertex 3$"):
+            parse_graph("3 3\n1 2 1\n3 3 1\n2 1 1\n")
+
+    def test_bad_weight_names_its_line_and_value(self):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph("3 2\n1 2 -3\n2 3 1\n")
+        assert str(exc.value) == "line 2: non-positive or non-finite weight -3.0 on edge (1, 2)"
+        assert exc.value.edge == 0
+        with pytest.raises(GraphFormatError, match=r"^line 3: .* weight inf on edge \(3, 2\)$"):
+            parse_graph("3 2\n1 2 1\n3 2 1e999\n")
+
+    @pytest.mark.parametrize("text, line, edge", [
+        ("# c\n\n3 2\n1 2 1\n# c\n\n1 1 1\n", 7, 1),
+        ("\n3 2\n\n# c\n1 4 1\n2 3 1\n", 5, 0),
+        ("3 2\r\n1 2 1\r\n\r\n# c\r\n2 3 0\r\n", 5, 1),
+    ])
+    def test_comments_and_blank_lines_count_toward_line_numbers(self, text, line, edge):
+        with pytest.raises(GraphFormatError, match=f"^line {line}: ") as exc:
+            parse_graph(text)
+        assert exc.value.edge == edge
+
     def test_non_positive_weight_rejected(self):
         for w in ("0.0", "-3", "inf", "1e999", "nan"):
             with pytest.raises(GraphFormatError, match="non-positive"):
@@ -300,6 +326,22 @@ class TestBuilders:
     def test_path(self):
         g = path_graph(5)
         assert g.n_edges == 4
+
+    @pytest.mark.parametrize("bad, rule", [
+        ((1, 5, 1.0), "vertex id out of range: edge (2, 6) on 4 vertices"),
+        ((-1, 2, 1.0), "vertex id out of range: edge (0, 3) on 4 vertices"),
+        ((3, 3, 1.0), "self-loop at vertex 4"),
+        ((1, 0, 2.0), "duplicate edge (1, 2)"),
+        ((2, 3, 0.0), "non-positive or non-finite weight 0.0 on edge (3, 4)"),
+        ((2, 3, math.nan), "non-positive or non-finite weight nan on edge (3, 4)"),
+    ])
+    def test_constructor_names_the_first_bad_edge(self, bad, rule):
+        # edge 2 breaks the rule, and edges 3 to 5 break all four among them: 2 is named
+        edges = ((0, 1, 1.0), (1, 2, 1.0), bad, (0, 0, -1.0), (0, 9, 1.0), (1, 2, 1.0))
+        with pytest.raises(GraphFormatError) as exc:
+            WeightedGraph(4, edges)
+        assert str(exc.value) == rule
+        assert exc.value.edge == 2
 
     def test_constructor_validation(self):
         with pytest.raises(GraphFormatError):
