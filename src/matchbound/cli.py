@@ -1,9 +1,11 @@
 """Command-line front end: estimate, verify, bench, constants.
 
-Reports are emitted as deterministic JSON (floats at 17 significant
-digits, no wall-clock fields) or as human-readable text; bench tables can
-also be written as RFC 4180 CSV. Exit codes: 0 success, 2 usage or input
-errors, 3 numerical failure, 4 verification failure.
+Reports are emitted as deterministic, strict JSON by `json.dumps` (each
+float in the shortest form that parses back to the same double, integral
+ones with `.0`, non-finite ones as `null`; no wall-clock fields) or as
+human-readable text; bench tables can also be written as RFC 4180 CSV by
+`csv.writer`. Exit codes: 0 success, 2 usage or input errors, 3 numerical
+failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -46,37 +48,21 @@ EXIT_VERIFY = 4
 _SLACK_STD_ERRS = 4.0
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main call, once per process
 
-def _json_scalar(x: Any) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return "null"
-        return f"{x:.17g}"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, str):
-        return json.dumps(x, ensure_ascii=False)
-    raise TypeError(f"unsupported JSON scalar {type(x)!r}")
 
-
-def to_json(obj: Any, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _finite(obj: Any) -> Any:
+    """obj with each non-finite float replaced by None, which JSON writes as null."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return {key: _finite(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(obj)
+        return [_finite(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def to_json(obj: Any) -> str:
+    """Strict JSON: floats in their shortest round-trip form, non-finite ones as null."""
+    return json.dumps(_finite(obj), indent=2, ensure_ascii=False, allow_nan=False)
 
 
 def _text_block(payload: dict[str, Any], prefix: str = "") -> list[str]:
@@ -260,16 +246,14 @@ def _run_bench(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 def _run_constants(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     if not (math.isfinite(args.grid_step) and args.grid_step > 0):
         raise ValueError("--grid-step must be finite and positive")
-    if not (0 <= args.grid_max < math.inf and (args.grid_max + 1e-12) / args.grid_step < 1e4):
+    # each point is i * step (accumulating a += step would drift), up to the last
+    # within a relative rounding slack of --grid-max: 0.3 / 0.1 ends at 0.30000000000000004
+    last = args.grid_max / args.grid_step * (1 + 1e-12)
+    if not (0 <= args.grid_max < math.inf and last < 1e4):
         raise ValueError("--grid-max must be finite, >= 0, and --grid-max / --grid-step < 10^4")
-    c1 = c1_constant()
-    table = []
-    i = 0
-    # each point is i * step: accumulating a += step would drift
-    while (a := i * args.grid_step) <= args.grid_max + 1e-12:
-        table.append({"a": a, "gap": gaussian_log_gap(a)})
-        i += 1
-    return {"command": _pick(args, "subcommand"), "c1": c1, "gap_table": table}, True
+    points = (i * args.grid_step for i in range(math.floor(last) + 1))
+    table = [{"a": a, "gap": gaussian_log_gap(a)} for a in points]
+    return {"command": _pick(args, "subcommand"), "c1": c1_constant(), "gap_table": table}, True
 
 
 def _usable_cpus() -> int | None:
@@ -334,7 +318,7 @@ def _render(payload: dict[str, Any], fmt: str, subcommand: str, seconds: float) 
         writer = csv.writer(buf)  # csv defaults are RFC 4180: CRLF, minimal quoting
         writer.writerow(payload["rows"][0].keys())
         for row in payload["rows"]:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()])
+            writer.writerow(row.values())
         return buf.getvalue()
     if subcommand == "constants":
         lines = [f"c1 = {payload['c1']:.10f}", "", f"{'a':>6}  {'gap':>14}"]

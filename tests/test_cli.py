@@ -417,6 +417,49 @@ class TestEstimate:
         again = json.loads(out)
         assert again == report
 
+    @pytest.mark.parametrize("graph", [
+        WeightedGraph(6, RANDOM6_EDGES),
+        complete_graph(4, 1e300),  # mean_det and std_err_det pass the largest double
+    ], ids=["random6", "k4_heavy"])
+    def test_report_is_strict_json_with_every_double_kept(self, capsys, tmp_path,
+                                                         monkeypatch, graph):
+        calls = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                calls.append(fn(*args, **kwargs))
+                return calls[-1]
+            return call
+
+        monkeypatch.setattr(cli, "estimate_log_phi_tilde", recorded(cli.estimate_log_phi_tilde))
+        monkeypatch.setattr(cli, "bounds_report", recorded(cli.bounds_report))
+        path = tmp_path / "graph.txt"
+        path.write_text(serialize_graph(graph))
+        code, out = run_json(
+            capsys,
+            ["estimate", "--graph", str(path), "--t", "1", "--samples", "3000",
+             "--seed", "7", "--format", "json"],
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not a JSON value")
+
+        report = json.loads(out, parse_constant=reject)
+        est, bounds = calls
+        printed = {**report["estimate"], **report["bounds"]}
+        want = {"samples": est.k, **{key: getattr(est, key) for key in ESTIMATE_KEYS[1:]},
+                **{key: getattr(bounds, key) for key in BOUNDS_KEYS}}
+        assert list(printed) == list(want)
+        for key, value in want.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                assert printed[key] is None, key
+            else:
+                assert float(printed[key]).hex() == float(value).hex(), key
+        if graph.max_weight == 1e300:
+            assert report["estimate"]["mean_det"] is None
+            assert math.isfinite(report["bounds"]["lower_log"])
+
 
 class TestVerify:
     def test_triangle(self, capsys, triangle_file):
@@ -611,22 +654,28 @@ class TestConstants:
         assert len(table) == 9
 
     def test_grid_points_are_multiples_of_the_step(self, capsys):
-        # ten additions of 0.1 give 0.9999999999999999, not 1.0
-        code, out = run_json(
-            capsys,
-            ["constants", "--format", "json", "--grid-max", "1", "--grid-step", "0.1"],
-        )
-        assert code == 0
-        points = [row["a"] for row in json.loads(out)["gap_table"]]
-        assert points == [i * 0.1 for i in range(11)]
+        # ten additions of 0.1 give 0.9999999999999999, not 1.0; at the small steps an
+        # absolute slack of 1e-12 would run past --grid-max, to 1.1e-12 and 10^4 rows
+        for grid_max, step in (("1", 0.1), ("1e-13", 1e-14), ("1e-15", 1e-16)):
+            code, out = run_json(
+                capsys,
+                ["constants", "--format", "json", "--grid-max", grid_max,
+                 "--grid-step", str(step)],
+            )
+            assert code == 0, grid_max
+            points = [row["a"] for row in json.loads(out)["gap_table"]]
+            assert points == [i * step for i in range(11)]
+            assert points[-1] <= float(grid_max) * (1 + 1e-12)
 
     @pytest.mark.parametrize(
         "flag, value",
         [("--grid-step", "0"), ("--grid-step", "-0.25"), ("--grid-step", "nan"),
          ("--grid-step", "inf"), ("--grid-max", "nan"), ("--grid-max", "inf"),
          ("--grid-max", "-1"),
-         # more than 10^4 rows: 8e300 of them, and 10^8 + 1
-         ("--grid-step", "1e-300"), ("--grid-max", "1e5 --grid-step 1e-3")],
+         # more than 10^4 rows: 8e300 of them, 10^8 + 1, and 10^4 + 1 where the last
+         # point is within the rounding slack of --grid-max
+         ("--grid-step", "1e-300"), ("--grid-max", "1e5 --grid-step 1e-3"),
+         ("--grid-max", "9.9999999999999 --grid-step 1e-3")],
     )
     def test_bad_grid_is_usage_error(self, capsys, flag, value):
         assert main(["constants", flag, *value.split()]) == 2
