@@ -321,8 +321,17 @@ def _render(payload: dict[str, Any], fmt: str, subcommand: str, seconds: float) 
             writer.writerow(row.values())
         return buf.getvalue()
     if subcommand == "constants":
-        lines = [f"c1 = {payload['c1']:.10f}", "", f"{'a':>6}  {'gap':>14}"]
-        lines += [f"{row['a']:>6.2f}  {row['gap']:>14.10f}" for row in payload["gap_table"]]
+        # each a to the fewest digits that read back within 1e-12 of the largest: at most
+        # 10^4 rows, so distinct points stay distinct
+        points = [row["a"] for row in payload["gap_table"]]
+        digits = next(p for p in range(1, 18) if all(
+            abs(float(f"{a:.{p}g}") - a) <= 1e-12 * points[-1] for a in points
+        ))
+        cells = [f"{a:.{digits}g}" for a in points]
+        width = max(6, *map(len, cells))
+        lines = [f"c1 = {payload['c1']:.10f}", "", f"{'a':>{width}}  {'gap':>14}"]
+        rows = zip(cells, payload["gap_table"])
+        lines += [f"{a:>{width}}  {row['gap']:>14.10f}" for a, row in rows]
     else:
         lines = _text_block(payload)
     lines.append(f"wall_time_seconds = {seconds:.3f}")

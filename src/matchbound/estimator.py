@@ -13,6 +13,17 @@ The geometric mean of det(sqrt(t) I + Y) over samples estimates
 exp(E log det), which lower-bounds the matching polynomial value (times
 sqrt(t) when the vertex count is odd). The arithmetic mean of the same
 determinants is the unbiased estimator of the polynomial itself.
+
+Each connected component takes one of three routes. A component of three or more
+vertices whose edges carry one weight w, complete or complete bipartite, takes the
+chain: its Gaussian matrix is orthogonally invariant in law, and Householder and
+Golub-Kahan reduction give that law exactly as sqrt(w) T, T skew-tridiagonal with
+independent chi off-diagonals (Dumitriu and Edelman, "Matrix models for beta
+ensembles", J. Math. Phys. 43, 2002; Silverstein, Ann. Probab. 13, 1985), so a
+sample is O(n^2) uniforms and an O(n) recurrence. Its determinant keeps its law, so
+the plan, the certificate and the bracket are unchanged. Any other component is
+gathered from its edges' normals: left x right on the Gram route where it is
+bipartite and U U^T keeps t, whole on the dense route otherwise (_sample_plan).
 """
 
 from __future__ import annotations
@@ -25,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SkewAdjacency, WeightedGraph, skew_adjacency
+from .graphs import Bipartition, SkewAdjacency, WeightedGraph, skew_adjacency
 from .linalg import (
     SMALL_ORDER,
     NonPositiveDeterminantError,
     SkewSample,
+    chain_logdet_batch,
     gram_logdet_batch,
     skew_logdet_batch,
 )
@@ -139,77 +151,131 @@ class _Stack:
 
 
 @dataclass(frozen=True, eq=False)
+class _Chain:
+    """One-weight complete and complete bipartite components of one shape: chains.
+
+    Member c of a sample is sqrt(t) I + sqrt(weight[c]) T, T skew-tridiagonal with
+    c_k^2 ~ chi^2 on degrees[k] degrees of freedom, its vertices past the chain (the
+    larger side's n - m) adding (1/2) log t each (order is the vertex count). Member c
+    reads the uniforms at positions start + c uniforms on, one range after another.
+    """
+
+    degrees: np.ndarray
+    order: int
+    weight: np.ndarray
+    start: int
+
+    @property
+    def uniforms(self) -> int:
+        """floor(d/2) for each degree d, then two per Box-Muller block of the odd ones."""
+        return int(np.sum(self.degrees // 2)) + 2 * ((int(np.sum(self.degrees % 2)) + 1) // 2)
+
+
+@dataclass(frozen=True, eq=False)
 class _SamplePlan:
     """How a batch of draws becomes log-determinants, fixed once per graph.
 
     The stream holds one normal per vertex pair, row-major, two per block;
-    only the blocks that hold an edge are drawn, and idle are the drawn
-    columns that no edge uses. det of the block-diagonal sample is the
-    product over components; shift adds exactly (1/2) log t per isolated vertex.
+    only the blocks that hold an edge of a matrix stack are drawn, and idle
+    are the drawn columns that no such edge uses. Chains read the uniforms past
+    every pair's. det of the block-diagonal sample is the product over
+    components; shift adds exactly (1/2) log t per isolated vertex.
     """
 
     blocks: np.ndarray
     idle: np.ndarray
     stacks: tuple[_Stack, ...]
+    chains: tuple[_Chain, ...]
     shift: float
-    least: tuple[int, ...]  # each component's least vertex, in the order of stack members
+    least: tuple[int, ...]  # each component's least vertex: stack members, then chain members
+
+
+def _chi_degrees(n_c: int, bip: Bipartition | None, n_edges: int) -> tuple[int, ...] | None:
+    """The chain's chi degrees of a component of n_c >= 3 vertices and one weight that is
+    complete, (n_c - 1, ..., 1), or complete bipartite with sides m <= n, (d_1, s_1, d_2,
+    ..., d_m) with d_i = n - i + 1 and s_i = m - i; else None. Householder and Golub-Kahan
+    reduction give these laws exactly (Dumitriu and Edelman, J. Math. Phys. 43, 2002)."""
+    if n_c < 3:
+        return None
+    if n_edges == n_c * (n_c - 1) // 2:
+        return tuple(range(n_c - 1, 0, -1))
+    if bip is None or n_edges != bip.m * bip.n:
+        return None
+    degrees = [d for i in range(bip.m) for d in (bip.n - i, bip.m - 1 - i)]
+    return tuple(degrees[:-1])
 
 
 def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
-    """The plan of g at t > 0, which picks each bipartite component's route.
+    """The plan of g at t > 0, which picks each component's route.
 
-    Forming U U^T rounds each eigenvalue t + s^2 >= t by about n_C eps max_w, for a
-    component of n_C vertices and largest weight max_w, so the Gram route is taken
-    only where n_C eps max_w / t <= 1e-12; elsewhere a bipartite component takes the
-    dense route. Every variate has z^2 <= 108 ln 2 < 75, so no entry of t I + U U^T
-    exceeds t + n_C 75 max_w, which must be finite on the Gram route too. Built from
-    the edge list in O(N + E) memory besides the stacks, n_C^2 entries a component.
+    A component of one weight w that _chi_degrees names takes the chain where its
+    recurrence stays finite: every chi^2 variate is at most (n_C / 2) 75 (below), so
+    each rho_k <= sqrt(t) + n_C 75 w / sqrt(t), which must be finite. Forming U U^T
+    rounds each eigenvalue t + s^2 >= t by about n_C eps max_w, for a component of n_C
+    vertices and largest weight max_w, so the Gram route is taken only where
+    n_C eps max_w / t <= 1e-12; elsewhere a bipartite component takes the dense route.
+    Every variate has z^2 <= 108 ln 2 < 75, so no entry of t I + U U^T exceeds
+    t + n_C 75 max_w, which must be finite on the Gram route too. Built from the edge
+    list in O(N + E) memory besides the stacks, n_C^2 entries a component.
     """
     n, (u, v, w) = g.n_vertices, np.array(g.edges or np.empty((0, 3))).T
     i, j = np.minimum(u, v).astype(np.intp), np.maximum(u, v).astype(np.intp)
-    root = np.sqrt(w)  # the template's entry: +root at (i, j), -root at (j, i)
-    pair = i * n - i * (i + 1) // 2 + (j - i - 1)
-    blocks = np.unique(pair // 2)
-    edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2  # each edge's column of z
     comps, eps = g.components, np.finfo(float).eps
     comp, row, col = [-1] * n, [-1] * n, [-1] * n  # each vertex's component, row and column
     for c, (verts, _) in enumerate(comps):
         for v in verts:
             comp[v] = c
     comp = np.array(comp)[i]  # each edge's component
-    max_root = np.zeros(len(comps))
-    np.maximum.at(max_root, comp, root)
-    groups: dict[tuple[bool, int, int], list] = {}  # stacks in order of first member
+    lightest, heaviest = np.full(len(comps), np.inf), np.zeros(len(comps))
+    np.minimum.at(lightest, comp, w)
+    np.maximum.at(heaviest, comp, w)
+    sizes = np.bincount(comp, minlength=len(comps))
+    groups: dict[tuple, list] = {}  # (route, rows or degrees, cols or order): its members
     keys, member = [], []
     for c, (verts, bip) in enumerate(comps):
-        if bip is not None:
-            n_c, max_w = len(verts), float(np.square(max_root[c]))
-            keeps_t = n_c * eps * (max_w / t) <= 1e-12
-            bip = bip if keeps_t and t + n_c * 75.0 * max_w < math.inf else None
-        rows, cols = (sorted(verts),) * 2 if bip is None else (bip.left, bip.right)
-        for side, place in ((rows, row), (cols, col)):
-            for r, v in enumerate(side):
-                place[v] = r
-        keys.append((bip is None, len(rows), len(cols)))
+        n_c, max_w = len(verts), float(heaviest[c])
+        degrees = _chi_degrees(n_c, bip, int(sizes[c])) if lightest[c] == max_w else None
+        if degrees and math.sqrt(t) + n_c * 75.0 * max_w / math.sqrt(t) < math.inf:
+            keys.append(("chain", degrees, n_c))
+        else:
+            if bip is not None:
+                keeps_t = n_c * eps * (max_w / t) <= 1e-12
+                bip = bip if keeps_t and t + n_c * 75.0 * max_w < math.inf else None
+            rows, cols = (sorted(verts),) * 2 if bip is None else (bip.left, bip.right)
+            for side, place in ((rows, row), (cols, col)):
+                for r, v in enumerate(side):
+                    place[v] = r
+            keys.append(("dense" if bip is None else "gram", len(rows), len(cols)))
         member.append(len(groups.setdefault(keys[-1], [])))
         groups[keys[-1]].append(c)
+    # the stacks, then the chains, each in order of first member
+    groups = dict(sorted(groups.items(), key=lambda group: group[0][0] == "chain"))
     order = {key: s for s, key in enumerate(groups)}
+    kept = np.array([key[0] != "chain" for key in keys], dtype=bool)[comp]  # the stacks' edges
+    i, j, comp, root = i[kept], j[kept], comp[kept], np.sqrt(w[kept])
+    pair = i * n - i * (i + 1) // 2 + (j - i - 1)
+    blocks = np.unique(pair // 2)
+    edges = 2 * np.searchsorted(blocks, pair // 2) + pair % 2  # each edge's column of z
     stack = np.array([order[key] for key in keys], dtype=np.intp)[comp]  # each edge's stack
     member, row, col = np.array(member, dtype=np.intp)[comp], np.array(row), np.array(col)
-    stacks = []
-    for s, ((dense, n_rows, n_cols), members) in enumerate(groups.items()):
+    stacks, chains, start = [], [], n * (n - 1) + 1  # the chains' uniforms follow the pairs'
+    for s, ((route, n_rows, n_cols), members) in enumerate(groups.items()):
+        if route == "chain":
+            chains.append(_Chain(np.array(n_rows), n_cols, heaviest[members], start))
+            start += chains[-1].uniforms * len(members)
+            continue
         coef = np.zeros((len(members), n_rows, n_cols))
         index = np.zeros(coef.shape, np.intp)  # an entry off every edge reads column 0, times 0
         for a, b, sign in ((i, j, root), (j, i, -root)):  # entry (a, b): a a row, b a column
             on = (stack == s) & (row[a] >= 0) & (col[b] >= 0)
             at = member[on], row[a[on]], col[b[on]]
             coef[at], index[at] = sign[on], edges[on]
-        stacks.append(_Stack(dense, coef, index))
+        stacks.append(_Stack(route == "dense", coef, index))
     idle = np.setdiff1d(np.arange(2 * len(blocks)), edges)
     isolated = n - sum(len(verts) for verts, _ in comps)
     least = tuple(min(comps[c][0]) for members in groups.values() for c in members)
     shift = isolated * (0.5 * math.log(t)) if isolated else 0.0
-    return _SamplePlan(blocks, idle, tuple(stacks), shift, least)
+    return _SamplePlan(blocks, idle, tuple(stacks), tuple(chains), shift, least)
 
 
 def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
@@ -230,13 +296,57 @@ def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
     return mats.reshape(-1, *mats.shape[2:])
 
 
+def _chi_squares(chain: _Chain, seed: int, start: int, count: int):
+    """((degrees, members, count) variates weight c^2 of samples start to start + count - 1,
+    largest |normal| among them).
+
+    A member's chi^2_d is -2 sum log u over floor(d/2) uniforms, taken in the order of its
+    degrees from its first position on; each odd d then adds z^2 for one normal, r cos a
+    or r sin a, of the Box-Muller blocks that follow (r's uniform, then a's). A chunk of
+    samples is made position-major in reused buffers, so each sum runs over rows and
+    no value depends on the chunk or on another sample.
+    """
+    d, per, members = chain.degrees, chain.uniforms, len(chain.weight)
+    half, odd = d // 2, np.flatnonzero(d % 2)
+    logs, summed = int(half.sum()), np.flatnonzero(half)
+    at = (np.cumsum(half) - half)[summed]  # the first log row of each degree past 1
+    steps = (chain.start + np.arange(per * members, dtype=np.uint64)) * _GOLDEN
+    keys = _stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
+    out, peak = np.zeros((len(d), members, count)), 0.0
+    cols = max(1, min(count, _CHUNK // steps.size))
+    buf, bits, tmp = np.empty(steps.size * cols), *np.empty((2, steps.size * cols), np.uint64)
+    for lo in range(0, count, cols):
+        n = min(cols, count - lo)
+        work = (a[: steps.size * n].reshape(-1, n) for a in (buf, bits, tmp))
+        x = _uniforms(steps, keys[lo : lo + n], *work).reshape(members, per, n)
+        sq, r, a = out[:, :, lo : lo + n], x[:, logs::2], x[:, logs + 1 :: 2]
+        np.log(x[:, :logs], out=x[:, :logs])
+        sq[summed] = -2.0 * np.add.reduceat(x[:, :logs], at, axis=1).transpose(1, 0, 2)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        a *= 2.0 * math.pi
+        z = np.empty((members, 2 * r.shape[1], n))
+        np.multiply(r, np.cos(a), out=z[:, 0::2])
+        np.multiply(r, np.sin(a), out=z[:, 1::2])
+        z = z[:, : len(odd)]
+        peak = max(peak, float(np.abs(z).max(initial=0.0)))
+        sq[odd] += (z * z).transpose(1, 0, 2)
+    out *= chain.weight[:, None]
+    return out, peak
+
+
 def _batch_rows(plan: _SamplePlan) -> int:
     """Rows per batch: as many as fit _BATCH_BYTES, at most _BATCH, at least 1.
 
-    A sample takes 8 bytes per drawn normal in z and per entry of its gathered
-    matrices; an edgeless plan takes none.
+    A sample takes 8 bytes per drawn normal in z, per entry of its gathered
+    matrices and per chi^2 variate of its chains; an edgeless plan takes none.
     """
-    row_bytes = 8 * (2 * len(plan.blocks) + sum(s.coef.size for s in plan.stacks))
+    row_bytes = 8 * (
+        2 * len(plan.blocks)
+        + sum(s.coef.size for s in plan.stacks)
+        + sum(ch.degrees.size * ch.weight.size for ch in plan.chains)
+    )
     return min(_BATCH, max(1, _BATCH_BYTES // max(1, row_bytes)))
 
 
@@ -369,7 +479,7 @@ class EstimateResult:
     seed: int
     mean_log: float
     std_err: float
-    max_abs_variate: float  # diagnostic: largest |normal| that enters a matrix
+    max_abs_variate: float  # diagnostic: largest |normal| that enters a matrix or a chain
     log_mean_det: float
     log_std_err_det: float  # -inf when there is no spread
 
@@ -551,9 +661,15 @@ def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
     z = _normal_block(seed, start, count, plan.blocks)
     z[:, plan.idle] = 0.0  # they enter no matrix, so they leave the peak alone
     parts = [np.zeros((count, 0))]
+    peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
     for s in plan.stacks:
         values = (skew_logdet_batch if s.dense else gram_logdet_batch)(_matrices(s, z), t)
         parts.append(values.reshape(-1, count).T if s.small else values.reshape(count, -1))
+    for ch in plan.chains:
+        c2, chain_peak = _chi_squares(ch, seed, start, count)
+        values = chain_logdet_batch(c2.reshape(len(c2), -1), t, ch.order)
+        parts.append(values.reshape(-1, count).T)
+        peak = max(peak, chain_peak)
     per_comp = np.concatenate(parts, axis=1)
     bad = np.flatnonzero(~np.isfinite(per_comp))  # sample-major: the first is the lowest sample
     if bad.size:
@@ -563,7 +679,6 @@ def _batch(plan: _SamplePlan, t: float, seed: int, start: int, count: int):
             f"{per_comp[row, c]} where a positive finite determinant is guaranteed"
         )
     total = sum(per_comp.T, np.full(count, plan.shift))  # component by component, in plan order
-    peak = max(float(z.max(initial=0.0)), -float(z.min(initial=0.0)))
     # row 0 sums the log-determinants, row C + 1 component C's determinants e^v = f 2^n
     v = np.ascontiguousarray(per_comp.T)
     x, e = np.empty((len(v) + 1, count)), np.zeros((len(v) + 1, count), dtype=np.int64)
@@ -583,11 +698,12 @@ def estimate_log_phi_tilde(
 ) -> EstimateResult:
     """Average log det(sqrt(t) I + Y) over k independent samples, for 0 < t < inf.
 
-    Each connected component takes its own route: the Gram-matrix route when
-    it is bipartite and U U^T keeps t (see _sample_plan), the dense
-    antisymmetric factorization otherwise; a sample's value is the sum over
-    components, in a fixed order. Thread i of n sums batches i, i + n, ... exactly, so no
-    thread count or batch size moves a result, nor the lowest failing sample an error names.
+    Each connected component takes its own route: the chain when it has one weight
+    and is complete or complete bipartite, the Gram-matrix route when it is
+    bipartite and U U^T keeps t, the dense antisymmetric factorization otherwise
+    (see _sample_plan); a sample's value is the sum over components, in a fixed
+    order. Thread i of n sums batches i, i + n, ... exactly, so no thread count
+    or batch size moves a result, nor the lowest failing sample an error names.
     """
     if not 1 <= k <= 2**64:
         raise ValueError("the sample count must be from 1 to 2**64, one per uint64 index")

@@ -14,13 +14,15 @@ overflow, comes back as a log-determinant that is not finite, and the
 kernels never raise: the estimator checks each batch, and the scalar
 helpers their one value. The bipartite block form [[0, U], [-U^T, 0]]
 reduces to the m-by-m Gram matrix U U^T, which is symmetric positive
-definite once shifted by t I. Every kernel takes t > 0, where each
-determinant is positive; the scalar helpers check it.
+definite once shifted by t I. A skew-tridiagonal sqrt(t) I + T needs no
+matrix: its determinant is a continuant, a product of positive ratios
+(chain_logdet_batch). Every kernel takes t > 0, where each determinant is
+positive; the scalar helpers check it.
 
-The batch kernels take a leading batch axis so Monte Carlo callers factor
-thousands of samples per numpy call; the scalar helpers wrap them. Every
-value is a function of its own matrix alone: neither the batch size nor
-the memory layout of the stack moves a bit.
+The batch kernels take a batch axis (the chain's last, every other's
+first) so Monte Carlo callers factor thousands of samples per numpy call;
+the scalar helpers wrap them. Every value is a function of its own matrix
+alone: neither the batch size nor the memory layout of the stack moves a bit.
 """
 
 from __future__ import annotations
@@ -170,6 +172,28 @@ def gram_logdet_batch(u_batch: np.ndarray, t: float) -> np.ndarray:
             gram += np.multiply(u[:, None, k], u[None, :, k], out=term)
         _diagonal(gram)[:] += t
     return _eliminated_logdet(gram) + 0.5 * (n - m) * math.log(t)
+
+
+def chain_logdet_batch(c2: np.ndarray, t: float, order: int) -> np.ndarray:
+    """Batched log det(sqrt(t) I + T) over an (L, B) stack of the squared off-diagonals
+    c_1^2 .. c_L^2 of skew-tridiagonal T, plus ((order - L - 1)/2) log t, at t > 0.
+
+    det is the product of rho_1 = sqrt(t) and rho_k = sqrt(t) + c_(k-1)^2 / rho_(k-1), the
+    continuant's ratios: every term is positive, so nothing cancels at small t, and each
+    rho_k lies in [sqrt(t), sqrt(t) + max c^2 / sqrt(t)]. The logs add in row order, so a
+    value depends on its own column alone; one that is not finite comes back as such.
+    """
+    root = math.sqrt(t)
+    rho = np.empty((len(c2) + 1, c2.shape[1]))
+    rho[0] = root
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches the value
+        for k, row in enumerate(c2):
+            np.divide(row, rho[k], out=rho[k + 1])
+            rho[k + 1] += root
+        total = np.full(c2.shape[1], 0.5 * (order - len(rho)) * math.log(t))
+        for row in np.log(rho, out=rho):
+            total += row
+    return total
 
 
 def log_det_shifted(y: SkewSample, t: float) -> float:

@@ -115,16 +115,31 @@ def even_multi() -> WeightedGraph:
     return WeightedGraph(12, EVEN_MULTI_EDGES)
 
 
+def matrix_route(g: WeightedGraph, factor: float = 1.5) -> WeightedGraph:
+    """g with the first edge of each one-weight component at factor times its weight: no
+    component takes the chain, and each keeps its dense or Gram route."""
+    comp = {v: c for c, (verts, _) in enumerate(g.components) for v in verts}
+    weights: dict[int, set[float]] = {}
+    for u, _, w in g.edges:
+        weights.setdefault(comp[u], set()).add(w)
+    seen, edges = set(), []
+    for u, v, w in g.edges:
+        second = len(weights[comp[u]]) == 1 and comp[u] not in seen
+        edges.append((u, v, w * factor if second else w))
+        seen.add(comp[u])
+    return WeightedGraph(g.n_vertices, tuple(edges))
+
+
 # past SMALL_ORDER: K13 on the dense route, and K13,13 (m = 13) on the Gram route
-# alone and as a two-member stack
+# alone and as a two-member stack; one edge at a second weight keeps each off the chain
 @pytest.fixture(scope="session")
 def k13() -> WeightedGraph:
-    return complete_graph(13)
+    return matrix_route(complete_graph(13))
 
 
 @pytest.fixture(scope="session")
 def k13_13() -> WeightedGraph:
-    return complete_bipartite_graph(13, 13)
+    return matrix_route(complete_bipartite_graph(13, 13))
 
 
 @pytest.fixture(scope="session")
@@ -182,11 +197,13 @@ def disjoint_k2(components: int, seed: int = 0) -> WeightedGraph:
 
 
 def sample_row_bytes(g: WeightedGraph, t: float = 1.0) -> int:
-    """Bytes one sample takes in an estimator batch, measured, not an oracle: the
-    nbytes of its drawn normals and of its gathered matrices on the plan of g at t."""
+    """Bytes one sample takes in an estimator batch, measured, not an oracle: the nbytes
+    of its drawn normals, of its gathered matrices and of its chains' chi^2 variates on
+    the plan of g at t."""
     plan = estimator._sample_plan(g, t)
     z = estimator._normal_block(0, 0, 1, plan.blocks)
-    return z.nbytes + sum(estimator._matrices(s, z).nbytes for s in plan.stacks)
+    return (z.nbytes + sum(estimator._matrices(s, z).nbytes for s in plan.stacks)
+            + sum(estimator._chi_squares(ch, 0, 0, 1)[0].nbytes for ch in plan.chains))
 
 
 def relabel(g: WeightedGraph, rng: np.random.Generator) -> WeightedGraph:

@@ -54,6 +54,7 @@ from conftest import (
     brute_matching_counts,
     delete_edge,
     delete_vertices,
+    matrix_route,
     random_weighted_graph,
     shifted_log_gap_series,
 )
@@ -78,6 +79,10 @@ def _test_set() -> list[tuple[str, WeightedGraph]]:
         ("K22", complete_bipartite_graph(2, 2)),
         ("K23", complete_bipartite_graph(2, 3)),
         ("random6", WeightedGraph(6, RANDOM6_EDGES)),
+        # K22, K23, P3, K4 and the triangle take the chain; one edge at a second weight
+        # keeps these two on the Gram and the dense route
+        ("K23_two_weights", matrix_route(complete_bipartite_graph(2, 3))),
+        ("K4_two_weights", matrix_route(complete_graph(4))),
     ]
 
 
@@ -122,7 +127,8 @@ def test_criterion_02_unbiasedness(unbiasedness_estimates):
         residual = abs(est.mean_det - target) / est.std_err_det
         worst = max(worst, residual)
         assert residual <= 4.0, f"{name} at t={t}: residual {residual:.2f} std errs"
-    _report(2, "unbiasedness", True, f"worst residual {worst:.2f} std errs over 21 runs")
+    runs = len(unbiasedness_estimates)
+    _report(2, "unbiasedness", True, f"worst residual {worst:.2f} std errs over {runs} runs")
 
 
 def test_criterion_03_eigenvalue_oracle():
@@ -173,7 +179,7 @@ def test_criterion_05_sandwich(unbiasedness_estimates):
         slack = 4.0 * est.std_err
         assert lower - slack <= log_phi, f"{name} t={t}: lower bound violated"
         assert log_phi <= lower + gap + slack, f"{name} t={t}: upper bound violated"
-    _report(5, "sandwich bounds", True, "21 cases bracketed")
+    _report(5, "sandwich bounds", True, f"{len(unbiasedness_estimates)} cases bracketed")
 
 
 def test_criterion_06_concentration(k4_reference):

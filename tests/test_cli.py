@@ -21,6 +21,7 @@ from conftest import (
     RANDOM6_EDGES,
     disjoint_k2,
     grid_graph,
+    matrix_route,
     sample_row_bytes,
     sparse_graph,
 )
@@ -226,10 +227,11 @@ class TestEstimate:
         assert out1 == out2
 
     def test_byte_identical_across_thread_counts_on_the_gram_route(self, capsys, tmp_path):
-        # K13,13 is one Gram matrix of order 13, past SMALL_ORDER: 8,962 rows a batch
-        # part 17,925 samples into 3 batches, the last of one row
+        # K13,13 (one edge at a second weight, off the chain) is one Gram matrix of order
+        # 13, past SMALL_ORDER: 8,962 rows a batch part 17,925 samples into 3 batches, the
+        # last of one row
         path = tmp_path / "k13_13.txt"
-        path.write_text(serialize_graph(complete_bipartite_graph(13, 13)))
+        path.write_text(serialize_graph(matrix_route(complete_bipartite_graph(13, 13))))
         argv = ["estimate", "--graph", str(path), "--t", "1", "--samples", "17925",
                 "--seed", "3", "--format", "json"]
         code1, out1 = run_json(capsys, argv + ["--threads", "1"])
@@ -244,9 +246,9 @@ class TestEstimate:
     ])
     def test_byte_identical_across_batch_sizes(self, capsys, tmp_path, monkeypatch, graph,
                                                batches):
-        g = {"multi": WeightedGraph(12, MULTI_EDGES), "k64": complete_graph(64),
-             "sparse": sparse_graph(), "random6": WeightedGraph(6, RANDOM6_EDGES),
-             "k13_13": complete_bipartite_graph(13, 13)}[graph]
+        g = matrix_route({"multi": WeightedGraph(12, MULTI_EDGES), "k64": complete_graph(64),
+                          "sparse": sparse_graph(), "random6": WeightedGraph(6, RANDOM6_EDGES),
+                          "k13_13": complete_bipartite_graph(13, 13)}[graph])  # off the chain
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
         argv = ["estimate", "--graph", str(path), "--t", "1", "--samples", "3000",
@@ -261,9 +263,11 @@ class TestEstimate:
 
     @pytest.mark.parametrize("graph", ["multi", "k64", "sparse", "random6"])
     def test_byte_identical_across_batch_budgets(self, capsys, tmp_path, monkeypatch, graph):
-        # a 1-byte budget gives one row a batch; seven rows' bytes part 40 samples 5 x 7 + 5
-        g = {"multi": WeightedGraph(12, MULTI_EDGES), "k64": complete_graph(64),
-             "sparse": sparse_graph(), "random6": WeightedGraph(6, RANDOM6_EDGES)}[graph]
+        # a 1-byte budget gives one row a batch; seven rows' bytes part 40 samples 5 x 7 + 5.
+        # One edge of each one-weight component at a second weight keeps it off the chain
+        g = matrix_route({"multi": WeightedGraph(12, MULTI_EDGES), "k64": complete_graph(64),
+                          "sparse": sparse_graph(),
+                          "random6": WeightedGraph(6, RANDOM6_EDGES)}[graph])
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
         argv = ["estimate", "--graph", str(path), "--t", "1", "--samples", "40",
@@ -640,6 +644,23 @@ class TestConstants:
         code, out = run_json(capsys, ["constants"])
         assert code == 0
         assert "c1 = 1.2703628455" in out
+
+    @pytest.mark.parametrize("grid_max, step", [("8", "0.25"), ("1e-13", "1e-14"), ("1", "0.1")])
+    def test_text_table_tells_the_points_apart(self, capsys, grid_max, step):
+        # each a is printed to the fewest significant digits that read back within 1e-12
+        # of the largest point, so 1e-14 steps do not all read 0.00, 1.25 does not read
+        # 1.2, and 3 x 0.1 reads 0.3, not 0.30000000000000004
+        argv = ["constants", "--grid-max", grid_max, "--grid-step", step]
+        assert main(argv + ["--format", "json"]) == 0
+        points = [row["a"] for row in json.loads(capsys.readouterr().out)["gap_table"]]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[3:-1]
+        cells = [row.split()[0] for row in rows]
+        assert len(cells) == len(points) == len(set(cells))
+        for cell, a in zip(cells, points):
+            assert abs(float(cell) - a) <= 1e-12 * points[-1]
+        if step == "0.1":
+            assert cells == ["0"] + [f"0.{i}" for i in range(1, 10)] + ["1"]
 
     def test_json_grid(self, capsys):
         code, out = run_json(capsys, ["constants", "--format", "json", "--grid-max", "2"])

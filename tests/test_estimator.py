@@ -1,4 +1,5 @@
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from matchbound.estimator import (
     sample_skew,
     tail_bound,
 )
-from matchbound.exact import matching_counts
+from matchbound.exact import complete_bipartite_counts, complete_graph_counts, matching_counts
 from matchbound.graphs import (
     WeightedGraph,
     bipartition,
@@ -48,12 +49,14 @@ from matchbound.linalg import (
 
 from conftest import (
     RANDOM6_EDGES,
+    delete_edge,
     disjoint_k2,
     estimate_with_samples,
     exact_det,
     exact_log,
     exact_reduction,
     gauss_hermite_expect,
+    matrix_route,
     random_weighted_graph,
     sample_row_bytes,
     sparse_graph,
@@ -128,8 +131,9 @@ class TestSampleSkew:
 
     def test_gram_block_is_the_dense_sample(self):
         # the Gram route factors rows left x cols right of the same sample,
-        # signs included, whichever side holds the larger label of an edge
-        c4 = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
+        # signs included, whichever side holds the larger label of an edge; edge (0, 3)
+        # at a second weight keeps the 4-cycle K_{2,2} off the chain
+        c4 = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 2.0)))
         k23 = WeightedGraph(
             5, ((3, 0, 1.0), (3, 4, 2.0), (3, 2, 0.5), (1, 0, 1.5), (1, 4, 1.0), (1, 2, 3.0))
         )
@@ -216,9 +220,11 @@ class TestEstimate:
         # bipartite graphs take the Gram route; each sample must match the
         # dense log-determinant of the same draw, also at a small t, where
         # t + s^2 is near s^2. On the 4-cycle the left vertex 2 has the larger
-        # label on edge (1, 2): the Gram block must carry the template's sign there
-        c4 = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
-        cases = ((k23, 1.0, 1e-11), (p6, 1e-2, 1e-10), (c4, 1e-2, 1e-10), (c4, 1.0, 1e-11))
+        # label on edge (1, 2): the Gram block must carry the template's sign there.
+        # One edge at a second weight keeps K_{2,3} and the 4-cycle off the chain
+        c4 = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 2.0)))
+        cases = ((matrix_route(k23), 1.0, 1e-11), (p6, 1e-2, 1e-10), (c4, 1e-2, 1e-10),
+                 (c4, 1.0, 1e-11))
         for g, t, atol in cases:
             assert not any(s.dense for s in estimator._sample_plan(g, t).stacks)
             _, fast_samples = estimate_with_samples(g, t, 3000, 9)
@@ -229,8 +235,9 @@ class TestEstimate:
     @pytest.mark.parametrize("graph, t", [("k4", 1e-2), ("random6", 1e-2), ("random6", 1.0)])
     def test_dense_route_is_the_oracle_bitwise(self, request, graph, t):
         # one component on the dense route factors the oracle's own matrix, whether
-        # by elimination or (past GROWTH_CAP: 54% of K4's draws at t = 1e-2) by slogdet
-        g = request.getfixturevalue(graph)
+        # by elimination or (past GROWTH_CAP: 58% of K4's draws at t = 1e-2, one edge
+        # at weight 1.5 keeping it off the chain) by slogdet
+        g = matrix_route(request.getfixturevalue(graph))
         _, per_sample = estimate_with_samples(g, t, 1000, 5)
         assert np.array_equal(per_sample, dense_oracle(g, t, 1000, 5))
 
@@ -247,7 +254,7 @@ class TestEstimate:
         ],
     )
     def test_batch_size_never_changes_a_sample(self, request, monkeypatch, graph, t, knob, size):
-        g = request.getfixturevalue(graph)
+        g = matrix_route(request.getfixturevalue(graph))  # the chain's cases are TestChain's
         default, default_samples = estimate_with_samples(g, t, 100, 3)
         monkeypatch.setattr(estimator, knob, size)
         small, small_samples = estimate_with_samples(g, t, 100, 3)
@@ -343,15 +350,16 @@ class TestBatchRows:
     """Rows per batch come from the plan's bytes per sample, at most _BATCH."""
 
     def test_k64_fills_the_budget(self):
-        g = complete_graph(64)
+        g = matrix_route(complete_graph(64))  # one edge at a second weight: the dense route
         rows, row_bytes = estimator._batch_rows(estimator._sample_plan(g, 1.0)), sample_row_bytes(g)
         assert rows == 514
         assert rows * row_bytes <= estimator._BATCH_BYTES < (rows + 1) * row_bytes
 
     @pytest.mark.parametrize("graph", ["random6", "sparse"])
     def test_small_samples_keep_the_row_cap(self, request, graph):
-        # random6 takes the whole cap; sparse, at 3,568 bytes a row, fills the budget first
-        g = sparse_graph() if graph == "sparse" else request.getfixturevalue(graph)
+        # random6 takes the whole cap; sparse on the Gram route (one edge of each copy at
+        # a second weight), at 3,568 bytes a row, fills the budget first
+        g = matrix_route(sparse_graph() if graph == "sparse" else request.getfixturevalue(graph))
         rows, row_bytes = estimator._batch_rows(estimator._sample_plan(g, 1.0)), sample_row_bytes(g)
         assert estimator._BATCH == 12288
         assert rows == {"random6": estimator._BATCH, "sparse": 7053}[graph]
@@ -363,7 +371,7 @@ class TestBatchRows:
         assert estimator._batch_rows(estimator._sample_plan(g, 1.0)) >= 1
 
     def test_row_cap_and_one_row_floor(self, monkeypatch):
-        plan = estimator._sample_plan(complete_graph(64), 1.0)
+        plan = estimator._sample_plan(matrix_route(complete_graph(64)), 1.0)
         monkeypatch.setattr(estimator, "_BATCH", 7)
         assert estimator._batch_rows(plan) == 7
         monkeypatch.setattr(estimator, "_BATCH_BYTES", 1)
@@ -371,8 +379,9 @@ class TestBatchRows:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_peak_memory_is_bounded_by_the_budget(self, n):
-        # K128 peaked at 187 MiB with 4096-row batches; nothing is kept per sample
-        g, k = complete_graph(n), 1000
+        # K128 peaked at 187 MiB with 4096-row batches; nothing is kept per sample. One
+        # edge at a second weight keeps K_n on the dense route
+        g, k = matrix_route(complete_graph(n)), 1000
         tracemalloc.start()
         try:
             estimate_log_phi_tilde(g, 1.0, k, 1, threads=1)
@@ -383,10 +392,11 @@ class TestBatchRows:
 
 
 def sixteen_k26() -> WeightedGraph:
-    """The sparse workload's shape: 16 disjoint K_{2,6} of unit weight, 128 vertices."""
+    """The sparse workload's shape: 16 disjoint K_{2,6} of unit weight, 128 vertices, but
+    for one edge of each at weight 1.5, which keeps them on the Gram route."""
     k26 = [(u, 2 + v) for u in range(2) for v in range(6)]
-    return WeightedGraph(128, tuple((8 * c + u, 8 * c + v, 1.0) for c in range(16)
-                                    for u, v in k26))
+    return matrix_route(WeightedGraph(128, tuple((8 * c + u, 8 * c + v, 1.0) for c in range(16)
+                                                 for u, v in k26)))
 
 
 def four_k23() -> WeightedGraph:
@@ -423,7 +433,7 @@ class TestComponents:
     def test_chunked_stream_is_the_oracle(self, monkeypatch, random6, rows, first):
         # chunk sizes 1 and 5 put chunk edges inside a batch; the stream must not see them
         rng = np.random.default_rng(rows + first)
-        graphs = (complete_graph(64), sixteen_k26(), random6)
+        graphs = (matrix_route(complete_graph(64)), sixteen_k26(), random6)
         block_sets = [estimator._sample_plan(g, 1.0).blocks for g in graphs]
         block_sets += [np.sort(rng.choice(4000, size=int(rng.integers(1, 300)), replace=False))
                        for _ in range(3)]
@@ -467,7 +477,8 @@ class TestComponents:
         pairs = range(0 if graph == "isolated" else n // 2)
         edges = tuple((2 * i, 2 * i + 1, 1.0 + i) for i in pairs)
         g = WeightedGraph(n, edges)
-        estimator._sample_plan(path_graph(3), 1.0)  # numpy's first calls allocate once
+        # numpy's first calls allocate once
+        estimator._sample_plan(matrix_route(path_graph(3)), 1.0)
         tracemalloc.start()
         try:
             plan = estimator._sample_plan(g, 1.0)
@@ -545,7 +556,7 @@ class TestComponents:
 
         assert routes(path, 2.65) == [True]
         assert routes(path, 1e300) == [False]
-        assert routes(sixteen_k26(), 1.0) == [False]  # every perfbench component keeps its route
+        assert routes(sixteen_k26(), 1.0) == [False]  # two-weight K_{2,6}: one Gram stack
         _, per_sample = estimate_with_samples(path, 2.65, 40, 1)
         adj = skew_adjacency(path)
         for i, value in enumerate(per_sample):
@@ -568,10 +579,10 @@ class TestComponents:
         # two components of one shape share a stack: member-major up to SMALL_ORDER,
         # sample-major past it; either way the message names the sample drawn and the
         # component's least vertex, 1-based
-        g = WeightedGraph(2 * order, tuple(
+        g = matrix_route(WeightedGraph(2 * order, tuple(
             (c * order + u, c * order + v, 1.0)
             for c in range(2) for u, v in itertools.combinations(range(order), 2)
-        ))
+        )))  # one edge of each at a second weight: the dense route, not the chain
         kernel = estimator.skew_logdet_batch
         row = 1 * 10 + 7 if order <= 12 else 7 * 2 + 1  # sample 7, component 1, of 10 samples
 
@@ -590,9 +601,10 @@ class TestComponents:
     @pytest.mark.parametrize("rows", [None, 7, 5])
     def test_named_sample_does_not_depend_on_the_batch_size(self, monkeypatch, rows, threads):
         # the triangle on vertices 1-3 fails at sample 9 and the 4-cycle on 4-7 at sample 2:
-        # whatever the batch size and thread count, the lowest failing sample is named
-        g = WeightedGraph(7, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
-                              (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0), (3, 6, 1.0)))
+        # whatever the batch size and thread count, the lowest failing sample is named;
+        # one edge of each at weight 2 keeps both off the chain
+        g = WeightedGraph(7, ((0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0),
+                              (3, 4, 2.0), (4, 5, 1.0), (5, 6, 1.0), (3, 6, 1.0)))
         plan = estimator._sample_plan(g, 1.0)
         assert [s.dense for s in plan.stacks] == [True, False]
         edge_cols = [s.index[0][s.coef[0] != 0][0] for s in plan.stacks]  # one edge of each
@@ -620,8 +632,11 @@ class TestComponents:
     ], ids=["dense-small", "dense-slogdet", "gram-small", "gram-past-small-order"])
     def test_every_route_reaches_the_health_check(self, monkeypatch, graph, entry, route):
         # one component after an isolated vertex 1, so its least vertex is 2, and row 7 of
-        # its stack is sample 7 in either layout; the kernel returns the failure as a value
-        g = WeightedGraph(graph.n_vertices + 1, tuple((u + 1, v + 1, w) for u, v, w in graph.edges))
+        # its stack is sample 7 in either layout; the kernel returns the failure as a value.
+        # One edge at a second weight keeps each graph off the chain
+        g = WeightedGraph(graph.n_vertices + 1, tuple(
+            (u + 1, v + 1, w) for u, v, w in matrix_route(graph).edges
+        ))
         (stack,) = estimator._sample_plan(g, 1.0).stacks
         assert (stack.dense, stack.small) == route
         name = "skew_logdet_batch" if stack.dense else "gram_logdet_batch"
@@ -744,6 +759,163 @@ class TestComponents:
         assert abs(est.mean_det - matching_counts(g).eval(1.0)) <= 4 * est.std_err_det
 
 
+# one-weight complete and complete bipartite graphs and their chains' chi degrees
+CHAINS = {
+    "K3": (complete_graph(3), (2, 1)),
+    "K4": (complete_graph(4), (3, 2, 1)),
+    "K5": (complete_graph(5, 0.7), (4, 3, 2, 1)),
+    "K1_2": (complete_bipartite_graph(1, 2), (2,)),
+    "K1_7": (complete_bipartite_graph(1, 7), (7,)),
+    "K2_3": (complete_bipartite_graph(2, 3, 1.3), (3, 1, 2)),
+    "K3_5": (complete_bipartite_graph(3, 5), (5, 2, 4, 1, 3)),
+}
+
+
+def chain_oracle(g: WeightedGraph, degrees, t: float, k: int, seed: int):
+    """(log-determinants, largest |normal|) of k samples of the one-weight graph g on its
+    chain, in scalar Python from RngStream's uniforms past the N(N - 1) pair positions."""
+    n, w = g.n_vertices, g.edges[0][2]
+    logs = sum(d // 2 for d in degrees)
+    odd = [k for k, d in enumerate(degrees) if d % 2]
+    per, values, peak = logs + 2 * ((len(odd) + 1) // 2), [], 0.0
+    for i in range(k):
+        u = RngStream(seed, i).uniforms(n * (n - 1) + per)[n * (n - 1) :].tolist()
+        drawn = iter(u[:logs])
+        c2 = [-2.0 * sum(math.log(next(drawn)) for _ in range(d // 2)) for d in degrees]
+        z = []
+        for r, a in zip(u[logs::2], u[logs + 1 :: 2]):
+            r = math.sqrt(-2.0 * math.log(r))
+            z += [r * math.cos(2.0 * math.pi * a), r * math.sin(2.0 * math.pi * a)]
+        for j, at in enumerate(odd):
+            c2[at] += z[j] * z[j]
+            peak = max(peak, abs(z[j]))
+        rho = math.sqrt(t)
+        total = 0.5 * (n - len(degrees) - 1) * math.log(t) + math.log(rho)
+        for c in c2:
+            rho = math.sqrt(t) + w * c / rho
+            total += math.log(rho)
+        values.append(total)
+    return np.array(values), peak
+
+
+@functools.cache
+def chain_and_matrix(name: str, t: float):
+    """Estimates of CHAINS[name] at t from 2 x 10^5 samples, on its chain and (with the
+    chain's selector patched out) on its matrix route."""
+    g, k = CHAINS[name][0], 200_000
+    chain = estimate_log_phi_tilde(g, t, k, 23)
+    selector, estimator._chi_degrees = estimator._chi_degrees, lambda *args: None
+    try:
+        assert not estimator._sample_plan(g, t).chains
+        matrix = estimate_log_phi_tilde(g, t, k, 23)
+    finally:
+        estimator._chi_degrees = selector
+    return chain, matrix
+
+
+class TestChain:
+    """One-weight complete and complete bipartite components sample a skew-tridiagonal chain."""
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_takes_the_chain(self, name):
+        g, degrees = CHAINS[name]
+        plan = estimator._sample_plan(g, 1.0)
+        assert plan.stacks == () and len(plan.blocks) == 0
+        (chain,) = plan.chains
+        assert tuple(chain.degrees) == degrees and chain.order == g.n_vertices
+        assert chain.weight.tolist() == [g.edges[0][2]]
+        assert chain.start == g.n_vertices * (g.n_vertices - 1) + 1
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(2),
+        WeightedGraph(4, tuple((u, v, 2.0 if (u, v) == (1, 3) else 1.0)
+                               for u, v, _ in complete_graph(4).edges)),  # one changed weight
+        delete_edge(complete_graph(4), 2),  # a missing edge
+        delete_edge(complete_bipartite_graph(2, 3), 0),
+        path_graph(4),
+    ], ids=["K2", "K4-two-weights", "K4-less-an-edge", "K2_3-less-an-edge", "P4"])
+    def test_keeps_a_matrix_route(self, g):
+        plan = estimator._sample_plan(g, 1.0)
+        assert plan.chains == () and len(plan.stacks) == 1
+
+    def test_uniform_ranges_follow_the_pairs_in_plan_order(self):
+        # a dense triangle, K4 and K_{1,2} on the chain (twice), vertex 13 isolated
+        g = WeightedGraph(14, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0))
+                          + tuple((u + 3, v + 3, 0.5) for u, v, _ in complete_graph(4).edges)
+                          + ((7, 8, 1.0), (7, 9, 1.0), (10, 11, 2.0), (10, 12, 2.0)))
+        plan = estimator._sample_plan(g, 1.0)
+        assert [s.dense for s in plan.stacks] == [True]
+        assert [tuple(ch.degrees) for ch in plan.chains] == [(3, 2, 1), (2,)]
+        assert [ch.uniforms for ch in plan.chains] == [1 + 1 + 2, 1]
+        assert [ch.start for ch in plan.chains] == [14 * 13 + 1, 14 * 13 + 1 + 4]
+        assert plan.chains[1].weight.tolist() == [1.0, 2.0]
+        assert plan.least == (0, 3, 7, 10)
+
+    @pytest.mark.parametrize("name, t", [("K3", 1e-2), ("K4", 1.0), ("K5", 3.0),
+                                         ("K1_2", 1.0), ("K2_3", 0.5), ("K3_5", 1e2)])
+    def test_each_sample_is_the_oracle(self, name, t):
+        g, degrees = CHAINS[name]
+        est, per_sample = estimate_with_samples(g, t, 200, 4)
+        want, peak = chain_oracle(g, degrees, t, 200, 4)
+        assert np.allclose(per_sample, want, rtol=1e-13, atol=0)
+        assert est.max_abs_variate == pytest.approx(peak, rel=1e-14, abs=0)
+        assert (peak > 0) == any(d % 2 for d in degrees)
+
+    @pytest.mark.parametrize("t", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("name", ["K4", "K5", "K1_7", "K2_3", "K3_5"])
+    def test_law_is_the_matrix_routes(self, name, t):
+        chain, matrix = chain_and_matrix(name, t)
+        combined = math.hypot(chain.std_err, matrix.std_err)
+        assert abs(chain.mean_log - matrix.mean_log) <= 4 * combined
+
+    @pytest.mark.parametrize("t", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("name", ["K4", "K5", "K1_7", "K2_3", "K3_5"])
+    def test_mean_det_is_unbiased(self, name, t):
+        g = CHAINS[name][0]
+        chain, _ = chain_and_matrix(name, t)
+        bip = g.components[0][1]
+        w = g.edges[0][2]
+        counts = (complete_graph_counts(g.n_vertices, w) if bip is None
+                  else complete_bipartite_counts(bip.m, bip.n, w))
+        target = counts.eval(t) * (math.sqrt(t) if g.n_vertices % 2 else 1.0)
+        assert abs(chain.mean_det - target) <= 4 * chain.std_err_det
+
+    @pytest.mark.parametrize("knob, size", [(None, 0), ("_BATCH_BYTES", 1),
+                                            ("_BATCH_BYTES", 3000), ("_CHUNK", 3)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bytes_do_not_depend_on_threads_or_batches(self, monkeypatch, knob, size, threads):
+        # two chains (K4, and K_{2,3} twice), a dense triangle, a Gram K2 and vertex 19 alone
+        k23 = complete_bipartite_graph(2, 3).edges
+        g = WeightedGraph(20, tuple(complete_graph(4, 0.8).edges)
+                          + tuple((u + 4, v + 4, 1.0) for u, v, _ in k23)
+                          + tuple((u + 9, v + 9, 2.5) for u, v, _ in k23)
+                          + ((14, 15, 1.0), (15, 16, 2.0), (14, 16, 0.5), (17, 18, 1.2)))
+        assert len(estimator._sample_plan(g, 1.0).chains) == 2
+        want, want_samples = estimate_with_samples(g, 0.7, 500, 6, threads=1)
+        if knob:
+            monkeypatch.setattr(estimator, knob, size)
+        got, got_samples = estimate_with_samples(g, 0.7, 500, 6, threads=threads)
+        assert np.array_equal(got_samples, want_samples)
+        assert astuple(got) == astuple(want)
+
+    @pytest.mark.parametrize("w", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("t", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("name", ["K3", "K4", "K2_3"])
+    def test_extremes_exit_or_fall_back(self, name, t, w):
+        # the chain only where sqrt(t) + n_C 75 w / sqrt(t) is finite; there every
+        # log-determinant is finite, and elsewhere the component keeps its matrix route
+        g = WeightedGraph(CHAINS[name][0].n_vertices,
+                          tuple((u, v, w) for u, v, _ in CHAINS[name][0].edges))
+        plan = estimator._sample_plan(g, t)
+        if math.sqrt(t) + g.n_vertices * 75.0 * w / math.sqrt(t) == math.inf:
+            assert plan.chains == () and len(plan.stacks) == 1
+            return
+        assert plan.stacks == () and len(plan.chains) == 1
+        est = estimate_log_phi_tilde(g, t, 300, 5)
+        bounds = bounds_report(est, g.n_vertices, t, c1_constant(), parts=weight_sums(g).parts)
+        assert math.isfinite(est.mean_log) and math.isfinite(bounds.lower_log)
+
+
 def decimal_det_moments(per_sample) -> tuple[float, float]:
     """(log mean, log std err) of exp(per_sample) in 60-digit decimal arithmetic."""
     with decimal.localcontext() as ctx:
@@ -832,7 +1004,7 @@ class TestManyComponents:
         (1, 100.0, 300), (2, 100.0, 300), (17, 1.0, 300), (1001, 100.0, 300), (1001, 100.0, 2),
     ])
     def test_equals_the_common_denominator_sum(self, components, t, k):
-        if components == 17:  # 16 Gram-route K_{2,6}, a dense triangle, an isolated vertex
+        if components == 17:  # 16 K_{2,6} on the chain, a dense triangle, an isolated vertex
             edges = sparse_graph().edges + ((128, 129, 0.7), (129, 130, 1.3), (128, 130, 2.0))
             g = WeightedGraph(132, edges)
         else:

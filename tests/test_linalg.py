@@ -13,6 +13,7 @@ from matchbound.linalg import (
     NonPositiveDeterminantError,
     SkewSample,
     bipartite_block,
+    chain_logdet_batch,
     gram_logdet_batch,
     log_det_bipartite,
     log_det_shifted,
@@ -179,6 +180,35 @@ class TestGramBatch:
         for i in range(30):
             want = log_det_shifted(bipartite_block(BipartiteSample(u[i])), 0.8)
             assert values[i] == pytest.approx(want, rel=1e-11)
+
+
+class TestChainBatch:
+    """The continuant recurrence is the log-determinant of the skew-tridiagonal matrix."""
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-8, 1.0, 1e8, 1e300])
+    @pytest.mark.parametrize("length, order", [(1, 2), (1, 8), (2, 3), (5, 6), (5, 9)])
+    def test_is_the_exact_determinant(self, length, order, t):
+        # order - length - 1 vertices lie past the chain and add (1/2) log t each
+        rng = np.random.default_rng(length * 10 + order)
+        c2 = rng.chisquare(3, (length, 6)) * 10.0 ** rng.uniform(-3, 3, (length, 6))
+        got = chain_logdet_batch(c2, t, order)
+        for b in range(6):
+            off = np.sqrt(c2[:, b])
+            y = np.diag(off, 1) - np.diag(off, -1) + math.sqrt(t) * np.eye(length + 1)
+            want = exact_log(exact_det(y)) + 0.5 * (order - length - 1) * math.log(t)
+            assert got[b] == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    def test_a_column_depends_on_itself_alone(self):
+        rng = np.random.default_rng(4)
+        c2 = rng.chisquare(2, (7, 50))
+        whole = chain_logdet_batch(c2, 0.3, 8)
+        assert np.array_equal(whole[17:18], chain_logdet_batch(c2[:, 17:18].copy(), 0.3, 8))
+        assert np.array_equal(whole[::3], chain_logdet_batch(c2[:, ::3].copy(), 0.3, 8))
+
+    def test_overflow_is_a_value(self):
+        c2 = np.array([[1.0, 1e308], [1.0, 1e308]])
+        got = chain_logdet_batch(c2, 1e-300, 3)
+        assert math.isfinite(got[0]) and not math.isfinite(got[1])
 
 
 def test_bipartite_block_shape():
