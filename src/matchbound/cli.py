@@ -23,6 +23,7 @@ from typing import Any
 
 from .analysis import c1_constant, gaussian_log_gap, optimality_sweep
 from .estimator import (
+    MAX_THREADS,
     BoundsReport,
     EstimateResult,
     _exp,
@@ -282,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", type=float, required=True, help="polynomial argument, > 0")
             p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
             usable = "the CPUs in this process's affinity set"  # main reads them at each call
-            p.add_argument("--threads", type=int, help=f"worker threads (default: {usable})")
+            p.add_argument("--threads", type=int,
+                           help=f"worker threads, at most {MAX_THREADS} (default: {usable})")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
 
@@ -351,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     _PARSER = _PARSER or build_parser()
     args = _PARSER.parse_args(argv)
     if getattr(args, "threads", 1) is None:  # the CPUs usable at this call, not the first
-        args.threads = _usable_cpus()
+        args.threads = min(_usable_cpus() or 1, MAX_THREADS)
     try:
         # the wall time goes to the text report only, so JSON stays byte-identical
         started = time.monotonic()

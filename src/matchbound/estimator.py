@@ -19,11 +19,13 @@ vertices whose edges carry one weight w, complete or complete bipartite, takes t
 chain: its Gaussian matrix is orthogonally invariant in law, and Householder and
 Golub-Kahan reduction give that law exactly as sqrt(w) T, T skew-tridiagonal with
 independent chi off-diagonals (Dumitriu and Edelman, "Matrix models for beta
-ensembles", J. Math. Phys. 43, 2002; Silverstein, Ann. Probab. 13, 1985), so a
-sample is O(n^2) uniforms and an O(n) recurrence. Its determinant keeps its law, so
-the plan, the certificate and the bracket are unchanged. Any other component is
-gathered from its edges' normals: left x right on the Gram route where it is
-bipartite and U U^T keeps t, whole on the dense route otherwise (_sample_plan).
+ensembles", J. Math. Phys. 43, 2002; Silverstein, Ann. Probab. 13, 1985). Each chi^2
+below _LARGE_DEGREE degrees is a sum of logs of uniforms, and each from it on one
+Marsaglia-Tsang gamma draw (_chi_squares), so a sample is O(n) variates and an O(n)
+recurrence. Its determinant keeps its law, so the plan, the certificate and the bracket
+are unchanged. Any other component is gathered from its edges' normals: left x right
+on the Gram route where it is bipartite and U U^T keeps t, whole on the dense route
+otherwise (_sample_plan).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import functools
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +55,8 @@ _BATCH = 3 << 12  # most rows a batch takes; the partition never depends on the 
 _BATCH_BYTES = 24 << 20  # a batch's variates and matrices stay within this, whatever N
 _CHUNK = 1 << 16  # pair blocks generated at once: the working buffers stay cache-sized
 _TERMS = 1 << 14  # terms an exact-sum pass takes at once: cache-sized, and exact
+_LARGE_DEGREE = 16  # chi^2 degrees from here on are drawn by Marsaglia-Tsang
+MAX_THREADS = 256  # most threads an estimate takes: each share but one starts an OS thread
 _LN2 = math.log(2.0)
 
 
@@ -158,17 +162,25 @@ class _Chain:
     c_k^2 ~ chi^2 on degrees[k] degrees of freedom, its vertices past the chain (the
     larger side's n - m) adding (1/2) log t each (order is the vertex count). Member c
     reads the uniforms at positions start + c uniforms on, one range after another.
+    Attempt r >= 1 of its large-degree variate j reads the three at retry + (r - 1)
+    stride + 3 (c L + j) on, L large degrees a member (_chi_squares).
     """
 
     degrees: np.ndarray
     order: int
     weight: np.ndarray
     start: int
+    retry: int  # the position of attempt 1 of its first large-degree variate
+    stride: int  # positions between two attempts of a variate: 3 per large-degree variate
 
     @property
     def uniforms(self) -> int:
-        """floor(d/2) for each degree d, then two per Box-Muller block of the odd ones."""
-        return int(np.sum(self.degrees // 2)) + 2 * ((int(np.sum(self.degrees % 2)) + 1) // 2)
+        """floor(d/2) for each degree d below _LARGE_DEGREE, two per Box-Muller block of
+        the normals (one per odd degree below it, then one per degree from it on), and one
+        per degree from it on."""
+        small = self.degrees[self.degrees < _LARGE_DEGREE]
+        large = self.degrees.size - small.size
+        return int(np.sum(small // 2)) + 2 * ((int(np.sum(small % 2)) + large + 1) // 2) + large
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +221,9 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
     """The plan of g at t > 0, which picks each component's route.
 
     A component of one weight w that _chi_degrees names takes the chain where its
-    recurrence stays finite: every chi^2 variate is at most (n_C / 2) 75 (below), so
-    each rho_k <= sqrt(t) + n_C 75 w / sqrt(t), which must be finite. Forming U U^T
+    recurrence stays finite: every chi^2 variate is at most (n_C / 2) 75 (below, and at
+    most 8.6 n_C from _LARGE_DEGREE on, _chi_squares), so each
+    rho_k <= sqrt(t) + n_C 75 w / sqrt(t), which must be finite. Forming U U^T
     rounds each eigenvalue t + s^2 >= t by about n_C eps max_w, for a component of n_C
     vertices and largest weight max_w, so the Gram route is taken only where
     n_C eps max_w / t <= 1e-12; elsewhere a bipartite component takes the dense route.
@@ -261,7 +274,7 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
     stacks, chains, start = [], [], n * (n - 1) + 1  # the chains' uniforms follow the pairs'
     for s, ((route, n_rows, n_cols), members) in enumerate(groups.items()):
         if route == "chain":
-            chains.append(_Chain(np.array(n_rows), n_cols, heaviest[members], start))
+            chains.append(_Chain(np.array(n_rows), n_cols, heaviest[members], start, 0, 0))
             start += chains[-1].uniforms * len(members)
             continue
         coef = np.zeros((len(members), n_rows, n_cols))
@@ -271,6 +284,10 @@ def _sample_plan(g: WeightedGraph, t: float) -> _SamplePlan:
             at = member[on], row[a[on]], col[b[on]]
             coef[at], index[at] = sign[on], edges[on]
         stacks.append(_Stack(route == "dense", coef, index))
+    # retries follow every chain's range, three uniforms per large-degree variate an attempt
+    large = [int(np.sum(ch.degrees >= _LARGE_DEGREE)) * len(ch.weight) for ch in chains]
+    retry = start + 3 * np.cumsum([0] + large)
+    chains = [replace(ch, retry=int(r), stride=3 * sum(large)) for ch, r in zip(chains, retry)]
     idle = np.setdiff1d(np.arange(2 * len(blocks)), edges)
     isolated = n - sum(len(verts) for verts, _ in comps)
     least = tuple(min(comps[c][0]) for members in groups.values() for c in members)
@@ -296,20 +313,41 @@ def _matrices(stack: _Stack, z: np.ndarray) -> np.ndarray:
     return mats.reshape(-1, *mats.shape[2:])
 
 
+def _gamma_attempt(z: np.ndarray, u: np.ndarray, shape: np.ndarray, scale: np.ndarray):
+    """(2 shape v, whether Marsaglia-Tsang accepts it) for a normal z and a uniform u:
+    v = (1 + scale z)^3, scale = 1 / sqrt(9 shape), shape = a - 1/3 for Gamma(a), a >= 1,
+    accepted where v > 0 and log u < z^2 / 2 + shape - shape v + shape log v."""
+    v = 1.0 + scale * z
+    v = v * v * v
+    with np.errstate(invalid="ignore", divide="ignore"):  # v <= 0 is rejected
+        ok = (v > 0) & (np.log(u) < 0.5 * z * z + shape - shape * v + shape * np.log(v))
+    return 2.0 * shape * v, ok
+
+
 def _chi_squares(chain: _Chain, seed: int, start: int, count: int):
     """((degrees, members, count) variates weight c^2 of samples start to start + count - 1,
     largest |normal| among them).
 
-    A member's chi^2_d is -2 sum log u over floor(d/2) uniforms, taken in the order of its
-    degrees from its first position on; each odd d then adds z^2 for one normal, r cos a
-    or r sin a, of the Box-Muller blocks that follow (r's uniform, then a's). A chunk of
-    samples is made position-major in reused buffers, so each sum runs over rows and
-    no value depends on the chunk or on another sample.
+    A member's chi^2_d below _LARGE_DEGREE is -2 sum log u over floor(d/2) uniforms, taken
+    in the order of its degrees from its first position on; each odd d then adds z^2 for
+    one normal, r cos a or r sin a, of the Box-Muller blocks that follow (r's uniform, then
+    a's). From _LARGE_DEGREE on, chi^2_d is 2 Gamma(d/2), drawn exactly by Marsaglia and
+    Tsang (ACM TOMS 26, 2000): attempt 0 takes the blocks' next normal and one uniform of
+    those past the blocks, and each rejected attempt r - 1 is followed by attempt r at
+    the chain's retry + (r - 1) stride + 3 (c L + j): r's and a's uniform, whose cosine
+    half is the normal, and the uniform it is tested with. A variate is 2 (a - 1/3)
+    (1 + scale z)^3 <= 17.1 a <= 8.6 n_C for |z| <= sqrt(108 ln 2) and a >= 8. A chunk of
+    samples is made position-major in reused buffers, so each sum runs over rows and no
+    value depends on the chunk or on another sample.
     """
     d, per, members = chain.degrees, chain.uniforms, len(chain.weight)
-    half, odd = d // 2, np.flatnonzero(d % 2)
+    large, small = np.flatnonzero(d >= _LARGE_DEGREE), d < _LARGE_DEGREE
+    half, odd = np.where(small, d // 2, 0), np.flatnonzero(small & (d % 2 == 1))
     logs, summed = int(half.sum()), np.flatnonzero(half)
     at = (np.cumsum(half) - half)[summed]  # the first log row of each degree past 1
+    normals, tested = len(odd) + len(large), per - len(large)  # the tests' first uniform
+    shape = d[large, None] / 2.0 - 1.0 / 3.0
+    scale = 1.0 / np.sqrt(9.0 * shape)
     steps = (chain.start + np.arange(per * members, dtype=np.uint64)) * _GOLDEN
     keys = _stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
     out, peak = np.zeros((len(d), members, count)), 0.0
@@ -319,7 +357,7 @@ def _chi_squares(chain: _Chain, seed: int, start: int, count: int):
         n = min(cols, count - lo)
         work = (a[: steps.size * n].reshape(-1, n) for a in (buf, bits, tmp))
         x = _uniforms(steps, keys[lo : lo + n], *work).reshape(members, per, n)
-        sq, r, a = out[:, :, lo : lo + n], x[:, logs::2], x[:, logs + 1 :: 2]
+        sq, r, a = out[:, :, lo : lo + n], x[:, logs:tested:2], x[:, logs + 1 : tested : 2]
         np.log(x[:, :logs], out=x[:, :logs])
         sq[summed] = -2.0 * np.add.reduceat(x[:, :logs], at, axis=1).transpose(1, 0, 2)
         np.log(r, out=r)
@@ -329,9 +367,25 @@ def _chi_squares(chain: _Chain, seed: int, start: int, count: int):
         z = np.empty((members, 2 * r.shape[1], n))
         np.multiply(r, np.cos(a), out=z[:, 0::2])
         np.multiply(r, np.sin(a), out=z[:, 1::2])
-        z = z[:, : len(odd)]
+        z, big = z[:, : len(odd)], z[:, len(odd) : normals]
         peak = max(peak, float(np.abs(z).max(initial=0.0)))
         sq[odd] += (z * z).transpose(1, 0, 2)
+        if not large.size:
+            continue
+        value, ok = _gamma_attempt(big, x[:, tested:], shape, scale)
+        peak = max(peak, float(np.abs(big).max(where=ok, initial=0.0)))
+        (c, j, col), attempt = np.nonzero(~ok), 0
+        while c.size:
+            pos = chain.retry + attempt * chain.stride + 3 * (c * len(large) + j)
+            tries = (pos.astype(np.uint64)[:, None] + np.arange(3, dtype=np.uint64)) * _GOLDEN
+            bufs = np.empty(tries.shape), *np.empty((2, *tries.shape), np.uint64)
+            u = _uniforms(keys[lo + col], tries, *bufs)
+            normal = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
+            v, took = _gamma_attempt(normal, u[:, 2], shape[j, 0], scale[j, 0])
+            value[c[took], j[took], col[took]] = v[took]
+            peak = max(peak, float(np.abs(normal[took]).max(initial=0.0)))
+            (c, j, col), attempt = (c[~took], j[~took], col[~took]), attempt + 1
+        sq[large] = value.transpose(1, 0, 2)
     out *= chain.weight[:, None]
     return out, peak
 
@@ -703,14 +757,15 @@ def estimate_log_phi_tilde(
     bipartite and U U^T keeps t, the dense antisymmetric factorization otherwise
     (see _sample_plan); a sample's value is the sum over components, in a fixed
     order. Thread i of n sums batches i, i + n, ... exactly, so no thread count
-    or batch size moves a result, nor the lowest failing sample an error names.
+    or batch size moves a result, nor the lowest failing sample an error names. A
+    thread count past MAX_THREADS raises ValueError before any thread starts.
     """
     if not 1 <= k <= 2**64:
         raise ValueError("the sample count must be from 1 to 2**64, one per uint64 index")
     if not 0 < t < math.inf:
         raise ValueError("t must be positive and finite")
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be at least 1")
+    if threads is not None and not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be from 1 to {MAX_THREADS}")
 
     plan = _sample_plan(g, t)
     rows = _batch_rows(plan)  # rows depend on the plan alone

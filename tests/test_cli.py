@@ -172,6 +172,18 @@ class TestEstimate:
         assert main(argv + ["--threads", threads]) == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_default_threads_stop_at_the_cap(self, capsys, monkeypatch, k2_file):
+        seen = []
+
+        def spy(*args, threads):
+            seen.append(threads)
+            return estimator.estimate_log_phi_tilde(*args, threads=threads)
+
+        monkeypatch.setattr(cli, "estimate_log_phi_tilde", spy)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1000)
+        assert main(["estimate", "--graph", k2_file, "--t", "1", "--samples", "1"]) == 0
+        assert seen == [estimator.MAX_THREADS]
+
     def test_default_threads_are_the_usable_cpus(self, capsys, monkeypatch, k2_file):
         # main reads the default at each call, though its parser is built once
         seen = []
@@ -722,6 +734,19 @@ class TestConstants:
         )
         assert code == 0
         assert len(json.loads(out)["gap_table"]) == 10_000
+
+
+@pytest.mark.parametrize("threads", ["257", "100000"])
+@pytest.mark.parametrize("subcommand", ["estimate", "verify", "bench"])
+def test_threads_past_the_cap_are_usage_error(capsys, monkeypatch, k2_file, subcommand, threads):
+    # refused before any pool exists: this starts no thread
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", None)
+    if subcommand == "bench":
+        argv = ["bench", "--sides", "2", "--w", "1"]
+    else:
+        argv = [subcommand, "--graph", k2_file]
+    assert main(argv + ["--t", "1", "--samples", "1000000000", "--threads", threads]) == 2
+    assert "threads must be from 1 to 256" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", ["inf", "nan"])

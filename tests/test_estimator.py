@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import functools
 import itertools
@@ -289,6 +290,29 @@ class TestEstimate:
     def test_nonpositive_threads_rejected(self, k4, threads):
         with pytest.raises(ValueError, match="threads"):
             estimate_log_phi_tilde(k4, 1.0, 10, 0, threads=threads)
+
+    @pytest.mark.parametrize("threads", [estimator.MAX_THREADS + 1, 100_000])
+    def test_threads_past_the_cap_rejected_before_any_pool(self, monkeypatch, random6, threads):
+        # 10^9 samples are 81,381 batches: one share each would start as many threads,
+        # so the count is refused before a pool exists (and this test starts none)
+        pools = []
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
+        with pytest.raises(ValueError, match=f"^threads must be from 1 to {estimator.MAX_THREADS}$"):
+            estimate_log_phi_tilde(random6, 1.0, 10**9, 0, threads=threads)
+        assert pools == []
+
+    def test_threads_at_the_cap_take_one_worker_per_batch(self, monkeypatch, random6):
+        workers = []
+
+        class Recording(estimator.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(estimator, "_BATCH", 7)
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", Recording)
+        estimate_log_phi_tilde(random6, 1.0, 21, 0, threads=estimator.MAX_THREADS)
+        assert workers == [3]
 
     @pytest.mark.parametrize(
         "threads, knob, size",
@@ -768,34 +792,92 @@ CHAINS = {
     "K1_7": (complete_bipartite_graph(1, 7), (7,)),
     "K2_3": (complete_bipartite_graph(2, 3, 1.3), (3, 1, 2)),
     "K3_5": (complete_bipartite_graph(3, 5), (5, 2, 4, 1, 3)),
+    # past the large degree: 19 to 16, and 18, 17 and 16
+    "K20": (complete_graph(20, 0.4), tuple(range(19, 0, -1))),
+    "K16_18": (complete_bipartite_graph(16, 18), tuple(
+        d for i in range(16) for d in (18 - i, 15 - i))[:-1]),
 }
 
 
-def chain_oracle(g: WeightedGraph, degrees, t: float, k: int, seed: int):
-    """(log-determinants, largest |normal|) of k samples of the one-weight graph g on its
-    chain, in scalar Python from RngStream's uniforms past the N(N - 1) pair positions."""
-    n, w = g.n_vertices, g.edges[0][2]
-    logs = sum(d // 2 for d in degrees)
-    odd = [k for k, d in enumerate(degrees) if d % 2]
-    per, values, peak = logs + 2 * ((len(odd) + 1) // 2), [], 0.0
+def gamma_attempt(d: int, z: float, u: float) -> tuple[float, bool]:
+    """(2 s v, accepted) of one Marsaglia-Tsang attempt at chi^2_d, s = d/2 - 1/3."""
+    s = d / 2.0 - 1.0 / 3.0
+    v = 1.0 + 1.0 / math.sqrt(9.0 * s) * z
+    v = v * v * v
+    return 2.0 * s * v, v > 0 and math.log(u) < 0.5 * z * z + s - s * v + s * math.log(v)
+
+
+def chain_oracle(g: WeightedGraph, degrees, t: float, k: int, seed: int, rejected: int = 0):
+    """(log-determinants, largest |normal| in the chain, retries) of k samples of the
+    one-weight graph g on its chain, in scalar Python from RngStream's uniforms past the
+    N(N - 1) pair positions. A degree d below 16 is -2 sum log u over floor(d/2) uniforms
+    (plus z^2 at odd d); from 16 on it is Marsaglia-Tsang's 2 Gamma(d/2), whose attempt
+    r >= 1 at the j-th of L such degrees reads 3 uniforms 3 (L (r - 1) + j) past the
+    chain's range. Attempts below rejected are rejected whatever their test."""
+    n, w, first = g.n_vertices, g.edges[0][2], g.n_vertices * (g.n_vertices - 1)
+    logs = sum(d // 2 for d in degrees if d < 16)
+    odd = [k for k, d in enumerate(degrees) if d < 16 and d % 2]
+    large = [k for k, d in enumerate(degrees) if d >= 16]
+    tested = logs + 2 * ((len(odd) + len(large) + 1) // 2)
+    per, values, peak, retries = tested + len(large), [], 0.0, 0
     for i in range(k):
-        u = RngStream(seed, i).uniforms(n * (n - 1) + per)[n * (n - 1) :].tolist()
+        u = RngStream(seed, i).uniforms(first + per)[first:].tolist()
         drawn = iter(u[:logs])
-        c2 = [-2.0 * sum(math.log(next(drawn)) for _ in range(d // 2)) for d in degrees]
+        c2 = [-2.0 * sum(math.log(next(drawn)) for _ in range(d // 2)) if d < 16 else 0.0
+              for d in degrees]
         z = []
-        for r, a in zip(u[logs::2], u[logs + 1 :: 2]):
+        for r, a in zip(u[logs:tested:2], u[logs + 1 : tested : 2]):
             r = math.sqrt(-2.0 * math.log(r))
             z += [r * math.cos(2.0 * math.pi * a), r * math.sin(2.0 * math.pi * a)]
         for j, at in enumerate(odd):
             c2[at] += z[j] * z[j]
             peak = max(peak, abs(z[j]))
+        for j, at in enumerate(large):
+            normal, test, attempt = z[len(odd) + j], u[tested + j], 0
+            c2[at], ok = gamma_attempt(degrees[at], normal, test)
+            while not ok or attempt < rejected:
+                p = first + per + 3 * (len(large) * attempt + j)
+                r, a, test = RngStream(seed, i).uniforms(p + 3)[p:].tolist()
+                normal = math.sqrt(-2.0 * math.log(r)) * math.cos(2.0 * math.pi * a)
+                c2[at], ok = gamma_attempt(degrees[at], normal, test)
+                retries, attempt = retries + 1, attempt + 1
+            peak = max(peak, abs(normal))
         rho = math.sqrt(t)
         total = 0.5 * (n - len(degrees) - 1) * math.log(t) + math.log(rho)
         for c in c2:
             rho = math.sqrt(t) + w * c / rho
             total += math.log(rho)
         values.append(total)
-    return np.array(values), peak
+    return np.array(values), peak, retries
+
+
+def reject_first_attempts(monkeypatch, attempts: int) -> None:
+    """Make _chi_squares reject each variate's first attempts, whatever their test: its
+    attempt 0 is the one call on a (members, L, count) stack, each retry a flat call."""
+    attempt, seen = estimator._gamma_attempt, [0]
+
+    def rejecting(z, *args):
+        seen[0] = 0 if z.ndim == 3 else seen[0] + 1
+        value, ok = attempt(z, *args)
+        return value, ok & (seen[0] >= attempts)
+
+    monkeypatch.setattr(estimator, "_gamma_attempt", rejecting)
+
+
+def former_chi_squares(d: int, n: int, seed: int) -> np.ndarray:
+    """n chi^2_d variates by the former sampler at every degree: -2 sum log u over
+    floor(d/2) uniforms in (0, 1], plus z^2 for one normal at odd d."""
+    rng = np.random.default_rng(seed)
+    c2 = -2.0 * np.log1p(-rng.random((n, d // 2))).sum(axis=1)
+    return c2 + rng.standard_normal(n) ** 2 if d % 2 else c2
+
+
+def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    fa, fb = (np.searchsorted(x, at, side="right") / len(x) for x in (a, b))
+    return float(np.abs(fa - fb).max())
 
 
 @functools.cache
@@ -825,6 +907,9 @@ class TestChain:
         assert tuple(chain.degrees) == degrees and chain.order == g.n_vertices
         assert chain.weight.tolist() == [g.edges[0][2]]
         assert chain.start == g.n_vertices * (g.n_vertices - 1) + 1
+        # retries follow the chain's range, three uniforms per large degree an attempt
+        assert chain.retry == chain.start + chain.uniforms
+        assert chain.stride == 3 * sum(d >= 16 for d in degrees)
 
     @pytest.mark.parametrize("g", [
         complete_graph(2),
@@ -848,18 +933,78 @@ class TestChain:
         assert [tuple(ch.degrees) for ch in plan.chains] == [(3, 2, 1), (2,)]
         assert [ch.uniforms for ch in plan.chains] == [1 + 1 + 2, 1]
         assert [ch.start for ch in plan.chains] == [14 * 13 + 1, 14 * 13 + 1 + 4]
+        assert [(ch.retry, ch.stride) for ch in plan.chains] == [(14 * 13 + 1 + 4 + 2, 0)] * 2
         assert plan.chains[1].weight.tolist() == [1.0, 2.0]
         assert plan.least == (0, 3, 7, 10)
 
+    def test_retries_follow_every_chain_in_plan_order(self):
+        # K17 (degrees 16 to 1) and two stars K_{1,16} (degree 16) on one chain: three
+        # large-degree variates a sample, so an attempt takes 9 positions past both ranges
+        star = complete_bipartite_graph(1, 16).edges
+        g = WeightedGraph(51, tuple(complete_graph(17).edges)
+                          + tuple((u + 17, v + 17, 1.0) for u, v, _ in star)
+                          + tuple((u + 34, v + 34, 2.0) for u, v, _ in star))
+        k17, stars = estimator._sample_plan(g, 1.0).chains
+        assert (k17.uniforms, stars.uniforms) == (56 + 2 * 5 + 1, 2 + 1)
+        assert stars.start == k17.start + k17.uniforms
+        end = stars.start + 2 * stars.uniforms
+        assert (k17.retry, stars.retry) == (end, end + 3) and k17.stride == stars.stride == 9
+
     @pytest.mark.parametrize("name, t", [("K3", 1e-2), ("K4", 1.0), ("K5", 3.0),
-                                         ("K1_2", 1.0), ("K2_3", 0.5), ("K3_5", 1e2)])
+                                         ("K1_2", 1.0), ("K2_3", 0.5), ("K3_5", 1e2),
+                                         ("K20", 1.0), ("K16_18", 0.3)])
     def test_each_sample_is_the_oracle(self, name, t):
         g, degrees = CHAINS[name]
         est, per_sample = estimate_with_samples(g, t, 200, 4)
-        want, peak = chain_oracle(g, degrees, t, 200, 4)
+        want, peak, retries = chain_oracle(g, degrees, t, 200, 4)
         assert np.allclose(per_sample, want, rtol=1e-13, atol=0)
         assert est.max_abs_variate == pytest.approx(peak, rel=1e-14, abs=0)
-        assert (peak > 0) == any(d % 2 for d in degrees)
+        assert (peak > 0) == any(d % 2 or d >= 16 for d in degrees)
+        assert (retries > 0) == (max(degrees) >= estimator._LARGE_DEGREE)
+
+    @pytest.mark.parametrize("name, t", [("K20", 1.0), ("K16_18", 0.3)])
+    def test_every_attempt_reads_its_own_uniforms(self, monkeypatch, name, t):
+        # each variate's attempts 0 and 1 are rejected: every value is attempt 2's or later
+        reject_first_attempts(monkeypatch, 2)
+        g, degrees = CHAINS[name]
+        _, per_sample = estimate_with_samples(g, t, 50, 4)
+        want, _, retries = chain_oracle(g, degrees, t, 50, 4, rejected=2)
+        assert np.allclose(per_sample, want, rtol=1e-13, atol=0)
+        assert retries >= 2 * 50 * sum(d >= 16 for d in degrees)
+
+    def test_a_member_reads_what_a_chain_alone_at_its_positions_reads(self, monkeypatch):
+        # member 1 of two K20: its range follows member 0's, and attempt r of its
+        # variate j is 3 (L + j) past member 0's variate 0, retries included
+        reject_first_attempts(monkeypatch, 2)
+        g = WeightedGraph(40, tuple((u + 20 * c, v + 20 * c, w / (c + 1))
+                                    for c in range(2) for u, v, w in complete_graph(20).edges))
+        (chain,) = estimator._sample_plan(g, 1.0).chains
+        assert chain.weight.tolist() == [1.0, 0.5] and chain.stride == 3 * 2 * 4
+        alone = dataclasses.replace(chain, weight=chain.weight[1:], retry=chain.retry + 3 * 4,
+                                    start=chain.start + chain.uniforms)
+        both, one = (estimator._chi_squares(ch, 3, 5, 40)[0] for ch in (chain, alone))
+        assert np.array_equal(both[:, 1], one[:, 0])
+        assert not np.array_equal(both[:, 0] / 2, one[:, 0])
+
+    @pytest.mark.parametrize("d", [16, 17, 31, 63, 64, 127])
+    def test_law_is_the_former_samplers(self, d):
+        # 10^5 Marsaglia-Tsang variates against 10^5 of -2 sum log u: the two-sample
+        # Kolmogorov-Smirnov distance stays below its alpha = 0.01 critical value
+        n = 100_000
+        (chain,) = estimator._sample_plan(complete_bipartite_graph(1, d), 1.0).chains
+        assert tuple(chain.degrees) == (d,) and d >= estimator._LARGE_DEGREE
+        drawn = estimator._chi_squares(chain, 8, 0, n)[0].ravel()
+        assert ks_distance(drawn, former_chi_squares(d, n, 8)) < 1.63 * math.sqrt(2 / n)
+
+    @pytest.mark.parametrize("g", [complete_graph(20), complete_bipartite_graph(8, 18)],
+                             ids=["K20", "K8_18"])
+    def test_mean_det_is_unbiased_past_the_large_degree(self, g):
+        est = estimate_log_phi_tilde(g, 1.0, 200_000, 31)
+        bip = g.components[0][1]
+        counts = (complete_graph_counts(g.n_vertices, 1.0) if bip is None
+                  else complete_bipartite_counts(bip.m, bip.n, 1.0))
+        assert max(estimator._sample_plan(g, 1.0).chains[0].degrees) >= 16
+        assert abs(est.mean_det - counts.eval(1.0)) <= 4 * est.std_err_det
 
     @pytest.mark.parametrize("t", [1e-2, 1.0, 1e2])
     @pytest.mark.parametrize("name", ["K4", "K5", "K1_7", "K2_3", "K3_5"])
@@ -884,13 +1029,16 @@ class TestChain:
                                             ("_BATCH_BYTES", 3000), ("_CHUNK", 3)])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_bytes_do_not_depend_on_threads_or_batches(self, monkeypatch, knob, size, threads):
-        # two chains (K4, and K_{2,3} twice), a dense triangle, a Gram K2 and vertex 19 alone
-        k23 = complete_bipartite_graph(2, 3).edges
-        g = WeightedGraph(20, tuple(complete_graph(4, 0.8).edges)
+        # three chains (K4, K_{2,3} twice and K24 twice, whose degrees 23 to 16 take
+        # Marsaglia-Tsang and its retries), a dense triangle, a Gram K2 and vertex 19 alone
+        k23, k24 = complete_bipartite_graph(2, 3).edges, complete_graph(24).edges
+        g = WeightedGraph(68, tuple(complete_graph(4, 0.8).edges)
                           + tuple((u + 4, v + 4, 1.0) for u, v, _ in k23)
                           + tuple((u + 9, v + 9, 2.5) for u, v, _ in k23)
-                          + ((14, 15, 1.0), (15, 16, 2.0), (14, 16, 0.5), (17, 18, 1.2)))
-        assert len(estimator._sample_plan(g, 1.0).chains) == 2
+                          + ((14, 15, 1.0), (15, 16, 2.0), (14, 16, 0.5), (17, 18, 1.2))
+                          + tuple((u + 20, v + 20, 1.0) for u, v, _ in k24)
+                          + tuple((u + 44, v + 44, 0.6) for u, v, _ in k24))
+        assert [len(ch.weight) for ch in estimator._sample_plan(g, 1.0).chains] == [1, 2, 2]
         want, want_samples = estimate_with_samples(g, 0.7, 500, 6, threads=1)
         if knob:
             monkeypatch.setattr(estimator, knob, size)
